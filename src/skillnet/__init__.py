@@ -54,8 +54,6 @@ from .retrieval import (
     FailurePattern,
     RetrievalResult,
     TaskQuery,
-    backward_bfs,
-    forward_beam,
     render_skill_block,
     retrieve,
     select_seeds,
@@ -91,9 +89,8 @@ __all__ = [
     "group_advantages", "grpo_objective",
     "FailureSummary", "HttpProposer", "Proposer", "ProposerRequest",
     "ScriptedProposer", "SkillProposal", "render_insert_prompt",
-    "FailurePattern", "RetrievalResult", "TaskQuery", "backward_bfs",
-    "forward_beam", "render_skill_block", "retrieve", "select_seeds",
-    "topo_order",
+    "FailurePattern", "RetrievalResult", "TaskQuery", "render_skill_block",
+    "retrieve", "select_seeds", "topo_order",
     "ComparisonResult", "ConceptMap", "SimConfig", "SimMetrics", "SimProposer",
     "SyntheticTask", "TaskTypeSpec", "compare_retrievers",
     "default_sim_config", "flat_retrieve", "rollout", "run_loop",

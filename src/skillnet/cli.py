@@ -9,6 +9,7 @@ outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,13 +18,7 @@ from pathlib import Path
 from . import __version__
 from .config import load_app_config
 from .curriculum import CurriculumState, maybe_unlock
-from .errors import (
-    ConfigInvalid,
-    ParseError,
-    ProposerError,
-    SkillNetError,
-    VersionMismatch,
-)
+from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
 from .evolution import evolve_step
 from .model import EdgeKind, SkillGraph, SkillNode
 from .persistence import (
@@ -35,7 +30,7 @@ from .persistence import (
 )
 from .proposer import HttpProposer, ScriptedProposer
 from .retrieval import TaskQuery, render_skill_block, retrieve
-from .simulate import SimConfig, compare_retrievers, run_loop
+from .simulate import compare_retrievers, run_loop
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +124,10 @@ def _cmd_init(args: argparse.Namespace) -> int:
     if not isinstance(records, list):
         raise ParseError("skills file must be a JSON array of skill records")
     graph = SkillGraph()
-    for obj in records:
+    for i, obj in enumerate(records):
+        if not isinstance(obj, dict) or not {"skill_id", "title"} <= set(obj):
+            raise ParseError(f"skills entry {i} must be an object with "
+                             f"skill_id and title")
         graph.add_skill(SkillNode(
             skill_id=str(obj["skill_id"]),
             title=str(obj["title"]),
@@ -150,11 +148,12 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     graph = _require_graph(args)
     query = TaskQuery(description=args.task_description,
                       task_type=args.task_type)
-    result = retrieve(
-        graph, query,
-        depth=args.depth if args.depth is not None else app.retrieval.depth,
-        beam_width=args.beam if args.beam is not None else app.retrieval.beam_width,
-        k_max=args.kmax if args.kmax is not None else app.retrieval.k_max)
+    flags = {"k_max": args.kmax, "depth": args.depth, "beam_width": args.beam}
+    params = dataclasses.replace(
+        app.retrieval, **{k: v for k, v in flags.items() if v is not None})
+    params.validate()
+    result = retrieve(graph, query, depth=params.depth,
+                      beam_width=params.beam_width, k_max=params.k_max)
     if args.render:
         print(render_skill_block(result, graph))
         return EXIT_OK
@@ -191,13 +190,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     graph.update_stats(batch)
 
     if app.proposer.endpoint:
-        proposer = HttpProposer(
-            endpoint=app.proposer.endpoint,
-            model=app.proposer.model,
-            api_key_env=app.proposer.api_key_env,
-            timeout=app.proposer.timeout,
-            temperature=app.proposer.temperature,
-            max_retries=app.proposer.max_retries)
+        proposer = HttpProposer(**dataclasses.asdict(app.proposer))
     else:
         logger.info("no proposer endpoint configured; node synthesis is off")
         proposer = ScriptedProposer()
@@ -224,8 +217,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    app = load_app_config(args.config, strict=args.strict)
-    sim_config = SimConfig.from_dict(app.simulation)
+    sim_config = load_app_config(args.config, strict=args.strict).simulation
     metrics, graph = run_loop(sim_config, args.seed)
     _atomic_write(args.out, metrics.to_csv())
     print(f"{len(metrics.rows)} checkpoint(s) -> {args.out}")
@@ -300,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProposerError as exc:
         print(f"proposer error: {exc}", file=sys.stderr)
         return EXIT_PROPOSER
-    except (ParseError, VersionMismatch, ConfigInvalid, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SkillNetError as exc:
+    except (SkillNetError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,10 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import ConfigInvalid
 from .model import SkillGraph, SkillNode
 
 DEFAULT_WARMUP_LENGTH = 5
 DEFAULT_UNLOCK_THRESHOLD = 0.6
+
+
+@dataclass
+class CurriculumParams:
+    """The ``curriculum`` config section, read when a ``CurriculumState`` starts."""
+
+    warmup_length: int = DEFAULT_WARMUP_LENGTH
+    unlock_threshold: float = DEFAULT_UNLOCK_THRESHOLD
+
+    def validate(self) -> None:
+        if self.warmup_length < 0:
+            raise ConfigInvalid("curriculum.warmup_length must be >= 0")
+        if not 0.0 <= self.unlock_threshold <= 1.0:
+            raise ConfigInvalid("curriculum.unlock_threshold must lie in [0, 1]")
 
 
 @dataclass

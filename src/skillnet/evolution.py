@@ -13,10 +13,10 @@ should hold a snapshot taken before or after the step, never during.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .errors import CycleWouldForm, ProposerError, SchemaViolation
+from .errors import ConfigInvalid, CycleWouldForm, ProposerError, SchemaViolation
 from .model import EdgeKind, SkillEdge, SkillGraph, SkillNode, pair_key
 from .persistence import TrajectoryRecord, normalize_edge_keys
 from .proposer import (
@@ -50,18 +50,19 @@ class EvolutionConfig:
     prune_threshold: float = 0.05    # w_min
     cooccur_min_count: int = 2       # c_min
 
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "EvolutionConfig":
-        if not isinstance(obj, dict):
-            raise SchemaViolation("evolution config must be an object")
-        cfg = cls()
-        for key, value in obj.items():
-            if not hasattr(cfg, key):
-                raise SchemaViolation(f"unknown evolution config field {key!r}")
-            if key == "split_band":
-                value = (float(value[0]), float(value[1]))
-            setattr(cfg, key, value)
-        return cfg
+    def validate(self) -> None:
+        """The ranges under which evolution keeps every weight in [0, 1]."""
+        for name in ("merge_jaccard", "deprecate_threshold", "reinforce_step",
+                     "decay_factor", "prune_threshold"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigInvalid(f"evolution.{name} must lie in [0, 1]")
+        lo, hi = self.split_band
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ConfigInvalid("evolution.split_band must satisfy 0 <= lo <= hi <= 1")
+        for name in ("max_new_skills", "split_min_uses", "deprecate_min_uses",
+                     "cooccur_min_count"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"evolution.{name} must be >= 0")
 
 
 @dataclass
@@ -79,17 +80,7 @@ class EvolutionReport:
     unlock_events: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "inserted": list(self.inserted),
-            "merged": [[kept, list(gone)] for kept, gone in self.merged],
-            "split": [[parent, list(children)] for parent, children in self.split],
-            "deprecated": list(self.deprecated),
-            "edges_reinforced": self.edges_reinforced,
-            "edges_added": self.edges_added,
-            "edges_pruned": self.edges_pruned,
-            "stale_edge_skips": self.stale_edge_skips,
-            "unlock_events": list(self.unlock_events),
-        }
+        return asdict(self)
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

@@ -95,6 +95,12 @@ def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
     return (src, dst, kind)
 
 
+def is_blank(text: object) -> bool:
+    """The one rule for skill text, shared by ``add_skill`` and proposals:
+    anything but a string with more than whitespace is blank."""
+    return not isinstance(text, str) or not text.strip()
+
+
 def pair_key(a: str, b: str) -> tuple[str, str]:
     """Canonical unordered pair of skill ids."""
     return (a, b) if a <= b else (b, a)
@@ -127,7 +133,7 @@ class SkillGraph:
         """Insert a skill node. Levels become stale until recomputed."""
         if node.skill_id in self.nodes:
             raise DuplicateId(node.skill_id)
-        if not node.title.strip():
+        if is_blank(node.title):
             raise EmptyTitle(f"skill {node.skill_id!r} has an empty title")
         if node.n_succ > node.n_use:
             raise SuccessWithoutUse(
@@ -237,10 +243,6 @@ class SkillGraph:
 
     # ------------------------------------------------------------------
     # adjacency views
-
-    def dependency_parents(self, skill_id: str) -> list[SkillEdge]:
-        return [self._edges[k] for k in self._in.get(skill_id, ())
-                if k[2] in DEPENDENCY_KINDS]
 
     def dependency_children(self, skill_id: str) -> list[SkillEdge]:
         return [self._edges[k] for k in self._out.get(skill_id, ())

@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -25,11 +25,9 @@ SNAPSHOT_VERSION = 1
 
 _TOP_LEVEL_FIELDS = {"version", "meta", "nodes", "edges", "co_counts"}
 _META_FIELDS = {"checkpoint_index", "highest_active_level", "next_dynamic_id"}
-_NODE_FIELDS = {
-    "skill_id", "title", "principle", "when_to_apply", "category",
-    "level", "n_use", "n_succ", "success_rate", "created_step", "deprecated",
-}
-_NODE_REQUIRED = _NODE_FIELDS - {"success_rate"}
+# every SkillNode field is stored and required; success_rate is derived
+_NODE_REQUIRED = frozenset(f.name for f in fields(SkillNode))
+_NODE_FIELDS = _NODE_REQUIRED | {"success_rate"}
 _EDGE_FIELDS = {"src", "dst", "kind", "weight"}
 
 
@@ -46,15 +44,7 @@ class TrajectoryRecord:
     checkpoint_index: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "task_id": self.task_id,
-            "task_type": self.task_type,
-            "retrieved_skill_ids": list(self.retrieved_skill_ids),
-            "traversed_edges": [list(edge) for edge in self.traversed_edges],
-            "steps": [dict(step) for step in self.steps],
-            "success": self.success,
-            "checkpoint_index": self.checkpoint_index,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: Any) -> "TrajectoryRecord":
@@ -99,19 +89,9 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
     nodes = []
     for skill_id in sorted(graph.nodes):
         node = graph.nodes[skill_id]
-        nodes.append({
-            "skill_id": node.skill_id,
-            "title": node.title,
-            "principle": node.principle,
-            "when_to_apply": node.when_to_apply,
-            "category": node.category,
-            "level": node.level,
-            "n_use": node.n_use,
-            "n_succ": node.n_succ,
-            "success_rate": node.success_rate(),
-            "created_step": node.created_step,
-            "deprecated": node.deprecated,
-        })
+        record = {name: getattr(node, name) for name in _NODE_REQUIRED}
+        record["success_rate"] = node.success_rate()
+        nodes.append(record)
     edges = [
         {"src": e.src, "dst": e.dst, "kind": e.kind.value, "weight": e.weight}
         for e in sorted(graph.edges(), key=lambda e: (e.src, e.dst, e.kind.value))
@@ -175,12 +155,12 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         if not isinstance(obj, dict):
             raise ParseError("node entry must be an object")
         _check_fields(obj, _NODE_FIELDS, "node", strict)
-        missing = _NODE_REQUIRED - set(obj)
+        missing = _NODE_REQUIRED - obj.keys()
         if missing:
             raise ParseError(
                 f"node entry missing field(s): {', '.join(sorted(missing))}")
         try:
-            node = SkillNode(
+            graph.add_skill(SkillNode(
                 skill_id=str(obj["skill_id"]),
                 title=str(obj["title"]),
                 principle=str(obj["principle"]),
@@ -191,8 +171,7 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
                 n_succ=int(obj["n_succ"]),
                 created_step=int(obj["created_step"]),
                 deprecated=bool(obj["deprecated"]),
-            )
-            graph.add_skill(node)
+            ))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad node entry: {exc}") from exc
         except Exception as exc:
@@ -231,6 +210,9 @@ def _atomic_write(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            # the rename must not reach the disk before the data it names
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

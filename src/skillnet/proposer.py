@@ -19,7 +19,13 @@ from typing import Any, Sequence
 
 import requests
 
-from .errors import ProposerParseError, ProposerUnavailable, SchemaViolation
+from .errors import (
+    ConfigInvalid,
+    ProposerParseError,
+    ProposerUnavailable,
+    SchemaViolation,
+)
+from .model import is_blank
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +34,24 @@ MAX_FAILURES_PER_REQUEST = 5
 STEPS_RENDERED_PER_FAILURE = 5
 
 REQUEST_KINDS = ("insert", "merge", "split")
+
+
+@dataclass
+class ProposerParams:
+    """The ``proposer`` config section: how ``HttpProposer`` reaches a teacher."""
+
+    endpoint: str | None = None
+    model: str = "teacher"
+    api_key_env: str = "SKILLNET_API_KEY"
+    timeout: float = 30.0
+    temperature: float = 0.0
+    max_retries: int = 1
+
+    def validate(self) -> None:
+        if not self.timeout > 0:
+            raise ConfigInvalid("proposer.timeout must be > 0")
+        if self.temperature < 0 or self.max_retries < 0:
+            raise ConfigInvalid("proposer.temperature and max_retries must be >= 0")
 
 
 @dataclass
@@ -46,10 +70,11 @@ class SkillProposal:
     neighbor_assignment: list[str] | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.title, str) or not 1 <= len(self.title) <= MAX_TITLE_LENGTH:
-            raise SchemaViolation(f"title must be 1-{MAX_TITLE_LENGTH} chars")
-        if not isinstance(self.principle, str) or not self.principle.strip():
-            raise SchemaViolation("principle must be non-empty")
+        if is_blank(self.title) or len(self.title) > MAX_TITLE_LENGTH:
+            raise SchemaViolation(
+                f"title must be non-blank and at most {MAX_TITLE_LENGTH} chars")
+        if is_blank(self.principle):
+            raise SchemaViolation("principle must be non-blank")
         if not isinstance(self.when_to_apply, str):
             raise SchemaViolation("when_to_apply must be a string")
         if self.category is not None and not isinstance(self.category, str):
@@ -130,7 +155,7 @@ def request_digest(request: ProposerRequest) -> str:
 
 
 class Proposer:
-    """Interface: turn a request into a list of validated proposals."""
+    """Interface: turn a request into proposals, which evolution validates."""
 
     def propose(self, request: ProposerRequest) -> list[SkillProposal]:
         raise NotImplementedError
@@ -152,8 +177,6 @@ class ScriptedProposer(Proposer):
         proposals = self.fixtures.get(key)
         if proposals is None:
             proposals = self.fixtures.get(request.kind, [])
-        for proposal in proposals:
-            proposal.validate()
         return list(proposals[:request.max_items])
 
 
@@ -276,8 +299,8 @@ class HttpProposer(Proposer):
     """Chat-completions client speaking the proposal JSON contract.
 
     One request per evolution sub-operation, a single optional retry, and a
-    hard timeout that degrades to ProposerUnavailable so a checkpoint can
-    always finish without the teacher.
+    hard timeout. Every transport failure degrades to ProposerUnavailable so
+    a checkpoint can always finish without the teacher.
     """
 
     def __init__(self, endpoint: str, model: str,
@@ -332,7 +355,7 @@ class HttpProposer(Proposer):
             try:
                 content = self._post(prompt)
                 break
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except requests.RequestException as exc:
                 last_error = exc
         else:
             raise ProposerUnavailable(str(last_error))

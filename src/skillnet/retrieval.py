@@ -28,6 +28,19 @@ MISTAKES_HEADER = "### Mistakes to Avoid"
 
 
 @dataclass
+class RetrievalParams:
+    """The ``retrieval`` config section. A negative ``k_max`` means no cap."""
+
+    k_max: int = DEFAULT_K_MAX
+    depth: int = DEFAULT_BFS_DEPTH
+    beam_width: int = DEFAULT_BEAM_WIDTH
+
+    def validate(self) -> None:
+        if self.depth < 0 or self.beam_width < 0:
+            raise ConfigInvalid("retrieval.depth and beam_width must be >= 0")
+
+
+@dataclass
 class TaskQuery:
     """A task description paired with its category string."""
 
@@ -137,21 +150,6 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
             walked.add(key)
             frontier.add(v)
     return kept, walked
-
-
-def backward_bfs(graph: SkillGraph, seeds: set[str], depth: int) -> set[str]:
-    """Prerequisite ancestors of the seeds, excluding the seeds themselves."""
-    graph.ensure_levels()
-    reached, _ = _expand_backward(graph, seeds, depth)
-    return reached
-
-
-def forward_beam(graph: SkillGraph, seeds: set[str], beam_width: int,
-                 max_layers: int = DEFAULT_BFS_DEPTH) -> tuple[set[str], dict[str, float]]:
-    """Forward expansion set and the propagated score of every kept node."""
-    graph.ensure_levels()
-    kept, _ = _expand_forward(graph, seeds, beam_width, max_layers)
-    return set(kept), dict(kept)
 
 
 def topo_order(graph: SkillGraph, skill_ids: set[str],

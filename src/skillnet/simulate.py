@@ -16,28 +16,19 @@ comparison see identical tasks and random draws.
 
 from __future__ import annotations
 
-import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .curriculum import CurriculumState, maybe_unlock
+from .curriculum import CurriculumParams, CurriculumState, maybe_unlock
 from .errors import ConfigInvalid
 from .evolution import EvolutionConfig, EvolutionReport, evolve_step
 from .model import GENERAL_CATEGORY, SkillGraph, SkillNode
 from .persistence import TrajectoryRecord
-from .policy_math import group_advantages, grpo_objective
+# never called here; bench/tracing.py still wraps these two names in this module
+from .policy_math import group_advantages, grpo_objective  # noqa: F401
 from .proposer import Proposer, ProposerRequest, SkillProposal
-from .retrieval import (
-    DEFAULT_BEAM_WIDTH,
-    DEFAULT_BFS_DEPTH,
-    DEFAULT_K_MAX,
-    RetrievalResult,
-    TaskQuery,
-    retrieve,
-)
-
-logger = logging.getLogger(__name__)
+from .retrieval import RetrievalParams, RetrievalResult, TaskQuery, retrieve
 
 MAX_CHAIN_LENGTH = 6
 
@@ -123,20 +114,27 @@ class ConceptMap:
         return sorted(c for c, ids in self._covering.items() if skill_id in ids)
 
 
+# Marks a setting owned by a top-level config section: the config file sets
+# it there, and the simulation section cannot.
+SHARED = {"shared": True}
+
+
 @dataclass
 class SimConfig:
+    """The synthetic world and the loop, plus the sections the loop reads."""
+
     types: list[TaskTypeSpec]
     initial_skills: list[InitialSkillSpec]
     steps: int = 250
     tasks_per_step: int = 6
     group_size: int = 8
     validation_frequency: int = 5
-    k_max: int = DEFAULT_K_MAX
-    depth: int = DEFAULT_BFS_DEPTH
-    beam_width: int = DEFAULT_BEAM_WIDTH
-    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    warmup_length: int = 5
-    unlock_threshold: float = 0.6
+    retrieval: RetrievalParams = field(default_factory=RetrievalParams,
+                                       metadata=SHARED)
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig,
+                                       metadata=SHARED)
+    curriculum: CurriculumParams = field(default_factory=CurriculumParams,
+                                         metadata=SHARED)
 
     def validate(self) -> None:
         if not self.types:
@@ -161,30 +159,6 @@ class SimConfig:
             raise ConfigInvalid("steps/tasks_per_step/group_size out of range")
         if self.validation_frequency < 1:
             raise ConfigInvalid("validation_frequency must be >= 1")
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "SimConfig":
-        if not isinstance(obj, dict):
-            raise ConfigInvalid("simulation config must be an object")
-        base = default_sim_config()
-        if not obj:
-            return base
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigInvalid(
-                f"unknown simulation config field(s): {', '.join(sorted(unknown))}")
-        if "types" in obj:
-            base.types = [TaskTypeSpec(**t) for t in obj["types"]]
-        if "initial_skills" in obj:
-            base.initial_skills = [InitialSkillSpec(**s) for s in obj["initial_skills"]]
-        if "evolution" in obj:
-            base.evolution = EvolutionConfig.from_dict(obj["evolution"])
-        for key in known - {"types", "initial_skills", "evolution"}:
-            if key in obj:
-                setattr(base, key, obj[key])
-        base.validate()
-        return base
 
 
 def default_sim_config() -> SimConfig:
@@ -569,10 +543,11 @@ def run_loop(config: SimConfig, seed: int,
     graph, concept_map = build_initial_graph(config)
     proposer = SimProposer(concept_map,
                            {t.name: list(t.canonical) for t in config.types})
+    params = config.retrieval
     curriculum = CurriculumState(
-        warmup_length=config.warmup_length,
-        warmup_steps_remaining=config.warmup_length,
-        unlock_threshold=config.unlock_threshold,
+        warmup_length=config.curriculum.warmup_length,
+        warmup_steps_remaining=config.curriculum.warmup_length,
+        unlock_threshold=config.curriculum.unlock_threshold,
     )
     metrics = SimMetrics(initial_nodes=len(graph.nodes))
     task_rng = random.Random(f"{seed}/tasks")
@@ -589,19 +564,17 @@ def run_loop(config: SimConfig, seed: int,
             task = _sample_task(config, task_rng, task_index)
             if retriever == "graph":
                 result = retrieve(graph, TaskQuery(task.task_id, task.task_type),
-                                  depth=config.depth,
-                                  beam_width=config.beam_width,
-                                  k_max=config.k_max)
+                                  depth=params.depth,
+                                  beam_width=params.beam_width,
+                                  k_max=params.k_max)
             else:
-                result = flat_retrieve(graph, task.task_type, config.k_max,
+                result = flat_retrieve(graph, task.task_type, params.k_max,
                                        random.Random(f"{seed}/flat/{task_index}"))
             roll_rng = random.Random(f"{seed}/roll/{task_index}")
-            rewards: list[float] = []
             for _ in range(config.group_size):
                 record = rollout(task, result, concept_map, roll_rng)
                 record.checkpoint_index = len(metrics.rows)
                 window.append(record)
-                rewards.append(1.0 if record.success else 0.0)
                 for skill_id in result.ordered_skills:
                     stats_batch.append((skill_id, True, record.success))
                 metrics.rollouts += 1
@@ -609,11 +582,6 @@ def run_loop(config: SimConfig, seed: int,
                 if len(task.required_chain) >= 3:
                     metrics.long_chain_rollouts += 1
                     metrics.long_chain_successes += int(record.success)
-            # exercised for the log only; nothing updates from it
-            advantages = group_advantages(rewards)
-            objective = grpo_objective([1.0] * len(rewards), advantages,
-                                       kl_divergence=0.0, kl_coeff=0.01)
-            logger.debug("task %s group objective %.4f", task.task_id, objective)
             window_lens.append(len(result.ordered_skills))
             metrics.tasks += 1
             metrics.retrieved_len_sum += len(result.ordered_skills)
@@ -678,16 +646,7 @@ class ComparisonResult:
     flat_arm: ArmStats
 
     def to_dict(self) -> dict[str, Any]:
-        def arm(stats: ArmStats) -> dict[str, Any]:
-            return {
-                "task_success": stats.task_success,
-                "long_chain_success": stats.long_chain_success,
-                "mean_retrieved_len": stats.mean_retrieved_len,
-                "tasks": stats.tasks,
-                "rollouts": stats.rollouts,
-                "long_chain_rollouts": stats.long_chain_rollouts,
-            }
-        return {"graph": arm(self.graph_arm), "flat": arm(self.flat_arm)}
+        return {"graph": asdict(self.graph_arm), "flat": asdict(self.flat_arm)}
 
 
 def _arm_stats(metrics: SimMetrics) -> ArmStats:

@@ -30,7 +30,6 @@ from skillnet import (
     default_sim_config,
     deprecate_scan,
     evolve_step,
-    forward_beam,
     graph_to_dict,
     group_advantages,
     grpo_objective,
@@ -44,7 +43,7 @@ from skillnet import (
 )
 from skillnet.errors import CycleWouldForm, ProposerUnavailable
 from skillnet.proposer import render_insert_prompt
-from skillnet.retrieval import DEFAULT_K_MAX
+from skillnet.retrieval import DEFAULT_K_MAX, _expand_forward
 
 from conftest import (
     add_nodes,
@@ -138,8 +137,8 @@ def test_criterion_2_retrieval_correctness():
                      and graph.nodes[v].category in ("general", query.task_type)}
             if seeds:
                 depth = rng.randint(1, 3)
-                _, scores = forward_beam(graph, seeds, len(graph.nodes),
-                                         max_layers=depth)
+                scores, _ = _expand_forward(graph, seeds, len(graph.nodes),
+                                            depth)
                 assert scores == oracle_best_path_products(graph, seeds, depth)
                 sigma_checked += 1
     report(2, "retrieval correctness", True,

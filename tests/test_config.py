@@ -48,7 +48,11 @@ class TestDefaults:
         }))
         config = load_app_config(path)
         assert config.proposer.endpoint == "http://localhost:1"
-        assert config.simulation == {"steps": 10}
+        assert config.simulation.steps == 10
+        # the simulator reads the top-level sections, not copies of them
+        assert config.simulation.retrieval.beam_width == 5
+        assert config.simulation.evolution.decay_factor == 0.95
+        assert config.simulation.curriculum.warmup_length == 2
 
 
 class TestValidation:
@@ -87,3 +91,72 @@ class TestValidation:
         path.write_text(json.dumps({"evolution": {"split_band": [0.1, 0.3]}}))
         config = load_app_config(path)
         assert config.evolution.split_band == (0.1, 0.3)
+
+
+# each ended in a traceback and exit 1 before types and ranges were checked
+BAD_CONFIGS = [
+    {"retrieval": {"k_max": "8"}},
+    {"evolution": {"split_band": 5}},
+    {"curriculum": {"warmup_length": "2"}},
+    {"simulation": {"steps": "3"}},
+    {"simulation": {"types": [{"nme": "x"}]}},
+    {"evolution": {"decay_factor": 6.0}},  # weights would leave [0, 1]
+]
+
+
+class TestTypesAndRanges:
+    def load(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return load_app_config(path)
+
+    @pytest.mark.parametrize("doc", BAD_CONFIGS + [
+        {"retrieval": {"k_max": True}},         # bool is not a number
+        {"retrieval": {"depth": 2.0}},
+        {"retrieval": {"depth": -1}},
+        {"retrieval": {"beam_width": -1}},
+        {"evolution": {"merge_jaccard": 1.5}},
+        {"evolution": {"reinforce_step": -0.1}},
+        {"evolution": {"prune_threshold": 2}},
+        {"evolution": {"deprecate_threshold": "low"}},
+        {"evolution": {"split_band": [0.5, 0.2]}},
+        {"evolution": {"split_band": [0.1, 0.2, 0.3]}},
+        {"evolution": {"max_new_skills": -1}},
+        {"evolution": {"cooccur_min_count": 1.5}},
+        {"curriculum": {"warmup_length": -1}},
+        {"curriculum": {"unlock_threshold": 1.1}},
+        {"proposer": {"timeout": 0}},
+        {"proposer": {"temperature": -0.5}},
+        {"proposer": {"max_retries": -1}},
+        {"proposer": {"endpoint": 80}},
+        {"simulation": {"types": "prep"}},
+        {"simulation": {"types": [{"name": "x"}]}},  # canonical is required
+        {"simulation": {"k_max": 1}},            # lives in retrieval now
+        {"simulation": {"evolution": {}}},       # lives at the top level
+    ])
+    def test_rejected(self, tmp_path, doc):
+        with pytest.raises(ConfigInvalid):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize("text", [
+        '{"evolution": {"decay_factor": NaN}}',
+        '{"evolution": {"decay_factor": Infinity}}',
+        '{"evolution": {"decay_factor": 1e400}}',
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigInvalid):
+            self.load(tmp_path, text)
+
+    def test_accepted_values_are_typed(self, tmp_path):
+        config = self.load(tmp_path, {
+            "retrieval": {"k_max": -1},          # negative means uncapped
+            "evolution": {"decay_factor": 1, "split_band": [0, 1]},
+            "proposer": {"endpoint": None},
+            "simulation": {"types": [{"name": "x", "canonical": list("abcd")}],
+                           "initial_skills": []},
+        })
+        assert config.retrieval.k_max == -1
+        assert type(config.evolution.decay_factor) is float
+        assert config.evolution.split_band == (0.0, 1.0)
+        assert config.proposer.endpoint is None
+        assert config.simulation.types[0].chain_max == 4  # dataclass default

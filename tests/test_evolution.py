@@ -21,6 +21,7 @@ from skillnet import (
     scan_insert_trigger,
     split_scan,
 )
+from skillnet import load_graph, save_graph
 from skillnet.errors import ProposerUnavailable
 from skillnet.proposer import Proposer
 
@@ -137,6 +138,16 @@ class TestInsert:
         assert scan_insert_trigger([failure()], graph, FailingProposer(),
                                    EvolutionConfig()) == []
 
+    def test_blank_title_dropped_others_kept(self, tmp_path):
+        graph = SkillGraph()
+        proposer = ScriptedProposer({"insert": [proposal(1, title="  "),
+                                                proposal(2)]})
+        report = evolve_step(graph, [], [failure()], proposer, EvolutionConfig())
+        assert [graph.nodes[v].title for v in report.inserted] == \
+            ["Proposed skill 2"]
+        save_graph(graph, tmp_path / "g.json")
+        assert set(load_graph(tmp_path / "g.json").nodes) == set(graph.nodes)
+
 
 class TestJaccardAndMerge:
     def test_jaccard_hand_values(self):
@@ -236,6 +247,15 @@ class TestJaccardAndMerge:
         assert merges == [("s1", ["s2"])]
         assert "s3" in graph.nodes
 
+    def test_blank_title_skips_the_merge(self, tmp_path):
+        graph = self.build_pair()
+        proposer = CountingProposer([proposal(9, title="\t ")])
+        report = evolve_step(graph, [], [], proposer, EvolutionConfig())
+        assert report.merged == [] and proposer.calls == 1
+        assert graph.nodes["s1"].title == "Skill s1"
+        save_graph(graph, tmp_path / "g.json")
+        assert set(load_graph(tmp_path / "g.json").nodes) == set(graph.nodes)
+
     def test_proposer_unavailable_skips_merges(self):
         graph = self.build_pair()
         assert merge_scan(graph, FailingProposer(), EvolutionConfig()) == []
@@ -286,6 +306,17 @@ class TestSplit:
         split_scan(graph, proposer, [], EvolutionConfig())
         for node in graph.nodes.values():
             assert node.n_use == 0 and node.n_succ == 0
+
+    def test_blank_sub_skill_dropped(self, tmp_path):
+        graph = self.banded_graph()
+        proposer = CountingProposer([proposal(1), proposal(2, title=" "),
+                                     proposal(3)])
+        report = evolve_step(graph, [], [], proposer, EvolutionConfig())
+        (parent, children), = report.split
+        assert [graph.nodes[c].title for c in children] == \
+            ["Proposed skill 1", "Proposed skill 3"]
+        save_graph(graph, tmp_path / "g.json")
+        assert set(load_graph(tmp_path / "g.json").nodes) == set(graph.nodes)
 
     def test_single_proposal_is_noop(self):
         graph = self.banded_graph()

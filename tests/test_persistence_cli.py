@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 
@@ -24,6 +25,7 @@ from skillnet.cli import main
 from skillnet.errors import ParseError, VersionMismatch
 
 from conftest import add_nodes, make_node, random_graph
+from test_config import BAD_CONFIGS
 
 
 class TestSnapshotRoundTrip:
@@ -81,6 +83,16 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ParseError) as info:
             load_graph(path)
         assert info.value.line == 2
+
+    def test_write_is_synced_before_the_rename(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: events.append("fsync") or fsync(fd))
+        monkeypatch.setattr(os, "replace",
+                            lambda a, b: events.append("replace") or replace(a, b))
+        save_graph(SkillGraph(), tmp_path / "g.json")
+        assert events == ["fsync", "replace"]
 
     def test_missing_node_field_rejected(self, tmp_path, rng):
         data = graph_to_dict(random_graph(rng, n=2))
@@ -491,3 +503,52 @@ class TestCli:
         assert lines[0].startswith("checkpoint,nodes_total,nodes_active")
         assert len(lines) == 3  # header + 2 checkpoints
         load_graph(graph_out)
+
+    @pytest.mark.parametrize("doc", BAD_CONFIGS)
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "m.csv"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_init_rejects_non_object_entry(self, tmp_path, capsys):
+        skills = tmp_path / "skills.json"
+        skills.write_text(json.dumps([{"skill_id": "a", "title": "A"}, "oops"]))
+        assert main(["init", "--skills", str(skills),
+                     "--out", str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: skills entry 1")
+
+    def test_graph_errors_are_data_errors(self, tmp_path, capsys):
+        skills = tmp_path / "skills.json"
+        skills.write_text(json.dumps([{"skill_id": "a", "title": " "}]))
+        assert main(["init", "--skills", str(skills),
+                     "--out", str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: skill 'a'")
+
+    def test_unwritable_output_is_a_data_error(self, tmp_path, capsys):
+        assert main(["init", "--skills", self.write_skills(tmp_path),
+                     "--out", str(tmp_path / "missing" / "g.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_simulate_reads_the_top_level_sections(self, tmp_path, capsys):
+        csvs = []
+        for extra in ({}, {"retrieval": {"k_max": 1}}):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({
+                "simulation": {"steps": 10, "tasks_per_step": 2}, **extra}))
+            out = tmp_path / f"m{len(csvs)}.csv"
+            assert main(["simulate", "--config", str(config), "--seed", "3",
+                         "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] != csvs[1]
+
+    def test_retrieve_flags_obey_the_config_ranges(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        main(["init", "--skills", self.write_skills(tmp_path),
+              "--out", str(graph_path)])
+        assert main(["--graph", str(graph_path), "retrieve",
+                     "--task-type", "clean", "--depth", "-1"]) == 2

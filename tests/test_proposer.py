@@ -8,6 +8,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from skillnet import (
     FailureSummary,
@@ -60,6 +61,10 @@ class TestProposalSchema:
             SkillProposal.from_dict({
                 "skill_id": "x", "title": "",
                 "principle": "p", "when_to_apply": "w"})
+
+    def test_blank_title(self):
+        with pytest.raises(SchemaViolation):
+            SkillProposal("p", " \t", "principle", "when").validate()
 
     def test_empty_principle(self):
         with pytest.raises(SchemaViolation):
@@ -297,3 +302,26 @@ class TestHttpProposer:
             failure_contexts=["clean: t17"]))
         assert "Broad" in split_prompt and "clean: t17" in split_prompt
         assert "2-3 simpler sub-skills" in split_prompt
+
+    def test_any_request_exception_maps_to_unavailable(self):
+        """A redirect loop degrades the checkpoint like a timeout does."""
+        from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
+
+        class RedirectLoop:
+            calls = 0
+
+            def post(self, *args, **kwargs):
+                self.calls += 1
+                raise requests.TooManyRedirects("redirect loop")
+
+        session = RedirectLoop()
+        proposer = HttpProposer("http://teacher.invalid", model="stub",
+                                max_retries=1, session=session)
+        with pytest.raises(ProposerUnavailable):
+            proposer.propose(insert_request())
+        assert session.calls == 2
+        failure = TrajectoryRecord(task_id="t", task_type="clean",
+                                   retrieved_skill_ids=[], success=False)
+        report = evolve_step(SkillGraph(), [], [failure], proposer,
+                             EvolutionConfig())
+        assert report.inserted == []

@@ -9,15 +9,13 @@ from skillnet import (
     FailurePattern,
     SkillGraph,
     TaskQuery,
-    backward_bfs,
-    forward_beam,
     render_skill_block,
     retrieve,
     select_seeds,
     topo_order,
 )
 from skillnet.errors import ConfigInvalid
-from skillnet.retrieval import _expand_forward
+from skillnet.retrieval import DEFAULT_BFS_DEPTH, _expand_backward, _expand_forward
 
 from conftest import add_nodes, make_node, oracle_best_path_products
 
@@ -68,12 +66,12 @@ class TestSelectSeeds:
 class TestBackwardBfs:
     def test_depth_zero_empty(self):
         graph = chain_graph()
-        assert backward_bfs(graph, {"seed"}, 0) == set()
+        assert _expand_backward(graph, {"seed"}, 0)[0] == set()
 
     def test_depth_limits(self):
         graph = chain_graph()
-        assert backward_bfs(graph, {"seed"}, 1) == {"p1"}
-        assert backward_bfs(graph, {"seed"}, 2) == {"p1", "p2"}
+        assert _expand_backward(graph, {"seed"}, 1)[0] == {"p1"}
+        assert _expand_backward(graph, {"seed"}, 2)[0] == {"p1", "p2"}
 
     def test_enhance_parents_not_followed(self):
         graph = SkillGraph()
@@ -81,12 +79,12 @@ class TestBackwardBfs:
         graph.add_edge("e", "seed", EdgeKind.ENHANCE, 0.2)
         graph.compute_levels()
         graph.highest_active_level = 10
-        assert backward_bfs(graph, {"seed"}, 2) == set()
+        assert _expand_backward(graph, {"seed"}, 2)[0] == set()
 
     def test_deprecated_parent_excluded_and_blocks(self):
         graph = chain_graph()
         graph.nodes["p1"].deprecated = True
-        assert backward_bfs(graph, {"seed"}, 3) == set()
+        assert _expand_backward(graph, {"seed"}, 3)[0] == set()
 
 
 class TestForwardBeam:
@@ -101,8 +99,8 @@ class TestForwardBeam:
 
     def test_score_propagates_multiplicatively(self):
         graph = self.build()
-        kept, scores = forward_beam(graph, {"seed"}, 1)
-        assert kept == {"a", "b"}
+        scores, _ = _expand_forward(graph, {"seed"}, 1, DEFAULT_BFS_DEPTH)
+        assert set(scores) == {"a", "b"}
         assert scores["a"] == pytest.approx(0.8)
         assert scores["b"] == pytest.approx(0.8 * 0.5)
 
@@ -114,8 +112,8 @@ class TestForwardBeam:
         graph.add_edge("seed", "z", EdgeKind.PREREQ, 0.3)
         graph.compute_levels()
         graph.highest_active_level = 10
-        kept, scores = forward_beam(graph, {"seed"}, 2)
-        assert kept == {"x", "y"}
+        scores, _ = _expand_forward(graph, {"seed"}, 2, DEFAULT_BFS_DEPTH)
+        assert set(scores) == {"x", "y"}
         assert scores == {"x": pytest.approx(0.9), "y": pytest.approx(0.7)}
 
     def test_max_over_parents(self):
@@ -125,7 +123,7 @@ class TestForwardBeam:
         graph.add_edge("s2", "v", EdgeKind.PREREQ, 0.6)
         graph.compute_levels()
         graph.highest_active_level = 10
-        _, scores = forward_beam(graph, {"s1", "s2"}, 3)
+        scores, _ = _expand_forward(graph, {"s1", "s2"}, 3, DEFAULT_BFS_DEPTH)
         assert scores["v"] == pytest.approx(0.6)
 
     def test_cooccur_traversed_both_directions(self):
@@ -135,18 +133,18 @@ class TestForwardBeam:
         graph.add_edge("other", "seed", EdgeKind.CO_OCCUR, 0.4)
         graph.compute_levels()
         graph.highest_active_level = 10
-        kept, scores = forward_beam(graph, {"seed"}, 2)
-        assert kept == {"other"}
+        scores, _ = _expand_forward(graph, {"seed"}, 2, DEFAULT_BFS_DEPTH)
+        assert set(scores) == {"other"}
         assert scores["other"] == pytest.approx(0.4)
 
     def test_locked_and_deprecated_excluded(self):
         graph = self.build()
         graph.highest_active_level = 0  # a and b sit at levels 1 and 2
-        kept, _ = forward_beam(graph, {"seed"}, 3)
+        kept = set(_expand_forward(graph, {"seed"}, 3, DEFAULT_BFS_DEPTH)[0])
         assert kept == set()
         graph.highest_active_level = 10
         graph.nodes["a"].deprecated = True
-        kept, _ = forward_beam(graph, {"seed"}, 3)
+        kept = set(_expand_forward(graph, {"seed"}, 3, DEFAULT_BFS_DEPTH)[0])
         assert kept == set()  # deprecated nodes do not relay either
 
     def test_sigma_matches_bounded_path_oracle_without_truncation(self, rng):
@@ -166,7 +164,7 @@ class TestForwardBeam:
             graph.highest_active_level = 99
             seeds = set(rng.sample(ids, rng.randint(1, min(3, n))))
             layers = rng.randint(1, 4)
-            _, scores = forward_beam(graph, seeds, len(ids), max_layers=layers)
+            scores, _ = _expand_forward(graph, seeds, len(ids), layers)
             oracle = oracle_best_path_products(graph, seeds, layers)
             assert scores == oracle
 
@@ -186,9 +184,9 @@ class TestForwardBeam:
             graph.compute_levels()
             graph.highest_active_level = 99
             seeds = {ids[0]}
-            full, _ = forward_beam(graph, seeds, len(ids))
+            full = set(_expand_forward(graph, seeds, len(ids), DEFAULT_BFS_DEPTH)[0])
             for width in (1, 2, 3):
-                kept, _ = forward_beam(graph, seeds, width)
+                kept = set(_expand_forward(graph, seeds, width, DEFAULT_BFS_DEPTH)[0])
                 assert kept <= full
 
     def test_layer_width_bound(self):

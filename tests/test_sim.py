@@ -18,7 +18,9 @@ from skillnet import (
     rollout,
     run_loop,
 )
+from skillnet.config import load_section
 from skillnet.errors import ConfigInvalid
+from skillnet.retrieval import RetrievalParams
 from skillnet.simulate import InitialSkillSpec, build_initial_graph
 
 
@@ -226,7 +228,7 @@ class TestRunLoop:
         unlock_ckpt = next((i for i, r in enumerate(metrics.reports)
                             if r.unlock_events), None)
         if unlock_ckpt is not None:
-            assert unlock_ckpt >= config.warmup_length
+            assert unlock_ckpt >= config.curriculum.warmup_length
 
     def test_unknown_retriever_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -239,11 +241,14 @@ class TestRunLoop:
             run_loop(config, 1)
 
     def test_from_dict_round_trip_defaults(self):
-        assert SimConfig.from_dict({}).steps == default_sim_config().steps
-        custom = SimConfig.from_dict({"steps": 7, "group_size": 2})
+        def load(obj):
+            return load_section(obj, SimConfig, "simulation", default_sim_config())
+
+        assert load({}).steps == default_sim_config().steps
+        custom = load({"steps": 7, "group_size": 2})
         assert custom.steps == 7 and custom.group_size == 2
         with pytest.raises(ConfigInvalid):
-            SimConfig.from_dict({"stepz": 7})
+            load({"stepz": 7})
 
 
 class TestCrossProcessDeterminism:
@@ -295,7 +300,7 @@ class TestCompareRetrievers:
             pytest.approx(outcome.flat_arm.task_success, abs=1e-12)
 
     def test_k_max_zero_reduces_both_arms_to_base_rate(self):
-        config = tiny_config(steps=40, k_max=0)
+        config = tiny_config(steps=40, retrieval=RetrievalParams(k_max=0))
         outcome = compare_retrievers(config, 3)
         # base rates weighted by the type mix sit well under 0.2
         assert outcome.graph_arm.task_success == \
