@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -216,8 +217,21 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path whose directory cannot take the file."""
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigInvalid(f"cannot write {path}: it is a directory")
+    if not target.parent.is_dir() or not os.access(target.parent, os.W_OK | os.X_OK):
+        raise ConfigInvalid(
+            f"cannot write {path}: {target.parent} is not a writable directory")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sim_config = load_app_config(args.config, strict=args.strict).simulation
+    # the outputs are written after the whole run; refuse a bad path up front
+    for path in filter(None, (args.out, args.graph_out)):
+        _check_writable(path)
     metrics, graph = run_loop(sim_config, args.seed)
     _atomic_write(args.out, metrics.to_csv())
     print(f"{len(metrics.rows)} checkpoint(s) -> {args.out}")

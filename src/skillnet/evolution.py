@@ -13,6 +13,8 @@ should hold a snapshot taken before or after the step, never during.
 from __future__ import annotations
 
 import logging
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -187,23 +189,65 @@ def _inherit_edge(graph: SkillGraph, edge: SkillEdge, old: str, new: str) -> boo
         return False
 
 
+def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
+                  threshold: float) -> set[tuple[str, str]]:
+    """Pairs (u, v), u before v in ``live``, whose neighborhood prefixes
+    share an id: a superset of the pairs with Jaccard >= ``threshold`` > 0.
+
+    J(x, y) >= t needs |x & y| >= t|x|, so once each neighborhood is sorted
+    by one global order (rarest id first), two such sets share an id within
+    their first |x| - ceil(t|x|) + 1 ids. One more id of margin covers float
+    rounding of t|x| and of the Jaccard quotient. Empty neighborhoods have
+    J = 0 and are never candidates.
+    """
+    frequency = Counter(w for v in live for w in neighborhoods[v])
+    index: dict[str, list[str]] = {}
+    pairs: set[tuple[str, str]] = set()
+    for v in live:
+        ordered = sorted(neighborhoods[v], key=lambda w: (frequency[w], w))
+        size = len(ordered)
+        for w in ordered[:max(0, size - math.ceil(threshold * size) + 2)]:
+            postings = index.setdefault(w, [])
+            pairs.update((u, v) for u in postings)
+            postings.append(v)
+    return pairs
+
+
+def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str]]:
+    """Live pairs (a < b) whose all-kind, both-way neighborhoods have
+    ``jaccard >= threshold``, sorted.
+
+    For a positive threshold the pairs compared come from a prefix-filtered
+    inverted neighbor index (Bayardo et al., WWW 2007), which drops only
+    pairs that cannot reach the threshold; every remaining pair is checked
+    with ``jaccard``. The result is therefore exactly that of comparing all
+    pairs, in the same order. A threshold of 0 admits every pair, empty
+    neighborhoods included, so it compares all pairs.
+    """
+    live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
+    neighborhoods = {v: graph.neighbors(v) for v in live}
+    if threshold > 0:
+        pairs = sorted(_prefix_pairs(live, neighborhoods, threshold))
+    else:
+        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+    return [(a, b) for a, b in pairs
+            if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold]
+
+
 def merge_scan(graph: SkillGraph, proposer: Proposer,
                cfg: EvolutionConfig) -> list[tuple[str, list[str]]]:
     """Fold together skill pairs whose graph neighborhoods nearly coincide.
 
-    Candidate pairs are fixed up front from Jaccard over all-kind, both-way
-    neighborhoods; a pair is skipped when either member was consumed earlier
-    in the pass. The survivor keeps the lexicographically smaller id, takes
-    the teacher's unified wording, inherits the union of both edge sets
-    (higher weight wins on duplicates), and sums both statistics.
+    Candidate pairs are fixed up front by ``merge_candidates``: a
+    prefix-filtered neighbor index proposes them and ``jaccard`` checks each,
+    so they are exactly the pairs an all-pairs scan finds, in the same sorted
+    order. A pair is skipped when either member was consumed earlier in the
+    pass. The survivor keeps the lexicographically smaller id, takes the
+    teacher's unified wording, inherits the union of both edge sets (higher
+    weight wins on duplicates), and sums both statistics.
     """
     graph.ensure_levels()
-    live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
-    neighborhoods = {v: graph.neighbors(v) for v in live}
-    candidates = [
-        (a, b) for i, a in enumerate(live) for b in live[i + 1:]
-        if jaccard(neighborhoods[a], neighborhoods[b]) >= cfg.merge_jaccard
-    ]
+    candidates = merge_candidates(graph, cfg.merge_jaccard)
     if not candidates:
         return []
     merges: list[tuple[str, list[str]]] = []

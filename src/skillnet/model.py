@@ -6,13 +6,16 @@ at all times; ``co_occur`` edges are symmetric associations stored once under
 canonical (min-id, max-id) endpoints and ignored by level computation.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
-context; concurrent readers should work on a ``snapshot()`` copy, which is a
-plain-data deep copy safe to hand to another thread.
+context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
+to another thread. The snapshot is a structural copy: every mutable object
+(node and edge records, the adjacency sets, the maps holding them, the
+co-appearance counters) is fresh, while ids, titles, edge keys and kinds are
+shared. Those are immutable strings, tuples and enums, so no write on either
+side can reach the other.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -380,8 +383,24 @@ class SkillGraph:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> "SkillGraph":
-        """Deep copy for concurrent readers."""
-        return copy.deepcopy(self)
+        """Independent copy for concurrent readers.
+
+        Copies every container and every node and edge record and shares only
+        immutable values (see the module docstring), which costs a fraction of
+        a deep copy and is just as isolated in both directions.
+        """
+        clone = SkillGraph()
+        clone.nodes = {v: SkillNode(**vars(n)) for v, n in self.nodes.items()}
+        clone._edges = {key: SkillEdge(e.src, e.dst, e.kind, e.weight)
+                        for key, e in self._edges.items()}
+        clone._out = {v: set(keys) for v, keys in self._out.items()}
+        clone._in = {v: set(keys) for v, keys in self._in.items()}
+        clone.highest_active_level = self.highest_active_level
+        clone.checkpoint_index = self.checkpoint_index
+        clone.next_dynamic_id = self.next_dynamic_id
+        clone.co_counts = dict(self.co_counts)
+        clone._levels_stale = self._levels_stale
+        return clone
 
     def __repr__(self) -> str:
         return (f"SkillGraph(nodes={len(self.nodes)}, edges={len(self._edges)}, "

@@ -12,11 +12,12 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
-from .errors import ParseError, VersionMismatch
+from .errors import ParseError, SkillNetError, VersionMismatch
 from .model import EdgeKind, SkillGraph, SkillNode, edge_key, pair_key
 
 logger = logging.getLogger(__name__)
@@ -25,10 +26,42 @@ SNAPSHOT_VERSION = 1
 
 _TOP_LEVEL_FIELDS = {"version", "meta", "nodes", "edges", "co_counts"}
 _META_FIELDS = {"checkpoint_index", "highest_active_level", "next_dynamic_id"}
-# every SkillNode field is stored and required; success_rate is derived
-_NODE_REQUIRED = frozenset(f.name for f in fields(SkillNode))
-_NODE_FIELDS = _NODE_REQUIRED | {"success_rate"}
-_EDGE_FIELDS = {"src", "dst", "kind", "weight"}
+# the JSON type of each stored value, checked, never coerced. Every SkillNode
+# field is stored and required; success_rate is derived.
+_META_TYPES = dict.fromkeys(_META_FIELDS, int)
+_NODE_TYPES = get_type_hints(SkillNode)
+_NODE_FIELDS = set(_NODE_TYPES) | {"success_rate"}
+_EDGE_TYPES = {"src": str, "dst": str, "kind": str, "weight": float}
+_EDGE_FIELDS = set(_EDGE_TYPES)
+# fast path for the bulk of a snapshot: one tuple of values in field order and
+# one comparison of their types; _check_types explains a mismatch
+_node_values = itemgetter(*_NODE_TYPES)
+_edge_values = itemgetter(*_EDGE_TYPES)
+_NODE_SIGNATURE = tuple(_NODE_TYPES.values())
+_EDGE_SIGNATURE = tuple(_EDGE_TYPES.values())
+_RECORD_REQUIRED = {"task_id", "task_type", "retrieved_skill_ids", "success"}
+_RECORD_TYPES = {"task_id": str, "task_type": str, "retrieved_skill_ids": list,
+                 "traversed_edges": list, "steps": list, "success": bool,
+                 "checkpoint_index": int}
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", list: "an array", dict: "an object",
+               type(None): "null"}
+
+
+def _check_types(obj: dict, types: dict[str, type], where: str) -> None:
+    """Raise ParseError unless each present field has exactly its type.
+
+    Exact types, so ``true`` is no count and ``"false"`` no flag; a float
+    field also takes an integer. Missing fields are the caller's concern.
+    """
+    for name, kind in types.items():
+        if name not in obj:
+            continue
+        found = type(obj[name])
+        if found is not kind and not (kind is float and found is int):
+            raise ParseError(
+                f"{where} field {name!r} must be {_JSON_NAMES[kind]}, "
+                f"got {_JSON_NAMES.get(found, found.__name__)}")
 
 
 @dataclass
@@ -50,25 +83,33 @@ class TrajectoryRecord:
     def from_dict(cls, obj: Any) -> "TrajectoryRecord":
         if not isinstance(obj, dict):
             raise ParseError("trajectory record must be a JSON object")
-        try:
-            edges = [
-                (str(src), str(dst), str(kind))
-                for src, dst, kind in obj.get("traversed_edges", [])
-            ]
-            record = cls(
-                task_id=str(obj["task_id"]),
-                task_type=str(obj["task_type"]),
-                retrieved_skill_ids=[str(s) for s in obj["retrieved_skill_ids"]],
-                traversed_edges=edges,
-                steps=[{"action": str(s.get("action", "")),
-                        "observation": str(s.get("observation", ""))}
-                       for s in obj.get("steps", [])],
-                success=bool(obj["success"]),
-                checkpoint_index=int(obj.get("checkpoint_index", 0)),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"bad trajectory record: {exc}") from exc
-        return record
+        _check_types(obj, _RECORD_TYPES, "trajectory record")
+        missing = _RECORD_REQUIRED - obj.keys()
+        if missing:
+            raise ParseError(f"trajectory record missing field(s): "
+                             f"{', '.join(sorted(missing))}")
+        ids = obj["retrieved_skill_ids"]
+        edges = obj.get("traversed_edges", [])
+        steps = obj.get("steps", [])
+        if not all(type(s) is str for s in ids):
+            raise ParseError("retrieved_skill_ids must hold strings")
+        if not all(type(e) is list and len(e) == 3
+                   and all(type(part) is str for part in e) for e in edges):
+            raise ParseError("traversed_edges entries must be [src, dst, kind] strings")
+        for step in steps:
+            if type(step) is not dict:
+                raise ParseError("steps entries must be objects")
+            _check_types(step, {"action": str, "observation": str}, "step")
+        return cls(
+            task_id=obj["task_id"],
+            task_type=obj["task_type"],
+            retrieved_skill_ids=list(ids),
+            traversed_edges=[tuple(e) for e in edges],
+            steps=[{"action": s.get("action", ""),
+                    "observation": s.get("observation", "")} for s in steps],
+            success=obj["success"],
+            checkpoint_index=obj.get("checkpoint_index", 0),
+        )
 
 
 @dataclass
@@ -89,7 +130,7 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
     nodes = []
     for skill_id in sorted(graph.nodes):
         node = graph.nodes[skill_id]
-        record = {name: getattr(node, name) for name in _NODE_REQUIRED}
+        record = {name: getattr(node, name) for name in _NODE_TYPES}
         record["success_rate"] = node.success_rate()
         nodes.append(record)
     edges = [
@@ -144,37 +185,25 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     if not isinstance(meta, dict):
         raise ParseError("meta must be an object")
     _check_fields(meta, _META_FIELDS, "meta", strict)
-    try:
-        graph.checkpoint_index = int(meta.get("checkpoint_index", 0))
-        graph.highest_active_level = int(meta.get("highest_active_level", 0))
-        graph.next_dynamic_id = int(meta.get("next_dynamic_id", 1))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad meta value: {exc}") from exc
+    _check_types(meta, _META_TYPES, "meta")
+    graph.checkpoint_index = meta.get("checkpoint_index", 0)
+    graph.highest_active_level = meta.get("highest_active_level", 0)
+    graph.next_dynamic_id = meta.get("next_dynamic_id", 1)
 
     for obj in data.get("nodes", []):
         if not isinstance(obj, dict):
             raise ParseError("node entry must be an object")
         _check_fields(obj, _NODE_FIELDS, "node", strict)
-        missing = _NODE_REQUIRED - obj.keys()
+        missing = _NODE_TYPES.keys() - obj.keys()
         if missing:
             raise ParseError(
                 f"node entry missing field(s): {', '.join(sorted(missing))}")
+        values = _node_values(obj)
+        if tuple(map(type, values)) != _NODE_SIGNATURE:
+            _check_types(obj, _NODE_TYPES, "node")
         try:
-            graph.add_skill(SkillNode(
-                skill_id=str(obj["skill_id"]),
-                title=str(obj["title"]),
-                principle=str(obj["principle"]),
-                when_to_apply=str(obj["when_to_apply"]),
-                category=str(obj["category"]),
-                level=int(obj["level"]),
-                n_use=int(obj["n_use"]),
-                n_succ=int(obj["n_succ"]),
-                created_step=int(obj["created_step"]),
-                deprecated=bool(obj["deprecated"]),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad node entry: {exc}") from exc
-        except Exception as exc:
+            graph.add_skill(SkillNode(*values))
+        except SkillNetError as exc:
             raise ParseError(f"invalid node: {exc}") from exc
 
     for obj in data.get("edges", []):
@@ -182,19 +211,23 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
             raise ParseError("edge entry must be an object")
         _check_fields(obj, _EDGE_FIELDS, "edge", strict)
         try:
-            graph.add_edge(str(obj["src"]), str(obj["dst"]),
-                           EdgeKind(obj["kind"]), float(obj["weight"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            src, dst, kind, weight = values = _edge_values(obj)
+        except KeyError as exc:
+            raise ParseError(f"edge entry missing field {exc}") from None
+        if tuple(map(type, values)) != _EDGE_SIGNATURE:
+            _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
+        try:
+            graph.add_edge(src, dst, EdgeKind(kind), float(weight))
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad edge entry: {exc}") from exc
-        except Exception as exc:
+        except SkillNetError as exc:
             raise ParseError(f"invalid edge: {exc}") from exc
 
     for entry in data.get("co_counts", []):
-        try:
-            a, b, count = entry
-            graph.co_counts[pair_key(str(a), str(b))] = int(count)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad co_counts entry: {exc}") from exc
+        if type(entry) is not list or [type(v) for v in entry] != [str, str, int]:
+            raise ParseError("co_counts entry must be [id, id, count]")
+        a, b, count = entry
+        graph.co_counts[pair_key(a, b)] = count
 
     try:
         graph.compute_levels()

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillnet import (
     EdgeKind,
@@ -21,8 +27,9 @@ from skillnet import (
     scan_insert_trigger,
     split_scan,
 )
-from skillnet import load_graph, save_graph
+from skillnet import evolution, graph_to_dict, load_graph, save_graph
 from skillnet.errors import ProposerUnavailable
+from skillnet.evolution import merge_candidates
 from skillnet.proposer import Proposer
 
 from conftest import add_nodes, make_node
@@ -267,6 +274,114 @@ class TestJaccardAndMerge:
         graph.compute_levels()
         assert merge_scan(graph, CountingProposer([proposal(1)]),
                           EvolutionConfig()) == []
+
+
+def reference_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str]]:
+    """The oracle: Jaccard over every live pair, in (a, b) order."""
+    live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
+    neighborhoods = {v: graph.neighbors(v) for v in live}
+    return [
+        (a, b) for i, a in enumerate(live) for b in live[i + 1:]
+        if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold
+    ]
+
+
+@st.composite
+def neighborhood_graphs(draw) -> SkillGraph:
+    """Small graphs with empty neighborhoods, deprecated nodes, adjacent
+    candidates and, sometimes, one hub adjacent to every node."""
+    n = draw(st.integers(0, 14))
+    ids = [f"n{i:02d}" for i in range(n)]
+    graph = SkillGraph()
+    for skill_id in ids:
+        graph.add_skill(make_node(
+            skill_id, deprecated=draw(st.sampled_from([False, False, False, True]))))
+    if n >= 2:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                        st.sampled_from(list(EdgeKind))),
+                              max_size=3 * n))
+        for i, j, kind in edges:
+            if i != j:  # lower index first keeps the dependency edges acyclic
+                graph.add_edge(ids[min(i, j)], ids[max(i, j)], kind, 0.5)
+    if draw(st.booleans()):
+        graph.add_skill(make_node("hub", deprecated=draw(st.booleans())))
+        for skill_id in ids:
+            graph.add_edge("hub", skill_id, EdgeKind.CO_OCCUR, 0.5)
+    return graph
+
+
+def _around(t: float) -> st.SearchStrategy:
+    return st.sampled_from([t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)])
+
+
+thresholds = st.one_of(
+    st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 0.85, 1.0]),
+    # k/m times a neighborhood size that is a multiple of m is an integer
+    st.tuples(st.integers(1, 14), st.integers(1, 14))
+    .filter(lambda km: km[0] <= km[1]).map(lambda km: km[0] / km[1]).flatmap(_around),
+    st.floats(0.0, 1.0))
+
+
+class MergeTeacher(Proposer):
+    """Accepts merges within one category, declines the rest."""
+
+    def propose(self, request):
+        if request.kind != "merge":
+            return [proposal(i) for i in range(request.max_items)]
+        a, b = request.skill_pair
+        if a["category"] != b["category"]:
+            return []
+        return [proposal(0, title=f"Unified {a['skill_id']} {b['skill_id']}")]
+
+
+def planted_library(rng: random.Random, n: int = 300) -> SkillGraph:
+    """Random library in which every 15th skill copies the neighborhood of
+    the skill before it, sometimes with one extra neighbor."""
+    graph = SkillGraph()
+    ids = [f"s{i:03d}" for i in range(n)]
+    for skill_id in ids:
+        uses = rng.randint(0, 40)
+        graph.add_skill(make_node(skill_id, category=rng.choice(["clean", "heat", "cool"]),
+                                  n_use=uses, n_succ=rng.randint(0, uses)))
+    twins = {ids[i]: ids[i - 1] for i in range(15, n, 15)}
+    plain = [v for v in ids if v not in twins]
+    for i, src in enumerate(plain[:-1]):
+        for dst in rng.sample(plain[i + 1:], min(2, len(plain) - i - 1)):
+            graph.add_edge(src, dst, EdgeKind.PREREQ, round(rng.uniform(0.1, 1), 6))
+        graph.add_edge(src, rng.choice(plain[i + 1:]), EdgeKind.CO_OCCUR, 0.3)
+    for twin, original in twins.items():
+        for neighbor in graph.neighbors(original):
+            graph.add_edge(twin, neighbor, EdgeKind.CO_OCCUR, 0.3)
+        if rng.random() < 0.5:
+            graph.add_edge(twin, rng.choice(plain), EdgeKind.CO_OCCUR, 0.3)
+    graph.compute_levels()
+    return graph
+
+
+class TestMergeCandidatesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(graph=neighborhood_graphs(), threshold=thresholds)
+    def test_candidates_equal_the_all_pairs_scan(self, graph, threshold):
+        assert merge_candidates(graph, threshold) == \
+            reference_candidates(graph, threshold)
+
+    def test_zero_threshold_admits_every_pair(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"])
+        assert merge_candidates(graph, 0.0) == [("a", "b"), ("a", "c"), ("b", "c")]
+
+    def test_checkpoint_equals_a_run_on_the_reference_candidates(self, monkeypatch):
+        graph = planted_library(random.Random(20260418))
+        reference = copy.deepcopy(graph)
+        wins = [success_record(sorted(graph.nodes)[i:i + 4]) for i in range(0, 40, 4)]
+        losses = [failure(f"t{i}") for i in range(3)]
+        report = evolve_step(graph, wins, losses, MergeTeacher(), EvolutionConfig())
+        monkeypatch.setattr(evolution, "merge_candidates", reference_candidates)
+        expected = evolve_step(reference, copy.deepcopy(wins), copy.deepcopy(losses),
+                               MergeTeacher(), EvolutionConfig())
+        assert len(report.merged) >= 5
+        assert report.to_dict() == expected.to_dict()
+        assert graph_to_dict(graph) == graph_to_dict(reference)
 
 
 class TestSplit:

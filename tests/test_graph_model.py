@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
-from skillnet import EdgeKind, SkillGraph
+from skillnet import EdgeKind, SkillGraph, graph_to_dict
 from skillnet.errors import (
     AlreadyInitialized,
     CycleWouldForm,
@@ -24,6 +25,7 @@ from conftest import (
     make_node,
     oracle_has_cycle,
     oracle_levels,
+    random_graph,
 )
 
 
@@ -309,6 +311,53 @@ class TestGraphInvariants:
         assert "c" not in snapshot.nodes
         assert snapshot.get_edge("a", "b", EdgeKind.PREREQ).weight == 0.5
         assert snapshot.nodes["a"].n_use == 0
+
+    def test_snapshot_matches_a_deep_copy(self, rng):
+        # copy.deepcopy is what snapshot() did before it copied structurally
+        for i in range(20):
+            graph = random_graph(rng)
+            if i % 2:
+                graph.add_skill(make_node("zz_late"))  # leaves levels stale
+            snapshot = graph.snapshot()
+            for name in ("_levels_stale", "checkpoint_index",
+                         "highest_active_level", "next_dynamic_id"):
+                assert getattr(snapshot, name) == getattr(graph, name), name
+            assert graph_to_dict(snapshot) == graph_to_dict(copy.deepcopy(graph))
+
+    def test_snapshot_copies_every_container(self, rng):
+        graph = random_graph(rng, n=12)
+        snapshot = graph.snapshot()
+        assert vars(snapshot).keys() == vars(graph).keys()
+        for name, value in vars(graph).items():
+            if isinstance(value, (dict, set, list)):
+                assert getattr(snapshot, name) is not value, name
+        for v in graph.nodes:
+            assert snapshot.nodes[v] is not graph.nodes[v]
+            assert snapshot._out[v] is not graph._out[v]
+            assert snapshot._in[v] is not graph._in[v]
+        for key, edge in graph._edges.items():
+            assert snapshot._edges[key] is not edge
+
+    def test_mutating_the_snapshot_leaves_the_original(self, rng):
+        graph = random_graph(rng, n=12)
+        graph.co_counts[("n000", "n001")] = 3
+        before = graph_to_dict(graph)
+        out_before = {v: set(keys) for v, keys in graph._out.items()}
+        in_before = {v: set(keys) for v, keys in graph._in.items()}
+        snapshot = graph.snapshot()
+        for node in snapshot.nodes.values():
+            node.n_use += 1
+            node.title = "changed"
+            node.deprecated = True
+        for edge in snapshot.edges():
+            edge.weight = 1.0
+        snapshot.co_counts[("n000", "n001")] = 99
+        snapshot.add_skill(make_node("zz_new"))
+        snapshot.add_edge("zz_new", "n000", EdgeKind.CO_OCCUR, 0.5)
+        snapshot.remove_node("n001")
+        snapshot.checkpoint_index += 1
+        assert graph_to_dict(graph) == before
+        assert graph._out == out_before and graph._in == in_before
 
     def test_level_law_every_dependency_edge_descends(self, rng):
         graph = SkillGraph()

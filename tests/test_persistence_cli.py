@@ -102,6 +102,48 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ParseError):
             load_graph(path)
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("nodes", "title", None),           # was loaded as the title "None"
+        ("nodes", "deprecated", "false"),   # was loaded as deprecated
+        ("nodes", "n_use", True),
+        ("nodes", "level", 1.5),
+        ("edges", "weight", True),
+        ("edges", "src", 7),
+        ("meta", "checkpoint_index", "3"),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, section, name, value):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        data = graph_to_dict(graph)
+        entry = data[section] if section == "meta" else data[section][0]
+        entry[name] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=name):
+            load_graph(path)
+        assert main(["--graph", str(path), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", [["a", "b", "2"], ["a", "b", True],
+                                       ["a", 1, 2], ["a", "b"], "ab2"])
+    def test_mistyped_co_counts_entry_rejected(self, tmp_path, entry):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data["co_counts"] = [entry]
+        with pytest.raises(ParseError, match="co_counts"):
+            graph_from_dict(data)
+
+    def test_integer_weight_loads_as_a_float(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 1.0)
+        data = graph_to_dict(graph)
+        data["edges"][0]["weight"] = 1
+        assert graph_to_dict(graph_from_dict(data)) == graph_to_dict(graph)
+
     def test_cyclic_snapshot_rejected(self, tmp_path):
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
@@ -212,6 +254,25 @@ class TestTrajectories:
         outcome = ingest_trajectories(path)
         assert outcome.records == []
         assert [lineno for lineno, _ in outcome.errors] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("name, value", [
+        ("success", "false"),               # was counted as a success
+        ("success", 0),
+        ("task_id", None),
+        ("retrieved_skill_ids", ["a", 1]),
+        ("traversed_edges", [["a", "b", 3]]),
+        ("steps", [{"action": 3}]),
+        ("checkpoint_index", True),
+    ])
+    def test_mistyped_record_is_a_line_error(self, tmp_path, name, value):
+        good = {"task_id": "t", "task_type": "clean",
+                "retrieved_skill_ids": ["a"], "success": False}
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({**good, name: value}) + "\n"
+                        + json.dumps(good) + "\n")
+        outcome = ingest_trajectories(path)
+        assert [lineno for lineno, _ in outcome.errors] == [1]
+        assert [r.success for r in outcome.records] == [False]
 
     def test_non_array_sections_rejected(self, tmp_path, rng):
         data = graph_to_dict(random_graph(rng, n=2))
@@ -533,6 +594,23 @@ class TestCli:
         assert main(["init", "--skills", self.write_skills(tmp_path),
                      "--out", str(tmp_path / "missing" / "g.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--out", "--graph-out"])
+    @pytest.mark.parametrize("bad", ["missing/x", "."])
+    def test_simulate_refuses_a_bad_output_before_running(
+            self, tmp_path, capsys, monkeypatch, flag, bad):
+        from skillnet import cli
+
+        def never(*args):
+            raise AssertionError("run_loop must not start")
+
+        monkeypatch.setattr(cli, "run_loop", never)
+        paths = {"--out": tmp_path / "m.csv", "--graph-out": tmp_path / "g.json"}
+        paths[flag] = tmp_path / bad
+        argv = ["simulate"] + [str(x) for pair in paths.items() for x in pair]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_simulate_reads_the_top_level_sections(self, tmp_path, capsys):
         csvs = []
