@@ -3,8 +3,15 @@
 Node operations (insert, merge, split, deprecate) reshape what skills exist;
 edge operations (path reinforcement, co-occurrence discovery, decay and
 pruning) reshape how they relate. ``evolve_step`` runs the whole pipeline in
-a fixed order and recomputes levels afterwards. Proposer failures degrade the
-affected sub-operation and never abort the checkpoint.
+a fixed order and recomputes levels once, at the end.
+
+Evolution decides and the graph keeps its books. Insert, merge and split ask
+the teacher through one call (``_ask``: proposer failures degrade the
+sub-operation and never abort the checkpoint, invalid proposals are dropped
+one by one), add proposed skills through one builder (``_add_proposed``) and
+hand a removed skill's edges on through one path (``_rehome``).
+``SkillGraph.remove_node`` carries its co-appearance counts over to an heir,
+and no operation reads a level, so none recomputes them.
 
 The caller owns exclusivity: evolution mutates the graph in place, so readers
 should hold a snapshot taken before or after the step, never during.
@@ -16,10 +23,12 @@ import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConfigInvalid, CycleWouldForm, ProposerError, SchemaViolation
-from .model import EdgeKind, SkillEdge, SkillGraph, SkillNode, pair_key
+from .model import (
+    GENERAL_CATEGORY, EdgeKind, SkillEdge, SkillGraph, SkillNode, pair_key,
+)
 from .persistence import TrajectoryRecord, normalize_edge_keys
 from .proposer import (
     FailureSummary,
@@ -109,6 +118,39 @@ def _node_view(node: SkillNode) -> dict[str, str]:
     }
 
 
+def _ask(proposer: Proposer, request: ProposerRequest) -> list[SkillProposal] | None:
+    """The valid proposals among the teacher's first ``request.max_items``,
+    in its order, or None when the teacher is unreachable."""
+    try:
+        proposals = proposer.propose(request)
+    except ProposerError as exc:
+        logger.warning("%s degraded, proposer unavailable: %s", request.kind, exc)
+        return None
+    usable = []
+    for proposal in proposals[:request.max_items]:
+        try:
+            proposal.validate()
+            usable.append(proposal)
+        except SchemaViolation as exc:
+            logger.warning("dropping invalid %s proposal: %s", request.kind, exc)
+    return usable
+
+
+def _add_proposed(graph: SkillGraph, proposal: SkillProposal, category: str) -> str:
+    """Add a proposed skill under the next dyn id, with zeroed statistics;
+    ``category`` stands in when the proposal names none."""
+    skill_id = graph.new_dynamic_id()
+    graph.add_skill(SkillNode(
+        skill_id=skill_id,
+        title=proposal.title,
+        principle=proposal.principle,
+        when_to_apply=proposal.when_to_apply,
+        category=proposal.category or category,
+        created_step=graph.checkpoint_index,
+    ))
+    return skill_id
+
+
 # ----------------------------------------------------------------------
 # node-level operations
 
@@ -137,35 +179,14 @@ def scan_insert_trigger(failures: list[TrajectoryRecord], graph: SkillGraph,
         dyn_ids=preview_ids,
         max_items=cfg.max_new_skills,
     )
-    try:
-        proposals = proposer.propose(request)
-    except ProposerError as exc:
-        logger.warning("insert skipped, proposer unavailable: %s", exc)
-        return []
     inserted: list[str] = []
-    for proposal in proposals[:cfg.max_new_skills]:
-        try:
-            proposal.validate()
-        except SchemaViolation as exc:
-            logger.warning("dropping invalid proposal: %s", exc)
-            continue
+    for proposal in _ask(proposer, request) or []:
         title_key = proposal.title.strip().lower()
         if title_key in seen_titles:
             logger.info("dropping duplicate-title proposal %r", proposal.title)
             continue
         seen_titles.add(title_key)
-        skill_id = graph.new_dynamic_id()
-        graph.add_skill(SkillNode(
-            skill_id=skill_id,
-            title=proposal.title,
-            principle=proposal.principle,
-            when_to_apply=proposal.when_to_apply,
-            category=proposal.category or "general",
-            created_step=graph.checkpoint_index,
-        ))
-        inserted.append(skill_id)
-    if inserted:
-        graph.compute_levels()
+        inserted.append(_add_proposed(graph, proposal, GENERAL_CATEGORY))
     return inserted
 
 
@@ -187,6 +208,19 @@ def _inherit_edge(graph: SkillGraph, edge: SkillEdge, old: str, new: str) -> boo
         logger.info("dropping inherited edge %s->%s (%s): would form a cycle",
                     src, dst, edge.kind.value)
         return False
+
+
+def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
+            heir: str | None = None) -> None:
+    """Remove ``old`` and hand each of its edges, heaviest first, to
+    ``target_of(neighbor)`` through ``_inherit_edge``; ``heir`` takes over
+    its co-appearance counts (see ``SkillGraph.remove_node``)."""
+    inherited = sorted(graph.incident_edges(old),
+                       key=lambda e: (-e.weight, e.src, e.dst, e.kind.value))
+    graph.remove_node(old, heir=heir)
+    for edge in inherited:
+        neighbor = edge.dst if edge.src == old else edge.src
+        _inherit_edge(graph, edge, old, target_of(neighbor))
 
 
 def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
@@ -244,39 +278,26 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
     order. A pair is skipped when either member was consumed earlier in the
     pass. The survivor keeps the lexicographically smaller id, takes the
     teacher's unified wording, inherits the union of both edge sets (higher
-    weight wins on duplicates), and sums both statistics.
+    weight wins on duplicates), and sums both statistics and both sets of
+    co-appearance counts.
     """
-    graph.ensure_levels()
-    candidates = merge_candidates(graph, cfg.merge_jaccard)
-    if not candidates:
-        return []
     merges: list[tuple[str, list[str]]] = []
     consumed: set[str] = set()
-    for a, b in candidates:
+    for a, b in merge_candidates(graph, cfg.merge_jaccard):
         if a in consumed or b in consumed:
             continue
-        survivor_id, removed_id = (a, b) if a < b else (b, a)
-        request = ProposerRequest(
+        proposals = _ask(proposer, ProposerRequest(
             kind="merge",
             skill_pair=(_node_view(graph.nodes[a]), _node_view(graph.nodes[b])),
             existing_titles=[n.title for n in graph.nodes.values()],
             max_items=1,
-        )
-        try:
-            proposals = proposer.propose(request)
-        except ProposerError as exc:
-            logger.warning("merge pass aborted, proposer unavailable: %s", exc)
+        ))
+        if proposals is None:
             break
         if not proposals:
             continue
-        try:
-            proposals[0].validate()
-        except SchemaViolation as exc:
-            logger.warning("skipping merge of (%s, %s): %s", a, b, exc)
-            continue
         unified = proposals[0]
-        survivor = graph.nodes[survivor_id]
-        removed = graph.nodes[removed_id]
+        survivor, removed = graph.nodes[a], graph.nodes[b]
         survivor.title = unified.title
         survivor.principle = unified.principle
         survivor.when_to_apply = unified.when_to_apply
@@ -284,23 +305,9 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
             survivor.category = unified.category
         survivor.n_use += removed.n_use
         survivor.n_succ += removed.n_succ
-        inherited = sorted(graph.incident_edges(removed_id),
-                           key=lambda e: (-e.weight, e.src, e.dst, e.kind.value))
-        # remap co-appearance counters before the node record disappears
-        for (x, y), count in list(graph.co_counts.items()):
-            if removed_id in (x, y):
-                other = y if x == removed_id else x
-                del graph.co_counts[(x, y)]
-                if other != survivor_id:
-                    new_pair = pair_key(survivor_id, other)
-                    graph.co_counts[new_pair] = graph.co_counts.get(new_pair, 0) + count
-        graph.remove_node(removed_id)
-        for edge in inherited:
-            _inherit_edge(graph, edge, removed_id, survivor_id)
+        _rehome(graph, b, lambda _: a, heir=a)
         consumed.update((a, b))
-        merges.append((survivor_id, [removed_id]))
-    if merges:
-        graph.compute_levels()
+        merges.append((a, [b]))
     return merges
 
 
@@ -315,7 +322,6 @@ def split_scan(graph: SkillGraph, proposer: Proposer,
     assignments (round-robin for anything left unassigned). Fewer than two
     usable sub-skills means the skill stays as it is.
     """
-    graph.ensure_levels()
     lo, hi = cfg.split_band
     targets = sorted(
         v for v, n in graph.nodes.items()
@@ -325,41 +331,19 @@ def split_scan(graph: SkillGraph, proposer: Proposer,
     splits: list[tuple[str, list[str]]] = []
     for parent_id in targets:
         parent = graph.nodes[parent_id]
-        request = ProposerRequest(
+        usable = _ask(proposer, ProposerRequest(
             kind="split",
             skill=_node_view(parent),
             failure_contexts=failure_contexts[:MAX_FAILURES_PER_REQUEST],
             max_items=3,
-        )
-        try:
-            proposals = proposer.propose(request)
-        except ProposerError as exc:
-            logger.warning("split pass aborted, proposer unavailable: %s", exc)
+        ))
+        if usable is None:
             break
-        usable: list[SkillProposal] = []
-        for proposal in proposals[:3]:
-            try:
-                proposal.validate()
-                usable.append(proposal)
-            except SchemaViolation as exc:
-                logger.warning("dropping invalid sub-skill for %s: %s",
-                               parent_id, exc)
         if len(usable) < 2:
             logger.info("split of %s is a no-op (%d usable sub-skills)",
                         parent_id, len(usable))
             continue
-        child_ids = []
-        for proposal in usable:
-            child_id = graph.new_dynamic_id()
-            graph.add_skill(SkillNode(
-                skill_id=child_id,
-                title=proposal.title,
-                principle=proposal.principle,
-                when_to_apply=proposal.when_to_apply,
-                category=proposal.category or parent.category,
-                created_step=graph.checkpoint_index,
-            ))
-            child_ids.append(child_id)
+        child_ids = [_add_proposed(graph, p, parent.category) for p in usable]
         for first, second in zip(child_ids, child_ids[1:]):
             graph.add_edge(first, second, EdgeKind.PREREQ, SPLIT_CHAIN_WEIGHT)
 
@@ -368,23 +352,12 @@ def split_scan(graph: SkillGraph, proposer: Proposer,
         for child_id, proposal in zip(child_ids, usable):
             for neighbor in proposal.neighbor_assignment or []:
                 assignment.setdefault(neighbor, child_id)
-        inherited = sorted(graph.incident_edges(parent_id),
-                           key=lambda e: (-e.weight, e.src, e.dst, e.kind.value))
-        unassigned = sorted({
-            (e.dst if e.src == parent_id else e.src) for e in inherited
-        } - set(assignment))
-        for i, neighbor in enumerate(unassigned):
+        neighbors = {e.dst if e.src == parent_id else e.src
+                     for e in graph.incident_edges(parent_id)}
+        for i, neighbor in enumerate(sorted(neighbors - set(assignment))):
             assignment[neighbor] = child_ids[i % len(child_ids)]
-        graph.remove_node(parent_id)
-        for edge in inherited:
-            neighbor = edge.dst if edge.src == parent_id else edge.src
-            target = assignment.get(neighbor)
-            if target is None or neighbor not in graph.nodes:
-                continue
-            _inherit_edge(graph, edge, parent_id, target)
+        _rehome(graph, parent_id, assignment.__getitem__)
         splits.append((parent_id, child_ids))
-    if splits:
-        graph.compute_levels()
     return splits
 
 
@@ -435,9 +408,10 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
                      min_count: int) -> int:
     """Connect skill pairs that keep showing up together in wins.
 
-    Co-appearance counts accumulate across checkpoints; once a pair reaches
-    the threshold and is still unconnected by any edge kind, it gains a
-    co_occur edge at the structural prior weight.
+    Co-appearance counts accumulate across checkpoints and name only live
+    skills (``remove_node`` and the snapshot load keep it so); once a pair
+    reaches the threshold and is still unconnected by any edge kind, it gains
+    a co_occur edge at the structural prior weight.
     """
     for record in successes:
         # ids that vanished via merge or split never come back; don't count them
@@ -450,10 +424,7 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
     for (a, b), count in sorted(graph.co_counts.items()):
         if count < min_count:
             continue
-        node_a, node_b = graph.nodes.get(a), graph.nodes.get(b)
-        if node_a is None or node_b is None:
-            continue
-        if node_a.deprecated or node_b.deprecated:
+        if graph.nodes[a].deprecated or graph.nodes[b].deprecated:
             continue
         if graph.has_any_edge(a, b):
             continue
@@ -487,9 +458,11 @@ def evolve_step(graph: SkillGraph, successes: list[TrajectoryRecord],
     """Run one full evolution checkpoint in fixed order.
 
     insert -> merge -> split -> deprecate -> reinforce -> discover ->
-    decay and prune, then recompute levels and advance the checkpoint
-    counter. Statistics for the window must already be folded in via
-    ``update_stats``. Unlock events are appended by the curriculum caller.
+    decay and prune, then advance the checkpoint counter. No stage reads a
+    level, so levels are recomputed once, at the end, and only if the
+    dependency structure changed. Statistics for the window must already be
+    folded in via ``update_stats``. Unlock events are appended by the
+    curriculum caller.
     """
     report = EvolutionReport()
     failure_contexts = [
@@ -504,6 +477,6 @@ def evolve_step(graph: SkillGraph, successes: list[TrajectoryRecord],
     report.edges_added = discover_cooccur(graph, successes, cfg.cooccur_min_count)
     report.edges_pruned = decay_and_prune(graph, cfg.decay_factor,
                                           cfg.prune_threshold)
-    graph.compute_levels()
+    graph.ensure_levels()
     graph.checkpoint_index += 1
     return report

@@ -138,9 +138,10 @@ class SkillGraph:
             raise DuplicateId(node.skill_id)
         if is_blank(node.title):
             raise EmptyTitle(f"skill {node.skill_id!r} has an empty title")
-        if node.n_succ > node.n_use:
+        if not 0 <= node.n_succ <= node.n_use:
             raise SuccessWithoutUse(
-                f"skill {node.skill_id!r}: n_succ={node.n_succ} > n_use={node.n_use}")
+                f"skill {node.skill_id!r}: need 0 <= n_succ <= n_use, "
+                f"got n_succ={node.n_succ}, n_use={node.n_use}")
         self.nodes[node.skill_id] = node
         self._out.setdefault(node.skill_id, set())
         self._in.setdefault(node.skill_id, set())
@@ -155,8 +156,13 @@ class SkillGraph:
             if candidate not in self.nodes:
                 return candidate
 
-    def remove_node(self, skill_id: str) -> SkillNode:
-        """Hard-delete a node and every incident edge (merge/split internals)."""
+    def remove_node(self, skill_id: str, heir: str | None = None) -> SkillNode:
+        """Hard-delete a node and every incident edge (merge/split internals).
+
+        Its co-appearance counts go with it, in one pass over ``co_counts``.
+        Given an ``heir`` (a merge survivor), each count is added to the heir's
+        count with the same partner instead; a pair with the heir is dropped.
+        """
         if skill_id not in self.nodes:
             raise UnknownSkill(skill_id)
         for key in list(self._out[skill_id] | self._in[skill_id]):
@@ -164,9 +170,12 @@ class SkillGraph:
         del self._out[skill_id]
         del self._in[skill_id]
         node = self.nodes.pop(skill_id)
-        self.co_counts = {
-            pair: n for pair, n in self.co_counts.items() if skill_id not in pair
-        }
+        for pair in [pair for pair in self.co_counts if skill_id in pair]:
+            count = self.co_counts.pop(pair)
+            other = pair[1] if pair[0] == skill_id else pair[0]
+            if heir is not None and other != heir:
+                inherited = pair_key(heir, other)
+                self.co_counts[inherited] = self.co_counts.get(inherited, 0) + count
         self._levels_stale = True
         return node
 
@@ -383,12 +392,15 @@ class SkillGraph:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> "SkillGraph":
-        """Independent copy for concurrent readers.
+        """Independent copy for concurrent readers, with fresh levels.
 
-        Copies every container and every node and edge record and shares only
-        immutable values (see the module docstring), which costs a fraction of
-        a deep copy and is just as isolated in both directions.
+        Levels are brought up to date first, so readers sharing a snapshot
+        only read it: none of them recomputes levels into it. Copies every
+        container and every node and edge record and shares only immutable
+        values (see the module docstring), which costs a fraction of a deep
+        copy and is just as isolated in both directions.
         """
+        self.ensure_levels()
         clone = SkillGraph()
         clone.nodes = {v: SkillNode(**vars(n)) for v, n in self.nodes.items()}
         clone._edges = {key: SkillEdge(e.src, e.dst, e.kind, e.weight)
@@ -399,7 +411,6 @@ class SkillGraph:
         clone.checkpoint_index = self.checkpoint_index
         clone.next_dynamic_id = self.next_dynamic_id
         clone.co_counts = dict(self.co_counts)
-        clone._levels_stale = self._levels_stale
         return clone
 
     def __repr__(self) -> str:

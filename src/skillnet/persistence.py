@@ -227,6 +227,9 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         if type(entry) is not list or [type(v) for v in entry] != [str, str, int]:
             raise ParseError("co_counts entry must be [id, id, count]")
         a, b, count = entry
+        if a == b or a not in graph.nodes or b not in graph.nodes or count < 1:
+            raise ParseError(f"co_counts entry {json.dumps(entry)} must name two "
+                             f"distinct skills of the graph and a count >= 1")
         graph.co_counts[pair_key(a, b)] = count
 
     try:

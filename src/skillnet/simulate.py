@@ -17,7 +17,7 @@ comparison see identical tasks and random draws.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .curriculum import CurriculumParams, CurriculumState, maybe_unlock
@@ -35,13 +35,6 @@ MAX_CHAIN_LENGTH = 6
 UNCOVERED_MARKER = "no skill guidance for "
 INSERT_TITLE_PREFIX = "Handle "
 SPLIT_TITLE_PREFIX = "Master "
-
-CSV_COLUMNS = [
-    "checkpoint", "nodes_total", "nodes_active", "inserted_cum",
-    "deprecated_cum", "edges_prereq", "edges_enhance", "edges_cooccur",
-    "mean_node_success", "mean_retrieved_len", "task_success",
-]
-
 
 @dataclass
 class TaskTypeSpec:
@@ -458,11 +451,14 @@ class MetricsRow:
     task_success: float
 
     def to_csv_line(self) -> str:
-        return (f"{self.checkpoint},{self.nodes_total},{self.nodes_active},"
-                f"{self.inserted_cum},{self.deprecated_cum},{self.edges_prereq},"
-                f"{self.edges_enhance},{self.edges_cooccur},"
-                f"{self.mean_node_success:.6f},{self.mean_retrieved_len:.6f},"
-                f"{self.task_success:.6f}")
+        """The fields in ``CSV_COLUMNS`` order; float fields to six decimals."""
+        values = ((f.type, getattr(self, f.name)) for f in fields(self))
+        return ",".join(f"{value:.6f}" if kind == "float" else str(value)
+                        for kind, value in values)
+
+
+# the CSV header: MetricsRow's fields, in order
+CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 
 
 @dataclass

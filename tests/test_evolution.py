@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 import math
 import random
 
@@ -32,7 +34,7 @@ from skillnet.errors import ProposerUnavailable
 from skillnet.evolution import merge_candidates
 from skillnet.proposer import Proposer
 
-from conftest import add_nodes, make_node
+from conftest import add_nodes, make_node, random_graph
 
 
 def proposal(i: int, title: str | None = None, **kwargs) -> SkillProposal:
@@ -709,3 +711,91 @@ class TestEvolveStep:
                              EvolutionConfig())
         assert report.inserted == []
         assert graph.checkpoint_index == 1
+
+
+class SequenceTeacher(Proposer):
+    """Scripted teacher for a run of checkpoints: valid and invalid
+    proposals, empty replies, splits with and without neighbor assignments,
+    and one outage on its third merge request."""
+
+    def __init__(self, graph: SkillGraph):
+        self.graph = graph
+        self.calls: dict[str, int] = {}
+        self.outages = 0
+
+    def propose(self, request):
+        n = self.calls[request.kind] = self.calls.get(request.kind, 0) + 1
+        if request.kind == "insert":
+            # one more than asked for, the second one blank
+            return [proposal(100 * n + i, title=" " if i == 1 else None)
+                    for i in range(request.max_items + 1)]
+        if request.kind == "merge":
+            if n == 3:
+                self.outages += 1
+                raise ProposerUnavailable("offline")
+            if n % 4 == 0:
+                return []
+            a, b = request.skill_pair
+            title = "" if n % 4 == 1 else f"Unified {a['skill_id']} {b['skill_id']}"
+            return [proposal(n, title=title, category="heat" if n % 3 else None)]
+        parent = request.skill["skill_id"]
+        neighbors = sorted({e.dst if e.src == parent else e.src
+                            for e in self.graph.incident_edges(parent)})
+        children = [proposal(1000 * n + i, title=f"Step {i} of {parent}")
+                    for i in range(3 + n % 2)]
+        if n % 3 == 0:
+            children[1].title = "\t"
+        if n % 2 == 0:
+            children[0].neighbor_assignment = neighbors[::2]
+            children[-1].neighbor_assignment = neighbors[1::3] + ["nowhere"]
+        return children
+
+
+def checkpoint_sequence(seed: int = 7, steps: int = 6) -> tuple[list[dict], SkillGraph]:
+    """Reports of a fixed-seed run of checkpoints on a random graph."""
+    rng = random.Random(seed)
+    graph = random_graph(rng, n=40)
+    teacher = SequenceTeacher(graph)
+    cfg = EvolutionConfig(merge_jaccard=0.3, split_band=(0.2, 0.6),
+                          split_min_uses=10, deprecate_min_uses=60)
+    reports = []
+    for step in range(steps):
+        ids = sorted(graph.nodes)
+        edges = sorted((e.src, e.dst, e.kind.value) for e in graph.edges())
+        wins = [success_record(rng.sample(ids, 4), rng.sample(edges, min(3, len(edges))))
+                for _ in range(6)]
+        losses = [failure(f"t{step}.{i}") for i in range(step % 3)]
+        graph.update_stats([(v, True, rng.random() < 0.3) for v in rng.sample(ids, 8)])
+        reports.append(evolve_step(graph, wins, losses, teacher, cfg).to_dict())
+    assert teacher.outages == 1
+    return reports, graph
+
+
+class TestCheckpointSequence:
+    # digest of the reports and the final graph_to_dict of checkpoint_sequence(),
+    # pinned on the code before insert, merge and split shared their helpers
+    PINNED = "349467e9bd377002ae68774e899638de8b6bd80b5eb3c9b5d705c432930b7698"
+
+    def test_reports_and_graph_match_the_pinned_digest(self):
+        reports, graph = checkpoint_sequence()
+        assert sum(len(r["merged"]) for r in reports) >= 10
+        assert sum(len(r["split"]) for r in reports) >= 10
+        assert sum(len(r["inserted"]) for r in reports) >= 4
+        payload = json.dumps([reports, graph_to_dict(graph)], sort_keys=True)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.PINNED
+
+    def test_levels_computed_at_most_once_per_checkpoint(self, monkeypatch):
+        calls = []
+        compute = SkillGraph.compute_levels
+        monkeypatch.setattr(SkillGraph, "compute_levels",
+                            lambda graph: calls.append(1) or compute(graph))
+        graph = random_graph(random.Random(7), n=40)
+        teacher = SequenceTeacher(graph)
+        cfg = EvolutionConfig(merge_jaccard=0.3, split_band=(0.2, 0.6),
+                              split_min_uses=10)
+        for step in range(3):
+            calls.clear()
+            report = evolve_step(graph, [], [failure()], teacher, cfg)
+            assert report.inserted and report.merged
+            assert len(calls) <= 1
+        assert not graph._levels_stale

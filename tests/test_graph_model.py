@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from skillnet import EdgeKind, SkillGraph, graph_to_dict
+from skillnet import EdgeKind, SkillGraph, TaskQuery, graph_to_dict, retrieve
+from skillnet.model import pair_key
 from skillnet.errors import (
     AlreadyInitialized,
     CycleWouldForm,
@@ -236,6 +237,11 @@ class TestUpdateStats:
             graph.update_stats([("a", True, True), ("ghost", True, False)])
         assert graph.nodes["a"].n_use == 0
 
+    @pytest.mark.parametrize("n_use, n_succ", [(3, -1), (-5, -6)])
+    def test_negative_counts_rejected(self, n_use, n_succ):
+        with pytest.raises(SuccessWithoutUse):
+            SkillGraph().add_skill(make_node("a", n_use=n_use, n_succ=n_succ))
+
     def test_zero_use_rate_convention(self):
         assert make_node("a").success_rate() == 0.0
 
@@ -324,6 +330,22 @@ class TestGraphInvariants:
                 assert getattr(snapshot, name) == getattr(graph, name), name
             assert graph_to_dict(snapshot) == graph_to_dict(copy.deepcopy(graph))
 
+    def test_snapshot_publishes_fresh_levels(self, monkeypatch):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.highest_active_level = 1
+        assert graph._levels_stale
+        snapshot = graph.snapshot()
+
+        def refuse(self):
+            raise AssertionError("a reader recomputed levels")
+
+        monkeypatch.setattr(SkillGraph, "compute_levels", refuse)
+        result = retrieve(snapshot, TaskQuery("wipe the desk", "clean"))
+        assert result.ordered_skills == ["a", "b"]
+        assert [snapshot.nodes[v].level for v in ("a", "b")] == [0, 1]
+
     def test_snapshot_copies_every_container(self, rng):
         graph = random_graph(rng, n=12)
         snapshot = graph.snapshot()
@@ -373,3 +395,43 @@ class TestGraphInvariants:
         levels = graph.compute_levels()
         for src, dst in dependency_edges(graph):
             assert levels[src] < levels[dst]
+
+
+def remap_then_remove(graph: SkillGraph, removed: str, heir: str) -> None:
+    """The oracle: the co_counts remap merges did before ``remove_node``
+    learned about heirs, then a plain removal."""
+    for (x, y), count in list(graph.co_counts.items()):
+        if removed in (x, y):
+            other = y if x == removed else x
+            del graph.co_counts[(x, y)]
+            if other != heir:
+                new_pair = pair_key(heir, other)
+                graph.co_counts[new_pair] = graph.co_counts.get(new_pair, 0) + count
+    graph.remove_node(removed)
+
+
+class TestRemoveNodeHeir:
+    def test_heir_takes_over_counts_as_the_old_remap_did(self, rng):
+        for _ in range(200):
+            ids = [f"n{i}" for i in range(rng.randint(2, 9))]
+            graph = SkillGraph()
+            add_nodes(graph, ids)
+            removed, heir = rng.sample(ids, 2)
+            # overlapping pairs: both members with the same partners, and
+            # the pair of the two members itself
+            for other in rng.sample(ids, rng.randint(0, len(ids))):
+                for member in (removed, heir):
+                    if other != member and rng.random() < 0.7:
+                        graph.co_counts[pair_key(member, other)] = rng.randint(1, 9)
+            oracle = copy.deepcopy(graph)
+            graph.remove_node(removed, heir=heir)
+            remap_then_remove(oracle, removed, heir)
+            assert list(graph.co_counts.items()) == list(oracle.co_counts.items())
+            assert all(removed not in pair for pair in graph.co_counts)
+
+    def test_without_heir_counts_go(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"])
+        graph.co_counts = {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 4}
+        graph.remove_node("a")
+        assert graph.co_counts == {("b", "c"): 4}

@@ -136,6 +136,41 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ParseError, match="co_counts"):
             graph_from_dict(data)
 
+    @pytest.mark.parametrize("entry", [["ghost", "zz", 3], ["a", "ghost", 1],
+                                       ["a", "a", 2], ["a", "b", 0], ["a", "b", -3]])
+    def test_co_counts_entry_outside_the_graph_rejected(self, tmp_path, capsys, entry):
+        # a self-pair used to load and end the next evolve with a self-loop error
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data["co_counts"] = [["a", "b", 1], entry]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="co_counts"):
+            load_graph(path)
+        window = tmp_path / "w.jsonl"
+        save_trajectories([TrajectoryRecord(
+            task_id="t", task_type="general", retrieved_skill_ids=["a", "b"],
+            success=True)], window)
+        assert main(["--graph", str(path), "evolve", "--window", str(window)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "co_counts" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_use, n_succ", [(3, -1), (-5, -6)])
+    def test_negative_usage_count_rejected(self, tmp_path, capsys, n_use, n_succ):
+        # -5 uses and -6 successes used to load with a success rate of 1.2
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data["nodes"][0].update(n_use=n_use, n_succ=n_succ)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="n_succ"):
+            load_graph(path)
+        assert main(["--graph", str(path), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_integer_weight_loads_as_a_float(self):
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
