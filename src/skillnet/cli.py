@@ -2,8 +2,9 @@
 
 Subcommands: init, retrieve, ingest, evolve, simulate, stats, export-dot.
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 proposer/network error. Input files are never mutated;
-outputs are written atomically.
+2 data error, 3 proposer/network error. Outputs are written atomically, and
+input files are never mutated, with one exception: ``evolve`` without
+``--out`` rewrites its ``--graph`` snapshot in place.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from pathlib import Path
 
 from . import __version__
 from .config import load_app_config
-from .curriculum import CurriculumState, maybe_unlock
 from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
-from .evolution import evolve_step
-from .model import EdgeKind, SkillGraph, SkillNode
+from .model import SkillGraph, SkillNode
 from .persistence import (
     export_dot,
     ingest_trajectories,
     load_graph,
     save_graph,
     _atomic_write,
+    _check_types,
 )
 from .proposer import HttpProposer, ScriptedProposer
 from .retrieval import TaskQuery, render_skill_block, retrieve
-from .simulate import compare_retrievers, run_loop
+from .simulate import ComparisonResult, checkpoint, run_loop
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROPOSER = 3
+
+# an ``init`` skills entry: every field a string, checked, never coerced
+_SKILL_TYPES = dict.fromkeys(
+    ("skill_id", "title", "principle", "when_to_apply", "category"), str)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,12 +133,13 @@ def _cmd_init(args: argparse.Namespace) -> int:
         if not isinstance(obj, dict) or not {"skill_id", "title"} <= set(obj):
             raise ParseError(f"skills entry {i} must be an object with "
                              f"skill_id and title")
+        _check_types(obj, _SKILL_TYPES, f"skills entry {i}")
         graph.add_skill(SkillNode(
-            skill_id=str(obj["skill_id"]),
-            title=str(obj["title"]),
-            principle=str(obj.get("principle", "")),
-            when_to_apply=str(obj.get("when_to_apply", "")),
-            category=str(obj.get("category", "general")),
+            skill_id=obj["skill_id"],
+            title=obj["title"],
+            principle=obj.get("principle", ""),
+            when_to_apply=obj.get("when_to_apply", ""),
+            category=obj.get("category", "general"),
         ))
     added = graph.init_edges()
     graph.compute_levels()
@@ -183,31 +188,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     outcome = ingest_trajectories(args.window, graph=graph)
     for lineno, message in outcome.errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
-    records = outcome.records
-    known = [r for r in records
-             if all(s in graph.nodes for s in r.retrieved_skill_ids)]
-    batch = [(skill_id, True, record.success)
-             for record in known for skill_id in record.retrieved_skill_ids]
-    graph.update_stats(batch)
-
     if app.proposer.endpoint:
         proposer = HttpProposer(**dataclasses.asdict(app.proposer))
     else:
         logger.info("no proposer endpoint configured; node synthesis is off")
         proposer = ScriptedProposer()
-
-    successes = [r for r in records if r.success]
-    failures = [r for r in records if not r.success]
-    # warmup is counted in checkpoints; gate on the index this window carries
-    checkpoint_index = graph.checkpoint_index
-    report = evolve_step(graph, successes, failures, proposer, app.evolution)
-    state = CurriculumState(
-        highest_active_level=graph.highest_active_level,
-        warmup_length=app.curriculum.warmup_length,
-        warmup_steps_remaining=max(
-            0, app.curriculum.warmup_length - checkpoint_index),
-        unlock_threshold=app.curriculum.unlock_threshold)
-    report.unlock_events = maybe_unlock(graph, state)
+    report = checkpoint(graph, outcome.records, proposer, app.evolution,
+                        app.curriculum)
 
     save_graph(graph, args.out or args.graph)
     if args.report:
@@ -239,30 +226,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         save_graph(graph, args.graph_out)
         print(f"final graph -> {args.graph_out}")
     if args.compare_flat:
-        comparison = compare_retrievers(sim_config, args.seed)
+        # the graph arm is the run just written; only the flat arm is new
+        flat_metrics, _ = run_loop(sim_config, args.seed, retriever="flat")
+        comparison = ComparisonResult(metrics.arm_stats(), flat_metrics.arm_stats())
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     graph = _require_graph(args)
-    active = graph.active_ids()
-    deprecated = [v for v, n in graph.nodes.items() if n.deprecated]
-    by_kind = {kind.value: graph.edge_count(kind) for kind in EdgeKind}
-    levels: dict[int, int] = {}
-    for node in graph.nodes.values():
-        levels[node.level] = levels.get(node.level, 0) + 1
-    used = [n for n in graph.nodes.values() if not n.deprecated and n.n_use > 0]
-    mean_success = (sum(n.success_rate() for n in used) / len(used)
-                    if used else 0.0)
-    print(f"nodes: {len(graph.nodes)} total, {len(active)} active, "
-          f"{len(deprecated)} deprecated")
-    print("edges: " + ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items())))
+    health = graph.health()
+    print(f"nodes: {health.nodes} total, {health.active} active, "
+          f"{health.deprecated} deprecated")
+    print("edges: " + ", ".join(f"{k}={v}" for k, v in sorted(health.edges.items())))
     print(f"highest active level: {graph.highest_active_level} "
           f"(levels 0..{graph.highest_active_level} unlocked)")
     print("level histogram: " +
-          ", ".join(f"L{lvl}={count}" for lvl, count in sorted(levels.items())))
-    print(f"mean node success rate: {mean_success:.4f}")
+          ", ".join(f"L{lvl}={count}" for lvl, count in sorted(health.levels.items())))
+    print(f"mean node success rate: {health.mean_success:.4f}")
     print(f"checkpoint index: {graph.checkpoint_index}")
     return EXIT_OK
 

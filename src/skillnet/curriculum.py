@@ -8,7 +8,7 @@ active-level pointer never decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigInvalid
 from .model import SkillGraph, SkillNode
@@ -37,7 +37,6 @@ class CurriculumState:
     warmup_length: int = DEFAULT_WARMUP_LENGTH
     warmup_steps_remaining: int = DEFAULT_WARMUP_LENGTH
     unlock_threshold: float = DEFAULT_UNLOCK_THRESHOLD
-    unlock_history: list[int] = field(default_factory=list)
 
 
 def smoothed_success(node: SkillNode) -> float:
@@ -89,5 +88,4 @@ def maybe_unlock(graph: SkillGraph, state: CurriculumState) -> list[int]:
         state.highest_active_level = current + 1
         unlocked.append(current + 1)
     graph.highest_active_level = state.highest_active_level
-    state.unlock_history.extend(unlocked)
     return unlocked

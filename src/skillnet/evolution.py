@@ -461,8 +461,8 @@ def evolve_step(graph: SkillGraph, successes: list[TrajectoryRecord],
     decay and prune, then advance the checkpoint counter. No stage reads a
     level, so levels are recomputed once, at the end, and only if the
     dependency structure changed. Statistics for the window must already be
-    folded in via ``update_stats``. Unlock events are appended by the
-    curriculum caller.
+    folded in via ``update_stats``, and unlock events are appended afterwards:
+    ``simulate.checkpoint`` does both.
     """
     report = EvolutionReport()
     failure_contexts = [

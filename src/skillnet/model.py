@@ -16,7 +16,7 @@ side can reach the other.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,6 +96,18 @@ def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
     if kind is EdgeKind.CO_OCCUR and dst < src:
         src, dst = dst, src
     return (src, dst, kind)
+
+
+@dataclass
+class GraphHealth:
+    """What ``SkillGraph.health`` counts, for the CSV row and ``skillnet stats``."""
+
+    nodes: int
+    active: int
+    deprecated: int
+    edges: dict[str, int]         # per kind value; every kind, zeros included
+    levels: dict[int, int]        # nodes per level, deprecated ones included
+    mean_success: float           # raw rate over live skills used at least once
 
 
 def is_blank(text: object) -> bool:
@@ -383,6 +395,20 @@ class SkillGraph:
     def active_ids(self) -> set[str]:
         self.ensure_levels()
         return {v for v in self.nodes if self.is_active(v)}
+
+    def health(self) -> GraphHealth:
+        self.ensure_levels()
+        used = [n for n in self.nodes.values() if not n.deprecated and n.n_use > 0]
+        return GraphHealth(
+            nodes=len(self.nodes),
+            active=len(self.active_ids()),
+            deprecated=sum(n.deprecated for n in self.nodes.values()),
+            edges=({kind.value: 0 for kind in EdgeKind}
+                   | Counter(edge.kind.value for edge in self._edges.values())),
+            levels=Counter(n.level for n in self.nodes.values()),
+            mean_success=(sum(n.success_rate() for n in used) / len(used)
+                          if used else 0.0),
+        )
 
     def max_level(self) -> int:
         if not self.nodes:

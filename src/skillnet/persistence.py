@@ -216,12 +216,15 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
             raise ParseError(f"edge entry missing field {exc}") from None
         if tuple(map(type, values)) != _EDGE_SIGNATURE:
             _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
+        edges_before = graph.edge_count()
         try:
             graph.add_edge(src, dst, EdgeKind(kind), float(weight))
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad edge entry: {exc}") from exc
         except SkillNetError as exc:
             raise ParseError(f"invalid edge: {exc}") from exc
+        if graph.edge_count() == edges_before:  # add_edge kept the one it had
+            raise ParseError(f"duplicate edge {src} -> {dst} ({kind})")
 
     for entry in data.get("co_counts", []):
         if type(entry) is not list or [type(v) for v in entry] != [str, str, int]:
@@ -230,7 +233,10 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         if a == b or a not in graph.nodes or b not in graph.nodes or count < 1:
             raise ParseError(f"co_counts entry {json.dumps(entry)} must name two "
                              f"distinct skills of the graph and a count >= 1")
-        graph.co_counts[pair_key(a, b)] = count
+        pair = pair_key(a, b)
+        if pair in graph.co_counts:
+            raise ParseError(f"duplicate co_counts entry for the pair {pair}")
+        graph.co_counts[pair] = count
 
     try:
         graph.compute_levels()

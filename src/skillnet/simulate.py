@@ -492,6 +492,17 @@ class SimMetrics:
     def mean_retrieved_len(self) -> float:
         return self.retrieved_len_sum / self.tasks if self.tasks else 0.0
 
+    def arm_stats(self) -> ArmStats:
+        """This run's side of a retriever comparison."""
+        return ArmStats(
+            task_success=self.task_success_rate,
+            long_chain_success=self.long_chain_success_rate,
+            mean_retrieved_len=self.mean_retrieved_len,
+            tasks=self.tasks,
+            rollouts=self.rollouts,
+            long_chain_rollouts=self.long_chain_rollouts,
+        )
+
 
 def build_initial_graph(config: SimConfig) -> tuple[SkillGraph, ConceptMap]:
     graph = SkillGraph()
@@ -525,6 +536,33 @@ def _sample_task(config: SimConfig, rng: random.Random, index: int) -> Synthetic
     )
 
 
+def checkpoint(graph: SkillGraph, records: list[TrajectoryRecord],
+               proposer: Proposer, evolution: EvolutionConfig,
+               curriculum: CurriculumParams) -> EvolutionReport:
+    """The loop's checkpoint, for ``run_loop`` and ``skillnet evolve``:
+    fold in usage, evolve, unlock.
+
+    Usage comes only from records whose skill ids are all in the graph, but
+    every record counts as a success or failure. Warmup is counted in
+    checkpoints: nothing unlocks while the checkpoint index, read before
+    evolving, is below ``warmup_length``.
+    """
+    graph.update_stats([(skill_id, True, record.success) for record in records
+                        if all(s in graph.nodes for s in record.retrieved_skill_ids)
+                        for skill_id in record.retrieved_skill_ids])
+    state = CurriculumState(
+        highest_active_level=graph.highest_active_level,
+        warmup_length=curriculum.warmup_length,
+        warmup_steps_remaining=max(
+            0, curriculum.warmup_length - graph.checkpoint_index),
+        unlock_threshold=curriculum.unlock_threshold)
+    report = evolve_step(graph, [r for r in records if r.success],
+                         [r for r in records if not r.success], proposer,
+                         evolution)
+    report.unlock_events = maybe_unlock(graph, state)
+    return report
+
+
 def run_loop(config: SimConfig, seed: int,
              retriever: str = "graph") -> tuple[SimMetrics, SkillGraph]:
     """Run the full closed loop and return the metric series and final graph.
@@ -540,19 +578,10 @@ def run_loop(config: SimConfig, seed: int,
     proposer = SimProposer(concept_map,
                            {t.name: list(t.canonical) for t in config.types})
     params = config.retrieval
-    curriculum = CurriculumState(
-        warmup_length=config.curriculum.warmup_length,
-        warmup_steps_remaining=config.curriculum.warmup_length,
-        unlock_threshold=config.curriculum.unlock_threshold,
-    )
     metrics = SimMetrics(initial_nodes=len(graph.nodes))
     task_rng = random.Random(f"{seed}/tasks")
 
     window: list[TrajectoryRecord] = []
-    window_lens: list[int] = []
-    stats_batch: list[tuple[str, bool, bool]] = []
-    inserted_cum = 0
-    deprecated_cum = 0
     task_index = 0
 
     for step in range(1, config.steps + 1):
@@ -571,14 +600,11 @@ def run_loop(config: SimConfig, seed: int,
                 record = rollout(task, result, concept_map, roll_rng)
                 record.checkpoint_index = len(metrics.rows)
                 window.append(record)
-                for skill_id in result.ordered_skills:
-                    stats_batch.append((skill_id, True, record.success))
                 metrics.rollouts += 1
                 metrics.successes += int(record.success)
                 if len(task.required_chain) >= 3:
                     metrics.long_chain_rollouts += 1
                     metrics.long_chain_successes += int(record.success)
-            window_lens.append(len(result.ordered_skills))
             metrics.tasks += 1
             metrics.retrieved_len_sum += len(result.ordered_skills)
             task_index += 1
@@ -586,42 +612,29 @@ def run_loop(config: SimConfig, seed: int,
         if step % config.validation_frequency != 0:
             continue
 
-        graph.update_stats(stats_batch)
-        stats_batch = []
-        successes = [r for r in window if r.success]
-        failures = [r for r in window if not r.success]
-        report = evolve_step(graph, successes, failures, proposer,
-                             config.evolution)
+        report = checkpoint(graph, window, proposer, config.evolution,
+                            config.curriculum)
         proposer.bind_from_report(graph, report)
-        report.unlock_events = maybe_unlock(graph, curriculum)
         metrics.reports.append(report)
 
-        inserted_cum += len(report.inserted)
-        deprecated_cum += len(report.deprecated)
-        live = [n for n in graph.nodes.values()
-                if not n.deprecated and n.n_use > 0]
-        mean_success = (sum(n.success_rate() for n in live) / len(live)
-                        if live else 0.0)
-        edge_counts = {kind: 0 for kind in ("prereq", "enhance", "co_occur")}
-        for edge in graph.edges():
-            edge_counts[edge.kind.value] += 1
+        health = graph.health()
         metrics.rows.append(MetricsRow(
             checkpoint=graph.checkpoint_index,
-            nodes_total=len(graph.nodes),
-            nodes_active=len(graph.active_ids()),
-            inserted_cum=inserted_cum,
-            deprecated_cum=deprecated_cum,
-            edges_prereq=edge_counts["prereq"],
-            edges_enhance=edge_counts["enhance"],
-            edges_cooccur=edge_counts["co_occur"],
-            mean_node_success=mean_success,
-            mean_retrieved_len=(sum(window_lens) / len(window_lens)
-                                if window_lens else 0.0),
+            nodes_total=health.nodes,
+            nodes_active=health.active,
+            inserted_cum=sum(len(r.inserted) for r in metrics.reports),
+            deprecated_cum=sum(len(r.deprecated) for r in metrics.reports),
+            edges_prereq=health.edges["prereq"],
+            edges_enhance=health.edges["enhance"],
+            edges_cooccur=health.edges["co_occur"],
+            mean_node_success=health.mean_success,
+            # every task of the window adds group_size records of one length
+            mean_retrieved_len=(sum(len(r.retrieved_skill_ids) for r in window)
+                                / len(window) if window else 0.0),
             task_success=(sum(1 for r in window if r.success) / len(window)
                           if window else 0.0),
         ))
         window = []
-        window_lens = []
 
     return metrics, graph
 
@@ -645,17 +658,6 @@ class ComparisonResult:
         return {"graph": asdict(self.graph_arm), "flat": asdict(self.flat_arm)}
 
 
-def _arm_stats(metrics: SimMetrics) -> ArmStats:
-    return ArmStats(
-        task_success=metrics.task_success_rate,
-        long_chain_success=metrics.long_chain_success_rate,
-        mean_retrieved_len=metrics.mean_retrieved_len,
-        tasks=metrics.tasks,
-        rollouts=metrics.rollouts,
-        long_chain_rollouts=metrics.long_chain_rollouts,
-    )
-
-
 def compare_retrievers(config: SimConfig, seed: int) -> ComparisonResult:
     """Run both retriever arms on an identical task stream and rng.
 
@@ -665,4 +667,4 @@ def compare_retrievers(config: SimConfig, seed: int) -> ComparisonResult:
     """
     graph_metrics, _ = run_loop(config, seed, retriever="graph")
     flat_metrics, _ = run_loop(config, seed, retriever="flat")
-    return ComparisonResult(_arm_stats(graph_metrics), _arm_stats(flat_metrics))
+    return ComparisonResult(graph_metrics.arm_stats(), flat_metrics.arm_stats())

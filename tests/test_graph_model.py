@@ -435,3 +435,32 @@ class TestRemoveNodeHeir:
         graph.co_counts = {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 4}
         graph.remove_node("a")
         assert graph.co_counts == {("b", "c"): 4}
+
+
+class TestHealth:
+    def test_counts_match_a_hand_count(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["g"])
+        add_nodes(graph, ["a", "b", "c", "d"], category="clean")
+        graph.add_edge("g", "a", EdgeKind.ENHANCE, 0.2)
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.add_edge("b", "c", EdgeKind.PREREQ, 0.5)
+        graph.add_edge("d", "a", EdgeKind.CO_OCCUR, 0.3)
+        for skill_id, n_use, n_succ in (("g", 1, 1), ("a", 4, 3), ("b", 2, 0),
+                                        ("c", 10, 10)):
+            graph.nodes[skill_id].n_use = n_use
+            graph.nodes[skill_id].n_succ = n_succ
+        graph.nodes["c"].deprecated = True   # used, but deprecated: not counted
+        graph.highest_active_level = 1       # "d" is live and never used
+        # levels were never computed: g 0, a 1, b 2, c 3, d 0
+        health = graph.health()
+        assert (health.nodes, health.active, health.deprecated) == (5, 3, 1)
+        assert health.edges == {"prereq": 2, "enhance": 1, "co_occur": 1}
+        assert health.levels == {0: 2, 1: 1, 2: 1, 3: 1}
+        assert health.mean_success == (1.0 + 0.75 + 0.0) / 3
+
+    def test_empty_graph_lists_every_edge_kind(self):
+        health = SkillGraph().health()
+        assert health.edges == {"prereq": 0, "enhance": 0, "co_occur": 0}
+        assert (health.nodes, health.active, health.levels,
+                health.mean_success) == (0, 0, {}, 0.0)

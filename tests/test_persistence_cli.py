@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import time
+from hashlib import sha256
 
 import pytest
 
@@ -13,15 +15,18 @@ from skillnet import (
     EdgeKind,
     SkillGraph,
     TrajectoryRecord,
+    compare_retrievers,
     export_dot,
     graph_from_dict,
     graph_to_dict,
     ingest_trajectories,
     load_graph,
+    run_loop,
     save_graph,
     save_trajectories,
 )
 from skillnet.cli import main
+from skillnet.config import load_app_config
 from skillnet.errors import ParseError, VersionMismatch
 
 from conftest import add_nodes, make_node, random_graph
@@ -170,6 +175,31 @@ class TestSnapshotRoundTrip:
         assert main(["--graph", str(path), "stats"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, entries, message", [
+        ("co_counts", [["a", "b", 1], ["b", "a", 2]],
+         "duplicate co_counts entry for the pair ('a', 'b')"),
+        ("edges", [{"src": "a", "dst": "b", "kind": "prereq", "weight": 0.5},
+                   {"src": "a", "dst": "b", "kind": "prereq", "weight": 0.9}],
+         "duplicate edge a -> b (prereq)"),
+        ("edges", [{"src": "a", "dst": "b", "kind": "co_occur", "weight": 0.3},
+                   {"src": "b", "dst": "a", "kind": "co_occur", "weight": 0.6}],
+         "duplicate edge b -> a (co_occur)"),
+    ])
+    def test_duplicate_entry_rejected(self, tmp_path, capsys, section, entries,
+                                      message):
+        # each used to load: the co_counts pair kept the last count, the
+        # edges the first weight
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data[section] = entries
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_graph(path)
+        assert main(["--graph", str(path), "stats"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_integer_weight_loads_as_a_float(self):
         graph = SkillGraph()
@@ -396,6 +426,11 @@ class TestDotExport:
         parse_dot(export_dot(graph))
 
 
+# ``TestCli.test_evolve_output_is_pinned``: its printed report and snapshot
+EVOLVE_REPORT_SHA256 = "ef9f418d993ae7f4a2671c4f9c7a775d511b645b118f4d6b6d9ef821ca3c1b3d"
+EVOLVE_SNAPSHOT_SHA256 = "6c1b69f64df4ddcdf7fc7fa1a8390523534bf6e182f124268a851b6da0b9f43f"
+
+
 class TestCli:
     def write_skills(self, tmp_path) -> str:
         skills = [
@@ -492,6 +527,44 @@ class TestCli:
         assert main(["init", "--skills", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "g.json")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("skill_id", 5), ("title", None), ("principle", ["x"]),
+        ("when_to_apply", 1.5), ("category", 3)])
+    def test_init_rejects_a_mistyped_field(self, tmp_path, capsys, field, value):
+        # each used to load coerced: id "5", title "None", principle "['x']"
+        entry = {"skill_id": "c1", "title": "Wipe surfaces", "principle": "Wipe",
+                 "when_to_apply": "Cleaning", "category": "clean"}
+        skills = tmp_path / "skills.json"
+        skills.write_text(json.dumps([dict(entry, skill_id="c0"),
+                                      dict(entry, **{field: value})]))
+        out = tmp_path / "g.json"
+        assert main(["init", "--skills", str(skills), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: skills entry 1 field ") and err.count("\n") == 1
+        assert repr(field) in err
+        assert not out.exists()
+
+    def test_compare_flat_reuses_the_graph_run(self, tmp_path, capsys, monkeypatch):
+        from skillnet import cli
+
+        arms = []
+
+        def spy(config, seed, retriever="graph"):
+            arms.append(retriever)
+            return run_loop(config, seed, retriever)
+
+        monkeypatch.setattr(cli, "run_loop", spy)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "simulation": {"steps": 10, "tasks_per_step": 2}}))
+        assert main(["simulate", "--config", str(config), "--seed", "3",
+                     "--out", str(tmp_path / "m.csv"), "--compare-flat"]) == 0
+        assert arms == ["graph", "flat"]
+        out = capsys.readouterr().out
+        paired = compare_retrievers(load_app_config(str(config)).simulation, 3)
+        assert out[out.index("{"):] == json.dumps(
+            paired.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def test_simulate_compare_flat_prints_paired_stats(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -553,6 +626,35 @@ class TestCli:
             if report["unlock_events"]:
                 unlock_at.append(invocation)
         assert unlock_at and unlock_at[0] == 5  # sixth checkpoint, index 5
+
+    def test_evolve_output_is_pinned(self, tmp_path, capsys):
+        """Characterization of one ``skillnet evolve``: a window with a record
+        naming a skill the graph no longer has, no warmup, and an unlock.
+        The digests were taken with the code before the simulator and the
+        CLI shared one checkpoint function."""
+        graph = random_graph(random.Random(5), n=30, deprecated_rate=0.1)
+        graph.highest_active_level = 0
+        graph_path = tmp_path / "g.json"
+        save_graph(graph, graph_path)
+        rng = random.Random(6)
+        ids = sorted(graph.nodes)
+        records = [TrajectoryRecord(
+            task_id=f"t{i}", task_type=rng.choice(["clean", "heat", "cool"]),
+            retrieved_skill_ids=rng.sample(ids, rng.randint(1, 4)),
+            success=rng.random() < 0.7) for i in range(40)]
+        records[7].retrieved_skill_ids.append("merged_away")
+        save_trajectories(records, tmp_path / "w.jsonl")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"curriculum": {"warmup_length": 0, "unlock_threshold": 0.3}}))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["--graph", str(graph_path), "--config", str(config), "evolve",
+                     "--window", str(tmp_path / "w.jsonl"), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert json.loads(stdout)["unlock_events"]
+        assert sha256(stdout.encode("utf-8")).hexdigest() == EVOLVE_REPORT_SHA256
+        assert sha256(out.read_bytes()).hexdigest() == EVOLVE_SNAPSHOT_SHA256
 
     def test_inputs_never_mutated(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"

@@ -3,25 +3,40 @@
 from __future__ import annotations
 
 import random
+from hashlib import sha256
 
 import pytest
 
 from skillnet import (
     ConceptMap,
+    EdgeKind,
+    EvolutionConfig,
     RetrievalResult,
+    ScriptedProposer,
     SimConfig,
+    SkillGraph,
     SyntheticTask,
     TaskTypeSpec,
+    TrajectoryRecord,
     compare_retrievers,
     default_sim_config,
     flat_retrieve,
     rollout,
     run_loop,
+    save_graph,
 )
 from skillnet.config import load_section
+from skillnet.curriculum import CurriculumParams
 from skillnet.errors import ConfigInvalid
 from skillnet.retrieval import RetrievalParams
-from skillnet.simulate import InitialSkillSpec, build_initial_graph
+from skillnet.simulate import InitialSkillSpec, build_initial_graph, checkpoint
+
+from conftest import make_node
+
+
+# the default run at seed 42: its metrics CSV and its final snapshot file
+SEED_42_CSV_SHA256 = "05c407704ec0dc79f24957532594867b47857f33a690c97c62c1ec839aaeecf3"
+SEED_42_SNAPSHOT_SHA256 = "21750d61b02dfc3680d7392297dbe984ed812fdb8067c5b93dc8ba46ffa78d02"
 
 
 def task(chain: list[str], p0: float = 0.1, bonus: float = 0.2,
@@ -230,6 +245,13 @@ class TestRunLoop:
         if unlock_ckpt is not None:
             assert unlock_ckpt >= config.curriculum.warmup_length
 
+    def test_default_run_at_seed_42_is_byte_identical(self, tmp_path):
+        metrics, graph = run_loop(default_sim_config(), 42)
+        save_graph(graph, tmp_path / "final.json")
+        assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == SEED_42_CSV_SHA256
+        assert sha256((tmp_path / "final.json").read_bytes()).hexdigest() == \
+            SEED_42_SNAPSHOT_SHA256
+
     def test_unknown_retriever_rejected(self):
         with pytest.raises(ConfigInvalid):
             run_loop(tiny_config(), 1, retriever="embedding")
@@ -249,6 +271,41 @@ class TestRunLoop:
         assert custom.steps == 7 and custom.group_size == 2
         with pytest.raises(ConfigInvalid):
             load({"stepz": 7})
+
+
+def two_level_graph() -> SkillGraph:
+    graph = SkillGraph()
+    graph.add_skill(make_node("base", category="clean"))
+    graph.add_skill(make_node("deep", category="clean"))
+    graph.add_edge("base", "deep", EdgeKind.PREREQ, 0.9)
+    graph.compute_levels()
+    return graph
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("index, unlocked", [(0, []), (2, []), (3, [1]), (7, [1])])
+    def test_warmup_counts_the_checkpoints_the_graph_has_banked(self, index, unlocked):
+        graph = two_level_graph()
+        graph.checkpoint_index = index
+        report = checkpoint(graph, [], ScriptedProposer(), EvolutionConfig(),
+                            CurriculumParams(warmup_length=3, unlock_threshold=0.0))
+        assert report.unlock_events == unlocked
+        assert graph.checkpoint_index == index + 1
+        assert graph.highest_active_level == (1 if unlocked else 0)
+
+    def test_usage_only_from_records_naming_known_skills(self):
+        graph = two_level_graph()
+        records = [
+            TrajectoryRecord(task_id="t0", task_type="clean",
+                             retrieved_skill_ids=["base"], success=True),
+            TrajectoryRecord(task_id="t1", task_type="clean",
+                             retrieved_skill_ids=["base", "merged_away"],
+                             success=False),
+        ]
+        checkpoint(graph, records, ScriptedProposer(), EvolutionConfig(),
+                   CurriculumParams())
+        assert (graph.nodes["base"].n_use, graph.nodes["base"].n_succ) == (1, 1)
+        assert graph.nodes["deep"].n_use == 0
 
 
 class TestCrossProcessDeterminism:
