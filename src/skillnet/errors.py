@@ -27,6 +27,10 @@ class WeightOutOfRange(SkillNetError):
     """Edge weight must lie in [0, 1]."""
 
 
+class DuplicateEdge(SkillNetError):
+    """A bulk insert named an edge the graph already holds."""
+
+
 class CycleWouldForm(SkillNetError):
     """Adding this edge would create a cycle in the dependency subgraph."""
 

@@ -17,6 +17,7 @@ side can reach the other.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,7 @@ from .errors import (
     AlreadyInitialized,
     CycleDetected,
     CycleWouldForm,
+    DuplicateEdge,
     DuplicateId,
     EmptyTitle,
     SuccessWithoutUse,
@@ -47,6 +49,7 @@ class EdgeKind(str, Enum):
 
 
 DEPENDENCY_KINDS = (EdgeKind.PREREQ, EdgeKind.ENHANCE)
+_KIND_OF = {kind.value: kind for kind in EdgeKind}
 
 # (src, dst, kind) with co_occur endpoints canonicalized
 EdgeKey = tuple[str, str, EdgeKind]
@@ -224,6 +227,43 @@ class SkillGraph:
             self._levels_stale = True
         return edge
 
+    def add_edges(self, rows: Iterable[tuple[str, str, str, float]]) -> None:
+        """Insert stored edges, given as (src, dst, kind value, weight), all
+        or none, and recompute levels.
+
+        Each edge gets the checks of ``add_edge``, and one already present
+        is a DuplicateEdge instead of a no-op. In place of a cycle search per
+        edge, the closing level pass raises CycleDetected for the batch.
+        """
+        nodes, edges, out, into = self.nodes, self._edges, self._out, self._in
+        added: list[EdgeKey] = []
+        try:
+            for src, dst, value, weight in rows:
+                kind = _KIND_OF.get(value)
+                if kind is None:
+                    raise ValueError(f"{value!r} is not a valid EdgeKind")
+                if src not in nodes:
+                    raise UnknownEndpoint(src)
+                if dst not in nodes:
+                    raise UnknownEndpoint(dst)
+                if src == dst:
+                    raise CycleWouldForm(f"self-loop on {src!r}")
+                if not 0.0 <= weight <= 1.0:
+                    raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {value})")
+                key = ((dst, src, kind) if kind is EdgeKind.CO_OCCUR and dst < src
+                       else (src, dst, kind))
+                if key in edges:
+                    raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
+                edges[key] = SkillEdge(key[0], key[1], kind, weight)
+                out[key[0]].add(key)
+                into[key[1]].add(key)
+                added.append(key)
+            self.compute_levels()
+        except BaseException:
+            for key in added:
+                self.remove_edge(key)
+            raise
+
     def remove_edge(self, key: EdgeKey) -> None:
         edge = self._edges.pop(key, None)
         if edge is None:
@@ -238,6 +278,10 @@ class SkillGraph:
 
     def edges(self) -> list[SkillEdge]:
         return list(self._edges.values())
+
+    def sorted_edges(self) -> list[SkillEdge]:
+        """Every edge, ordered by (src, dst, kind value): the snapshot order."""
+        return [self._edges[key] for key in sorted(self._edges)]
 
     def edge_count(self, kind: EdgeKind | None = None) -> int:
         if kind is None:
@@ -267,10 +311,6 @@ class SkillGraph:
 
     # ------------------------------------------------------------------
     # adjacency views
-
-    def dependency_children(self, skill_id: str) -> list[SkillEdge]:
-        return [self._edges[k] for k in self._out.get(skill_id, ())
-                if k[2] in DEPENDENCY_KINDS]
 
     def prereq_parents(self, skill_id: str) -> list[SkillEdge]:
         return [self._edges[k] for k in self._in.get(skill_id, ())
@@ -314,21 +354,25 @@ class SkillGraph:
         level(v) = 0 for nodes without prereq/enhance parents, otherwise
         1 + max over dependency parents; co_occur edges are ignored.
         """
-        indegree = {v: 0 for v in self.nodes}
-        for edge in self._edges.values():
-            if edge.kind in DEPENDENCY_KINDS:
-                indegree[edge.dst] += 1
-        levels = {v: 0 for v in self.nodes}
+        # edge keys carry (src, dst, kind), so the pass never reads an edge
+        indegree = dict.fromkeys(self.nodes, 0)
+        for _, dst, kind in self._edges:
+            if kind in DEPENDENCY_KINDS:
+                indegree[dst] += 1
+        levels = dict.fromkeys(self.nodes, 0)
         ready = deque(sorted(v for v, d in indegree.items() if d == 0))
         processed = 0
         while ready:
             v = ready.popleft()
             processed += 1
-            for edge in self.dependency_children(v):
-                levels[edge.dst] = max(levels[edge.dst], levels[v] + 1)
-                indegree[edge.dst] -= 1
-                if indegree[edge.dst] == 0:
-                    ready.append(edge.dst)
+            child_level = levels[v] + 1
+            for _, dst, kind in self._out[v]:
+                if kind in DEPENDENCY_KINDS:
+                    if levels[dst] < child_level:
+                        levels[dst] = child_level
+                    indegree[dst] -= 1
+                    if indegree[dst] == 0:
+                        ready.append(dst)
         if processed != len(self.nodes):
             raise CycleDetected("dependency subgraph is cyclic")
         for v, lvl in levels.items():

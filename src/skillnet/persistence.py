@@ -13,11 +13,18 @@ import logging
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from .errors import ParseError, SkillNetError, VersionMismatch
+from .errors import (
+    CycleDetected,
+    DuplicateEdge,
+    ParseError,
+    SkillNetError,
+    VersionMismatch,
+)
 from .model import EdgeKind, SkillGraph, SkillNode, edge_key, pair_key
 
 logger = logging.getLogger(__name__)
@@ -135,7 +142,7 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
         nodes.append(record)
     edges = [
         {"src": e.src, "dst": e.dst, "kind": e.kind.value, "weight": e.weight}
-        for e in sorted(graph.edges(), key=lambda e: (e.src, e.dst, e.kind.value))
+        for e in graph.sorted_edges()
     ]
     co_counts = [
         [a, b, count] for (a, b), count in sorted(graph.co_counts.items())
@@ -206,25 +213,17 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         except SkillNetError as exc:
             raise ParseError(f"invalid node: {exc}") from exc
 
-    for obj in data.get("edges", []):
-        if not isinstance(obj, dict):
-            raise ParseError("edge entry must be an object")
-        _check_fields(obj, _EDGE_FIELDS, "edge", strict)
-        try:
-            src, dst, kind, weight = values = _edge_values(obj)
-        except KeyError as exc:
-            raise ParseError(f"edge entry missing field {exc}") from None
-        if tuple(map(type, values)) != _EDGE_SIGNATURE:
-            _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
-        edges_before = graph.edge_count()
-        try:
-            graph.add_edge(src, dst, EdgeKind(kind), float(weight))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"bad edge entry: {exc}") from exc
-        except SkillNetError as exc:
-            raise ParseError(f"invalid edge: {exc}") from exc
-        if graph.edge_count() == edges_before:  # add_edge kept the one it had
-            raise ParseError(f"duplicate edge {src} -> {dst} ({kind})")
+    rows = [_edge_row(obj, strict) for obj in data.get("edges", [])]
+    try:
+        graph.add_edges(rows)  # also computes the levels
+    except ValueError as exc:
+        raise ParseError(f"bad edge entry: {exc}") from exc
+    except DuplicateEdge as exc:
+        raise ParseError(str(exc)) from exc
+    except CycleDetected as exc:
+        raise ParseError(f"snapshot violates graph invariants: {exc}") from exc
+    except SkillNetError as exc:
+        raise ParseError(f"invalid edge: {exc}") from exc
 
     for entry in data.get("co_counts", []):
         if type(entry) is not list or [type(v) for v in entry] != [str, str, int]:
@@ -237,12 +236,26 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         if pair in graph.co_counts:
             raise ParseError(f"duplicate co_counts entry for the pair {pair}")
         graph.co_counts[pair] = count
-
-    try:
-        graph.compute_levels()
-    except Exception as exc:
-        raise ParseError(f"snapshot violates graph invariants: {exc}") from exc
     return graph
+
+
+def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
+    """An edge entry's (src, dst, kind, weight), its JSON types checked."""
+    if not isinstance(obj, dict):
+        raise ParseError("edge entry must be an object")
+    _check_fields(obj, _EDGE_FIELDS, "edge", strict)
+    try:
+        values = _edge_values(obj)
+    except KeyError as exc:
+        raise ParseError(f"edge entry missing field {exc}") from None
+    if tuple(map(type, values)) == _EDGE_SIGNATURE:
+        return values
+    _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
+    src, dst, kind, weight = values
+    try:
+        return src, dst, kind, float(weight)
+    except OverflowError as exc:
+        raise ParseError(f"bad edge entry: {exc}") from exc
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -262,9 +275,52 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def _object_template(names: set[str], indent: int) -> str:
+    """One record as ``json.dumps(indent=2, sort_keys=True)`` lays it out
+    at ``indent``, with a ``%s`` per value."""
+    pad = " " * indent
+    return (f"{pad}{{\n"
+            + ",\n".join(f'{pad}  "{name}": %s' for name in sorted(names))
+            + f"\n{pad}}}")
+
+
+# save_graph writes json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
+# + "\n" in one pass: a %-template per record, values encoded as json.dumps
+# encodes them. The node record is built from the stored fields, so a field
+# added to SkillNode is written, or refused here if its type has no encoder.
+_ENCODE = {str: encode_basestring_ascii, int: repr, float: repr,
+           bool: {False: "false", True: "true"}.__getitem__}
+_NODE_RECORD = _object_template(_NODE_FIELDS, 4)
+_NODE_VALUES = [
+    (attrgetter(name), _ENCODE[_NODE_TYPES[name]]) if name in _NODE_TYPES
+    else (SkillNode.success_rate, repr)  # the one derived field
+    for name in sorted(_NODE_FIELDS)]
+_EDGE_RECORD = _object_template(_EDGE_FIELDS, 4)
+_KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
+_PAIR_RECORD = "    [\n      %s,\n      %s,\n      %s\n    ]"
+_SNAPSHOT = _object_template(_TOP_LEVEL_FIELDS, 0) + "\n"
+_META = _object_template(_META_FIELDS, 2).lstrip()  # opens after its key
+
+
+def _section(records: list[str]) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def save_graph(graph: SkillGraph, path: str | Path) -> None:
-    payload = json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
-    _atomic_write(path, payload + "\n")
+    """Write the canonical snapshot: the bytes of ``graph_to_dict`` dumped
+    with ``indent=2, sort_keys=True`` and a final newline."""
+    graph.ensure_levels()
+    quote = encode_basestring_ascii
+    nodes = [_NODE_RECORD % tuple([encode(get(node)) for get, encode in _NODE_VALUES])
+             for _, node in sorted(graph.nodes.items())]
+    edges = [_EDGE_RECORD % (quote(e.dst), _KIND_TEXT[e.kind], quote(e.src), repr(e.weight))
+             for e in graph.sorted_edges()]
+    pairs = [_PAIR_RECORD % (quote(a), quote(b), count)
+             for (a, b), count in sorted(graph.co_counts.items())]
+    meta = _META % (graph.checkpoint_index, graph.highest_active_level,
+                    graph.next_dynamic_id)
+    _atomic_write(path, _SNAPSHOT % (_section(pairs), _section(edges), meta,
+                                     _section(nodes), SNAPSHOT_VERSION))
 
 
 def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
@@ -366,14 +422,15 @@ def export_dot(graph: SkillGraph, hide_deprecated: bool = False) -> str:
         if node.deprecated and hide_deprecated:
             continue
         shown.add(skill_id)
-        label = _dot_escape(
-            f"{node.title}\\nL{node.level} p={node.success_rate():.2f}")
+        # \n is DOT's line break, so it goes after the escaping
+        label = (f"{_dot_escape(node.title)}\\nL{node.level} "
+                 f"p={node.success_rate():.2f}")
         attrs = [f'label="{label}"']
         if node.deprecated:
             attrs.append('color="grey"')
             attrs.append('fontcolor="grey"')
         lines.append(f'  "{_dot_escape(skill_id)}" [{", ".join(attrs)}];')
-    for edge in sorted(graph.edges(), key=lambda e: (e.src, e.dst, e.kind.value)):
+    for edge in graph.sorted_edges():
         if edge.src not in shown or edge.dst not in shown:
             continue
         attrs = [f"style={_EDGE_STYLE[edge.kind]}",

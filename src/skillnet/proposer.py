@@ -15,9 +15,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import (
     ConfigInvalid,
@@ -26,6 +24,9 @@ from .errors import (
     SchemaViolation,
 )
 from .model import is_blank
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -300,7 +301,9 @@ class HttpProposer(Proposer):
 
     One request per evolution sub-operation, a single optional retry, and a
     hard timeout. Every transport failure degrades to ProposerUnavailable so
-    a checkpoint can always finish without the teacher.
+    a checkpoint can always finish without the teacher. ``requests`` is
+    imported here, not with the package, so commands that never call a
+    teacher do not pay for it.
     """
 
     def __init__(self, endpoint: str, model: str,
@@ -315,7 +318,10 @@ class HttpProposer(Proposer):
         self.timeout = timeout
         self.temperature = temperature
         self.max_retries = max_retries
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
 
     def _render(self, request: ProposerRequest) -> str:
         if request.kind == "insert":
@@ -349,6 +355,8 @@ class HttpProposer(Proposer):
             raise ProposerParseError(f"malformed completion payload: {exc}") from exc
 
     def propose(self, request: ProposerRequest) -> list[SkillProposal]:
+        import requests
+
         prompt = self._render(request)
         last_error: Exception | None = None
         for _ in range(1 + max(0, self.max_retries)):

@@ -6,11 +6,15 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
+import skillnet
 from skillnet import (
     EdgeKind,
     SkillGraph,
@@ -221,6 +225,25 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ParseError):
             load_graph(path)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([{"src": "a", "dst": "b", "kind": "prereq", "weight": 0.5},
+          {"src": "b", "dst": "a", "kind": "enhance", "weight": 0.5}],
+         "snapshot violates graph invariants: dependency subgraph is cyclic"),
+        ([{"src": "a", "dst": "a", "kind": "co_occur", "weight": 0.5}],
+         "invalid edge: self-loop on 'a'"),
+    ])
+    def test_cycle_and_self_loop_messages(self, tmp_path, capsys, edges, message):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data["edges"] = edges
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_graph(path)
+        assert main(["--graph", str(path), "stats"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_levels_recomputed_on_load(self, tmp_path):
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
@@ -425,6 +448,14 @@ class TestDotExport:
         graph.add_skill(make_node("q", title='Say "done" loudly'))
         parse_dot(export_dot(graph))
 
+    def test_label_breaks_the_line_after_the_escaped_title(self):
+        # the line break was escaped along with the title, so Graphviz showed
+        # a backslash and an n instead of breaking the line
+        graph = SkillGraph()
+        graph.add_skill(make_node("q", title='Open "door" \\ now'))
+        assert export_dot(graph).splitlines()[3] == (
+            r'  "q" [label="Open \"door\" \\ now\nL0 p=0.00"];')
+
 
 # ``TestCli.test_evolve_output_is_pinned``: its printed report and snapshot
 EVOLVE_REPORT_SHA256 = "ef9f418d993ae7f4a2671c4f9c7a775d511b645b118f4d6b6d9ef821ca3c1b3d"
@@ -505,6 +536,16 @@ class TestCli:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
         assert main(["ingest", "--input", str(bad)]) == 2
+
+    def test_cli_import_leaves_requests_out(self):
+        # only a real teacher needs requests, and it costs every command
+        src = Path(skillnet.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, skillnet.cli; print('requests' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
     def test_usage_error_exit_code(self):
         assert main(["retrieve"]) == 1  # missing required --task-type

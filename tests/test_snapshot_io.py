@@ -1,0 +1,183 @@
+"""The snapshot writer and the bulk edge loader against the code they replace.
+
+``save_graph`` writes its schema in one pass; the oracle is the general
+encoder it replaced, ``json.dumps(graph_to_dict(g), indent=2,
+sort_keys=True) + "\\n"``. ``graph_from_dict`` inserts all edges in one bulk
+call; the oracle is the per-edge loader it replaced, one ``add_edge`` (with
+its cycle search) per edge, kept here.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skillnet import (
+    EdgeKind,
+    SkillGraph,
+    SkillNode,
+    graph_from_dict,
+    graph_to_dict,
+    save_graph,
+)
+from skillnet.errors import CycleWouldForm, DuplicateEdge, ParseError, SkillNetError
+from skillnet.model import is_blank, pair_key
+
+from conftest import add_nodes, random_graph
+
+# ----------------------------------------------------------------------
+# writer: the same bytes as the general encoder
+
+# every text field gets quotes, backslashes, control and non-ASCII characters,
+# astral ones (written as surrogate pairs) included
+tricky = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                          "\u00a0", "\u2028", "é", "中", "\U0001f600"])
+texts = st.lists(st.text(max_size=4) | tricky, max_size=4).map("".join)
+titles = texts.filter(lambda text: not is_blank(text))
+# floats whose shortest repr is easy to get wrong, and integer weights
+weights = (st.sampled_from([1e-07, 0.1 + 0.2, 1.0, 0.0, 0, 1])
+           | st.floats(0.0, 1.0))
+# (n_succ, n_use): rates 0.0 (unused and used), 1.0, 1e-07 and 1/3
+usage = (st.sampled_from([(0, 0), (0, 5), (4, 4), (1, 10**7), (1, 3)])
+         | st.integers(0, 50).flatmap(
+             lambda n_use: st.tuples(st.integers(0, n_use), st.just(n_use))))
+
+
+@st.composite
+def public_graphs(draw) -> SkillGraph:
+    """A graph built through the public API only; any section may be empty."""
+    graph = SkillGraph()
+    ids = draw(st.lists(texts, max_size=8, unique=True))
+    for skill_id in ids:
+        n_succ, n_use = draw(usage)
+        graph.add_skill(SkillNode(
+            skill_id=skill_id, title=draw(titles), principle=draw(texts),
+            when_to_apply=draw(texts), category=draw(texts | st.just("general")),
+            n_use=n_use, n_succ=n_succ, created_step=draw(st.integers(0, 10**12)),
+            deprecated=draw(st.booleans())))
+    if len(ids) >= 2:
+        pairs = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        for src, dst in draw(st.lists(pairs, max_size=16)):
+            try:
+                graph.add_edge(src, dst, draw(st.sampled_from(list(EdgeKind))),
+                               draw(weights))
+            except CycleWouldForm:
+                pass
+        for a, b in draw(st.lists(pairs, max_size=6)):
+            graph.co_counts[pair_key(a, b)] = draw(st.integers(1, 10**6))
+    graph.checkpoint_index = draw(st.integers(0, 10**6))
+    graph.highest_active_level = draw(st.integers(0, 9))
+    graph.next_dynamic_id = draw(st.integers(1, 10**6))
+    return graph
+
+
+def oracle_text(graph: SkillGraph) -> str:
+    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n"
+
+
+def saved_text(graph: SkillGraph) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "g.json"
+        save_graph(graph, path)
+        return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=public_graphs())
+def test_writer_matches_the_general_encoder(graph):
+    assert saved_text(graph) == oracle_text(graph)
+
+
+def test_writer_covers_empty_and_populated_sections():
+    empty = SkillGraph()
+    assert saved_text(empty) == oracle_text(empty)
+    assert '"nodes": []' in saved_text(empty)
+    graph = random_graph(random.Random(3), n=40)
+    assert graph.co_counts and graph.edge_count()
+    assert saved_text(graph) == oracle_text(graph)
+
+
+# ----------------------------------------------------------------------
+# loader: the same graph as one add_edge per edge
+
+
+def per_edge_load(data: dict) -> SkillGraph:
+    """The loader before the bulk insert: one ``add_edge`` per edge, each with
+    its cycle search, and a duplicate seen as an unchanged edge count."""
+    graph = graph_from_dict({**data, "edges": []})
+    for obj in data["edges"]:
+        src, dst, kind, weight = obj["src"], obj["dst"], obj["kind"], obj["weight"]
+        edges_before = graph.edge_count()
+        try:
+            graph.add_edge(src, dst, EdgeKind(kind), float(weight))
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"bad edge entry: {exc}") from exc
+        except SkillNetError as exc:
+            raise ParseError(f"invalid edge: {exc}") from exc
+        if graph.edge_count() == edges_before:
+            raise ParseError(f"duplicate edge {src} -> {dst} ({kind})")
+    graph.compute_levels()
+    return graph
+
+
+def test_bulk_loader_matches_the_per_edge_loader_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(60):
+        data = graph_to_dict(random_graph(rng, n=rng.randint(2, 40)))
+        rng.shuffle(data["edges"])  # the loader must not rely on file order
+        assert graph_to_dict(graph_from_dict(data)) == graph_to_dict(per_edge_load(data))
+
+
+ids = ["a", "b", "c", "d"]
+edge_entries = st.fixed_dictionaries({
+    "src": st.sampled_from(ids + ["ghost"]), "dst": st.sampled_from(ids),
+    "kind": st.sampled_from(["prereq", "enhance", "co_occur", "co-occur"]),
+    "weight": st.sampled_from([0.0, 0.5, 1.0, 1, 1.5, -0.1])})
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(edge_entries, max_size=8))
+def test_bulk_loader_accepts_exactly_what_the_per_edge_loader_accepts(edges):
+    """Unknown kinds and endpoints, self-loops, weights out of range,
+    duplicates and cycles: both loaders reject the same edge lists and
+    load the rest to the same graph."""
+    graph = SkillGraph()
+    add_nodes(graph, ids)
+    data = {**graph_to_dict(graph), "edges": edges}
+    outcomes = []
+    for load in (graph_from_dict, per_edge_load):
+        try:
+            outcomes.append(graph_to_dict(load(data)))
+        except ParseError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([("a", "b", "prereq", 0.5), ("b", "a", "prereq", 0.5)], "dependency subgraph is cyclic"),
+    ([("a", "b", "prereq", 0.5), ("a", "b", "prereq", 0.9)], "duplicate edge a -> b"),
+    ([("a", "b", "enhance", 0.5), ("b", "b", "prereq", 0.5)], "self-loop on 'b'"),
+])
+def test_a_rejected_bulk_insert_leaves_the_graph_as_it_was(rows, error):
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.3)
+    before = graph_to_dict(graph)
+    with pytest.raises(SkillNetError, match=error):
+        graph.add_edges(rows)
+    assert graph_to_dict(graph) == before
+    graph.add_edge("b", "a", EdgeKind.PREREQ, 0.5)  # no stale key left behind
+    assert graph.compute_levels() == {"a": 1, "b": 0}
+
+
+def test_bulk_insert_names_a_duplicate_as_given():
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    with pytest.raises(DuplicateEdge, match=r"^duplicate edge b -> a \(co_occur\)$"):
+        graph.add_edges([("a", "b", "co_occur", 0.3), ("b", "a", "co_occur", 0.6)])
