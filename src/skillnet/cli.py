@@ -121,7 +121,7 @@ def _require_graph(args: argparse.Namespace) -> SkillGraph:
 def _cmd_init(args: argparse.Namespace) -> int:
     try:
         records = json.loads(Path(args.skills).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read {args.skills}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {args.skills}: {exc.msg}",

@@ -114,7 +114,7 @@ def load_app_config(path: str | Path | None, strict: bool = False) -> AppConfig:
         return AppConfig()
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",

@@ -83,8 +83,6 @@ def maybe_unlock(graph: SkillGraph, state: CurriculumState) -> list[int]:
         mean = level_mean(graph, current)
         if mean is not None and mean < state.unlock_threshold:
             break
-        if not any(n.level == current + 1 for n in graph.nodes.values()):
-            break
         state.highest_active_level = current + 1
         unlocked.append(current + 1)
     graph.highest_active_level = state.highest_active_level

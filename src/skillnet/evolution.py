@@ -289,7 +289,6 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
         proposals = _ask(proposer, ProposerRequest(
             kind="merge",
             skill_pair=(_node_view(graph.nodes[a]), _node_view(graph.nodes[b])),
-            existing_titles=[n.title for n in graph.nodes.values()],
             max_items=1,
         ))
         if proposals is None:

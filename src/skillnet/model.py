@@ -219,7 +219,7 @@ class SkillGraph:
             return existing
         if kind in DEPENDENCY_KINDS and self._reaches(dst, src):
             raise CycleWouldForm(f"({src} -> {dst}, {kind.value})")
-        edge = SkillEdge(key[0], key[1], kind, weight)
+        edge = SkillEdge(key[0], key[1], kind, float(weight))
         self._edges[key] = edge
         self._out[key[0]].add(key)
         self._in[key[1]].add(key)
@@ -254,7 +254,7 @@ class SkillGraph:
                        else (src, dst, kind))
                 if key in edges:
                     raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
-                edges[key] = SkillEdge(key[0], key[1], kind, weight)
+                edges[key] = SkillEdge(key[0], key[1], kind, float(weight))
                 out[key[0]].add(key)
                 into[key[1]].add(key)
                 added.append(key)
@@ -312,9 +312,10 @@ class SkillGraph:
     # ------------------------------------------------------------------
     # adjacency views
 
-    def prereq_parents(self, skill_id: str) -> list[SkillEdge]:
-        return [self._edges[k] for k in self._in.get(skill_id, ())
-                if k[2] is EdgeKind.PREREQ]
+    def prereq_parents(self, skill_id: str) -> list[EdgeKey]:
+        """Keys of the prereq edges into a skill, which sort by parent id."""
+        return sorted(k for k in self._in.get(skill_id, ())
+                      if k[2] is EdgeKind.PREREQ)
 
     def incident_edges(self, skill_id: str) -> list[SkillEdge]:
         keys = self._out.get(skill_id, set()) | self._in.get(skill_id, set())

@@ -248,14 +248,9 @@ def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
         values = _edge_values(obj)
     except KeyError as exc:
         raise ParseError(f"edge entry missing field {exc}") from None
-    if tuple(map(type, values)) == _EDGE_SIGNATURE:
-        return values
-    _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
-    src, dst, kind, weight = values
-    try:
-        return src, dst, kind, float(weight)
-    except OverflowError as exc:
-        raise ParseError(f"bad edge entry: {exc}") from exc
+    if tuple(map(type, values)) != _EDGE_SIGNATURE:
+        _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
+    return values
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -326,7 +321,7 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
 def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -353,7 +348,7 @@ def ingest_trajectories(path: str | Path,
     errors: list[tuple[int, str]] = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

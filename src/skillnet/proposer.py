@@ -350,9 +350,13 @@ class HttpProposer(Proposer):
             raise ProposerUnavailable(
                 f"proposer endpoint returned HTTP {response.status_code}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProposerParseError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProposerParseError(
+                f"completion content is {type(content).__name__}, not text")
+        return content
 
     def propose(self, request: ProposerRequest) -> list[SkillProposal]:
         import requests

@@ -1,13 +1,14 @@
 """Dependency-aware retrieval: seeds, backward BFS, forward beam, topo order.
 
 Produces an ordered skill sequence for a task query and renders it as the
-markdown skill block that gets prepended to an agent prompt. All functions
-are pure reads over the graph and safe to run concurrently on a snapshot.
+markdown skill block that gets prepended to an agent prompt. The sequence is
+sorted by (level, score, id); it is topological because every dependency edge
+climbs at least one level. All functions are pure reads over the graph and
+safe to run concurrently on a snapshot.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid
@@ -97,13 +98,13 @@ def _expand_backward(graph: SkillGraph, seeds: set[str],
     for _ in range(depth):
         next_frontier: list[str] = []
         for v in frontier:
-            for edge in sorted(graph.prereq_parents(v), key=lambda e: e.src):
-                parent = edge.src
+            for key in graph.prereq_parents(v):
+                parent = key[0]
                 if parent in visited or not graph.is_active(parent):
                     continue
                 visited.add(parent)
                 reached.add(parent)
-                walked.add(edge.key())
+                walked.add(key)
                 next_frontier.append(parent)
         if not next_frontier:
             break
@@ -156,32 +157,15 @@ def topo_order(graph: SkillGraph, skill_ids: set[str],
                scores: dict[str, float] | None = None) -> list[str]:
     """Deterministic topological order of the induced dependency subgraph.
 
-    Ties break by (level asc, score desc, skill_id asc) so an identical
-    graph and query always yield an identical sequence.
+    Skills sort by (level asc, score desc, skill_id asc). That order is
+    topological because every dependency edge climbs at least one level, and
+    an identical graph and query always yield an identical sequence.
     """
+    graph.ensure_levels()
     scores = scores or {}
-    members = set(skill_ids)
-    indegree = {v: 0 for v in members}
-    children: dict[str, list[str]] = {v: [] for v in members}
-    for edge in graph.edges():
-        if edge.kind in DEPENDENCY_KINDS and edge.src in members and edge.dst in members:
-            indegree[edge.dst] += 1
-            children[edge.src].append(edge.dst)
-
-    def rank(v: str) -> tuple[int, float, str]:
-        return (graph.nodes[v].level, -scores.get(v, 1.0), v)
-
-    ready = [rank(v) for v, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    ordered: list[str] = []
-    while ready:
-        _, _, v = heapq.heappop(ready)
-        ordered.append(v)
-        for child in children[v]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, rank(child))
-    return ordered
+    nodes = graph.nodes
+    return sorted(set(skill_ids),
+                  key=lambda v: (nodes[v].level, -scores.get(v, 1.0), v))
 
 
 def retrieve(graph: SkillGraph, query: TaskQuery,

@@ -196,6 +196,18 @@ class TestJaccardAndMerge:
         assert graph.nodes["s1"].title == "Unified"
         assert graph.neighbors("s1") == {"x0", "x1", "x2"}
 
+    def test_merge_request_carries_no_titles(self):
+        requests = []
+
+        class Recording(CountingProposer):
+            def propose(self, request):
+                requests.append(request)
+                return super().propose(request)
+
+        merge_scan(self.build_pair(), Recording([proposal(9)]), EvolutionConfig())
+        assert [r.kind for r in requests] == ["merge"]
+        assert requests[0].existing_titles == []
+
     def test_duplicate_edges_keep_higher_weight(self):
         graph = self.build_pair(shared=3)
         graph.get_edge("s1", "x0", EdgeKind.CO_OCCUR).weight = 0.4

@@ -213,6 +213,35 @@ class TestSnapshotRoundTrip:
         data["edges"][0]["weight"] = 1
         assert graph_to_dict(graph_from_dict(data)) == graph_to_dict(graph)
 
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_integer_weight_saves_the_bytes_of_its_float(self, tmp_path, bulk):
+        paths = []
+        for weight in (1, 1.0):
+            graph = SkillGraph()
+            add_nodes(graph, ["a", "b"])
+            if bulk:
+                graph.add_edges([("a", "b", "prereq", weight)])
+            else:
+                graph.add_edge("a", "b", EdgeKind.PREREQ, weight)
+            paths.append(tmp_path / f"{weight!r}.json")
+            save_graph(graph, paths[-1])
+        reloaded = tmp_path / "reloaded.json"
+        save_graph(load_graph(paths[0]), reloaded)
+        assert paths[0].read_bytes() == paths[1].read_bytes() == reloaded.read_bytes()
+
+    def test_oversized_integer_weight_rejected(self, tmp_path, capsys):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 1.0)
+        data = graph_to_dict(graph)
+        data["edges"][0]["weight"] = 10 ** 400
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="invalid edge"):
+            load_graph(path)
+        assert main(["--graph", str(path), "stats"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid edge")
+
     def test_cyclic_snapshot_rejected(self, tmp_path):
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
@@ -555,6 +584,23 @@ class TestCli:
 
     def test_graph_flag_required_for_stats(self, capsys):
         assert main(["stats"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--graph", "{bad}", "stats"],
+        ["ingest", "--input", "{bad}"],
+        ["init", "--skills", "{bad}", "--out", "{out}"],
+        ["--config", "{bad}", "simulate", "--out", "{out}"],
+    ], ids=["stats-graph", "ingest-input", "init-skills", "config"])
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff\xfe not utf-8")
+        out = tmp_path / "out"
+        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_init_rejects_bad_skill_files(self, tmp_path, capsys):
         not_a_list = tmp_path / "obj.json"

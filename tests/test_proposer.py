@@ -325,3 +325,30 @@ class TestHttpProposer:
         report = evolve_step(SkillGraph(), [], [failure], proposer,
                              EvolutionConfig())
         assert report.inserted == []
+
+    @pytest.mark.parametrize("content", [None, 5, ["[]"]])
+    def test_non_text_content_degrades_the_checkpoint(self, content, caplog):
+        """A completion whose content is not a string is a parse error, so
+        the sub-operation degrades instead of aborting the checkpoint."""
+        from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
+
+        class Completion:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": content}}]}
+
+        class NonTextSession:
+            def post(self, *args, **kwargs):
+                return Completion()
+
+        proposer = HttpProposer("http://teacher.invalid", model="stub",
+                                session=NonTextSession())
+        with pytest.raises(ProposerParseError, match="not text"):
+            proposer.propose(insert_request())
+        failure = TrajectoryRecord(task_id="t", task_type="clean",
+                                   retrieved_skill_ids=[], success=False)
+        report = evolve_step(SkillGraph(), [], [failure], proposer,
+                             EvolutionConfig())
+        assert report.inserted == []
+        assert "insert degraded" in caplog.text

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skillnet import (
     EdgeKind,
@@ -15,9 +20,10 @@ from skillnet import (
     topo_order,
 )
 from skillnet.errors import ConfigInvalid
+from skillnet.model import DEPENDENCY_KINDS
 from skillnet.retrieval import DEFAULT_BFS_DEPTH, _expand_backward, _expand_forward
 
-from conftest import add_nodes, make_node, oracle_best_path_products
+from conftest import add_nodes, make_node, oracle_best_path_products, random_graph
 
 
 def chain_graph() -> SkillGraph:
@@ -200,6 +206,35 @@ class TestForwardBeam:
         assert len(kept) == 3
 
 
+def kahn_topo_order(graph: SkillGraph, skill_ids: set[str],
+                    scores: dict[str, float] | None = None) -> list[str]:
+    """Oracle: Kahn's pass over the induced dependency subgraph, always
+    popping the ready skill of lowest (level, -score, id)."""
+    scores = scores or {}
+    members = set(skill_ids)
+    indegree = {v: 0 for v in members}
+    children: dict[str, list[str]] = {v: [] for v in members}
+    for edge in graph.edges():
+        if edge.kind in DEPENDENCY_KINDS and edge.src in members and edge.dst in members:
+            indegree[edge.dst] += 1
+            children[edge.src].append(edge.dst)
+
+    def rank(v: str) -> tuple[int, float, str]:
+        return (graph.nodes[v].level, -scores.get(v, 1.0), v)
+
+    ready = [rank(v) for v, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    ordered: list[str] = []
+    while ready:
+        _, _, v = heapq.heappop(ready)
+        ordered.append(v)
+        for child in children[v]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(ready, rank(child))
+    return ordered
+
+
 class TestTopoOrder:
     def test_chain(self):
         graph = SkillGraph()
@@ -236,6 +271,25 @@ class TestTopoOrder:
         add_nodes(graph, ["aa", "zz"])
         graph.compute_levels()
         assert topo_order(graph, {"aa", "zz"}, {"aa": 0.2, "zz": 0.9}) == ["zz", "aa"]
+
+    def test_stale_levels_are_brought_up_to_date(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.compute_levels()
+        graph.add_edge("b", "a", EdgeKind.PREREQ, 0.5)
+        # a still reads level 0, which would rank it before its parent b
+        assert graph.nodes["a"].level == 0
+        assert topo_order(graph, {"a", "b"}) == ["b", "a"]
+        assert graph.nodes["a"].level == 1
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_equals_kahn_pass(self, seed, data):
+        graph = random_graph(random.Random(seed), deprecated_rate=0.3)
+        ids = sorted(graph.nodes)
+        members = data.draw(st.sets(st.sampled_from(ids)))
+        scores = data.draw(st.dictionaries(
+            st.sampled_from(ids), st.sampled_from([0.0, 0.09, 0.3, 0.5, 1.0])))
+        assert topo_order(graph, members, scores) == kahn_topo_order(graph, members, scores)
 
 
 class TestRetrieve:

@@ -311,9 +311,16 @@ class TestCheckpoint:
 class TestCrossProcessDeterminism:
     def test_cli_simulate_byte_identical_across_processes(self, tmp_path):
         import json
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import skillnet
+
+        # the child imports the package from the same tree as this process
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(skillnet.__file__).parents[1])}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "simulation": {"steps": 25, "tasks_per_step": 3}}))
@@ -324,7 +331,7 @@ class TestCrossProcessDeterminism:
                 [sys.executable, "-m", "skillnet.cli", "simulate",
                  "--config", str(config), "--seed", "13",
                  "--out", str(out)],
-                capture_output=True, timeout=120)
+                capture_output=True, timeout=120, env=env)
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
