@@ -25,7 +25,6 @@ from .evolution import (
 from .model import (
     GENERAL_CATEGORY,
     EdgeKind,
-    SkillEdge,
     SkillGraph,
     SkillNode,
 )
@@ -82,7 +81,7 @@ __all__ = [
     "EvolutionConfig", "EvolutionReport", "decay_and_prune", "deprecate_scan",
     "discover_cooccur", "evolve_step", "jaccard", "merge_scan",
     "reinforce_paths", "scan_insert_trigger", "split_scan",
-    "GENERAL_CATEGORY", "EdgeKind", "SkillEdge", "SkillGraph", "SkillNode",
+    "GENERAL_CATEGORY", "EdgeKind", "SkillGraph", "SkillNode",
     "IngestResult", "TrajectoryRecord", "export_dot", "graph_from_dict",
     "graph_to_dict", "ingest_trajectories", "load_graph", "save_graph",
     "save_trajectories",

@@ -25,9 +25,11 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-from .errors import ConfigInvalid, CycleWouldForm, ProposerError, SchemaViolation
+from .errors import (
+    ConfigInvalid, CycleWouldForm, ProposerError, ProposerParseError, SchemaViolation,
+)
 from .model import (
-    GENERAL_CATEGORY, EdgeKind, SkillEdge, SkillGraph, SkillNode, pair_key,
+    GENERAL_CATEGORY, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key, pair_key,
 )
 from .persistence import TrajectoryRecord, normalize_edge_keys
 from .proposer import (
@@ -120,11 +122,13 @@ def _node_view(node: SkillNode) -> dict[str, str]:
 
 def _ask(proposer: Proposer, request: ProposerRequest) -> list[SkillProposal] | None:
     """The valid proposals among the teacher's first ``request.max_items``,
-    in its order, or None when the teacher is unreachable."""
+    in its order, or None when the teacher is unreachable or unusable."""
     try:
         proposals = proposer.propose(request)
     except ProposerError as exc:
-        logger.warning("%s degraded, proposer unavailable: %s", request.kind, exc)
+        cause = ("unusable teacher reply" if isinstance(exc, ProposerParseError)
+                 else "proposer unavailable")
+        logger.warning("%s degraded, %s: %s", request.kind, cause, exc)
         return None
     usable = []
     for proposal in proposals[:request.max_items]:
@@ -190,23 +194,25 @@ def scan_insert_trigger(failures: list[TrajectoryRecord], graph: SkillGraph,
     return inserted
 
 
-def _inherit_edge(graph: SkillGraph, edge: SkillEdge, old: str, new: str) -> bool:
+def _inherit_edge(graph: SkillGraph, key: EdgeKey, weight: float, old: str,
+                  new: str) -> bool:
     """Re-point one endpoint of an inherited edge, keeping the higher weight
     on collisions and dropping edges that would close a dependency cycle."""
-    src = new if edge.src == old else edge.src
-    dst = new if edge.dst == old else edge.dst
+    src, dst, kind = key
+    src = new if src == old else src
+    dst = new if dst == old else dst
     if src == dst:
         return False
-    existing = graph.get_edge(src, dst, edge.kind)
+    existing = graph.weight(src, dst, kind)
     if existing is not None:
-        existing.weight = max(existing.weight, edge.weight)
+        graph.set_weight(edge_key(src, dst, kind), max(existing, weight))
         return False
     try:
-        graph.add_edge(src, dst, edge.kind, edge.weight)
+        graph.add_edge(src, dst, kind, weight)
         return True
     except CycleWouldForm:
         logger.info("dropping inherited edge %s->%s (%s): would form a cycle",
-                    src, dst, edge.kind.value)
+                    src, dst, kind.value)
         return False
 
 
@@ -215,12 +221,12 @@ def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
     """Remove ``old`` and hand each of its edges, heaviest first, to
     ``target_of(neighbor)`` through ``_inherit_edge``; ``heir`` takes over
     its co-appearance counts (see ``SkillGraph.remove_node``)."""
-    inherited = sorted(graph.incident_edges(old),
-                       key=lambda e: (-e.weight, e.src, e.dst, e.kind.value))
+    edges = graph.edges()  # a live view: read the weights before remove_node
+    weights = {key: edges[key] for key in graph.incident_edges(old)}
     graph.remove_node(old, heir=heir)
-    for edge in inherited:
-        neighbor = edge.dst if edge.src == old else edge.src
-        _inherit_edge(graph, edge, old, target_of(neighbor))
+    for key in sorted(weights, key=lambda key: (-weights[key], key)):
+        neighbor = key[1] if key[0] == old else key[0]
+        _inherit_edge(graph, key, weights[key], old, target_of(neighbor))
 
 
 def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
@@ -351,8 +357,8 @@ def split_scan(graph: SkillGraph, proposer: Proposer,
         for child_id, proposal in zip(child_ids, usable):
             for neighbor in proposal.neighbor_assignment or []:
                 assignment.setdefault(neighbor, child_id)
-        neighbors = {e.dst if e.src == parent_id else e.src
-                     for e in graph.incident_edges(parent_id)}
+        neighbors = {dst if src == parent_id else src
+                     for src, dst, _ in graph.incident_edges(parent_id)}
         for i, neighbor in enumerate(sorted(neighbors - set(assignment))):
             assignment[neighbor] = child_ids[i % len(child_ids)]
         _rehome(graph, parent_id, assignment.__getitem__)
@@ -394,11 +400,11 @@ def reinforce_paths(graph: SkillGraph, successes: list[TrajectoryRecord],
     stale = 0
     for record in successes:
         for key in normalize_edge_keys(record):
-            edge = graph.get_edge(*key)
-            if edge is None:
+            weight = graph.weight(*key)
+            if weight is None:
                 stale += 1
                 continue
-            edge.weight = min(edge.weight + step, 1.0)
+            graph.set_weight(key, min(weight + step, 1.0))
             applied += 1
     return applied, stale
 
@@ -438,10 +444,11 @@ def decay_and_prune(graph: SkillGraph, decay: float, floor: float) -> int:
     Nodes are never removed here, only edges.
     """
     doomed = []
-    for edge in graph.edges():
-        edge.weight *= decay
-        if edge.weight < floor:
-            doomed.append(edge.key())
+    for key, weight in list(graph.edges().items()):
+        weight *= decay
+        graph.set_weight(key, weight)
+        if weight < floor:
+            doomed.append(key)
     for key in doomed:
         graph.remove_edge(key)
     return len(doomed)

@@ -3,23 +3,26 @@
 The graph holds skill records connected by three edge kinds. ``prereq`` and
 ``enhance`` edges form the directed dependency subgraph, which is kept acyclic
 at all times; ``co_occur`` edges are symmetric associations stored once under
-canonical (min-id, max-id) endpoints and ignored by level computation.
+canonical (min-id, max-id) endpoints and ignored by level computation. An edge
+is that key mapped to its float weight in [0, 1], and ``set_weight`` is the
+one range-checked way to change a stored weight.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
 to another thread. The snapshot is a structural copy: every mutable object
-(node and edge records, the adjacency sets, the maps holding them, the
-co-appearance counters) is fresh, while ids, titles, edge keys and kinds are
-shared. Those are immutable strings, tuples and enums, so no write on either
-side can reach the other.
+(node records, the adjacency sets, the maps holding them, the co-appearance
+counters) is fresh, while ids, titles, edge keys, kinds and weights are
+shared. Those are immutable strings, tuples, enums and floats, so no write on
+either side can reach the other.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import (
     AlreadyInitialized,
@@ -80,19 +83,6 @@ class SkillNode:
         return self.category == GENERAL_CATEGORY
 
 
-@dataclass
-class SkillEdge:
-    """Directed typed relation between two skills, weight in [0, 1]."""
-
-    src: str
-    dst: str
-    kind: EdgeKind
-    weight: float
-
-    def key(self) -> EdgeKey:
-        return (self.src, self.dst, self.kind)
-
-
 def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
     """Canonical storage key: co_occur endpoints ordered (min-id, max-id)."""
     kind = EdgeKind(kind)
@@ -133,7 +123,7 @@ class SkillGraph:
 
     def __init__(self) -> None:
         self.nodes: dict[str, SkillNode] = {}
-        self._edges: dict[EdgeKey, SkillEdge] = {}
+        self._edges: dict[EdgeKey, float] = {}
         self._out: dict[str, set[EdgeKey]] = {}
         self._in: dict[str, set[EdgeKey]] = {}
         self.highest_active_level: int = 0
@@ -198,8 +188,9 @@ class SkillGraph:
     # edges
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind | str,
-                 weight: float) -> SkillEdge:
-        """Insert one typed edge; re-adding an existing edge is a no-op.
+                 weight: float) -> EdgeKey:
+        """Insert one typed edge and return its canonical key; re-adding an
+        existing edge is a no-op that keeps the stored weight.
 
         Dependency edges are checked against the acyclicity invariant before
         insertion and rejected with CycleWouldForm.
@@ -214,18 +205,16 @@ class SkillGraph:
         if not 0.0 <= weight <= 1.0:
             raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {kind.value})")
         key = edge_key(src, dst, kind)
-        existing = self._edges.get(key)
-        if existing is not None:
-            return existing
+        if key in self._edges:
+            return key
         if kind in DEPENDENCY_KINDS and self._reaches(dst, src):
             raise CycleWouldForm(f"({src} -> {dst}, {kind.value})")
-        edge = SkillEdge(key[0], key[1], kind, float(weight))
-        self._edges[key] = edge
+        self._edges[key] = float(weight)
         self._out[key[0]].add(key)
         self._in[key[1]].add(key)
         if kind in DEPENDENCY_KINDS:
             self._levels_stale = True
-        return edge
+        return key
 
     def add_edges(self, rows: Iterable[tuple[str, str, str, float]]) -> None:
         """Insert stored edges, given as (src, dst, kind value, weight), all
@@ -254,7 +243,7 @@ class SkillGraph:
                        else (src, dst, kind))
                 if key in edges:
                     raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
-                edges[key] = SkillEdge(key[0], key[1], kind, float(weight))
+                edges[key] = float(weight)
                 out[key[0]].add(key)
                 into[key[1]].add(key)
                 added.append(key)
@@ -265,28 +254,34 @@ class SkillGraph:
             raise
 
     def remove_edge(self, key: EdgeKey) -> None:
-        edge = self._edges.pop(key, None)
-        if edge is None:
+        if self._edges.pop(key, None) is None:
             return
-        self._out[edge.src].discard(key)
-        self._in[edge.dst].discard(key)
-        if edge.kind in DEPENDENCY_KINDS:
+        self._out[key[0]].discard(key)
+        self._in[key[1]].discard(key)
+        if key[2] in DEPENDENCY_KINDS:
             self._levels_stale = True
 
-    def get_edge(self, src: str, dst: str, kind: EdgeKind | str) -> SkillEdge | None:
+    def weight(self, src: str, dst: str, kind: EdgeKind | str) -> float | None:
+        """The stored weight of an edge, or None when there is none."""
         return self._edges.get(edge_key(src, dst, kind))
 
-    def edges(self) -> list[SkillEdge]:
-        return list(self._edges.values())
+    def set_weight(self, key: EdgeKey, weight: float) -> None:
+        """Change the weight of a stored edge: the only writer after insert."""
+        if key not in self._edges:
+            raise KeyError(key)
+        if not 0.0 <= weight <= 1.0:
+            raise WeightOutOfRange(f"{weight} for ({key[0]}, {key[1]}, {key[2].value})")
+        self._edges[key] = float(weight)
 
-    def sorted_edges(self) -> list[SkillEdge]:
-        """Every edge, ordered by (src, dst, kind value): the snapshot order."""
-        return [self._edges[key] for key in sorted(self._edges)]
+    def edges(self) -> Mapping[EdgeKey, float]:
+        """Read-only live view of every edge key and its weight; keys sort
+        by (src, dst, kind value), the snapshot order."""
+        return MappingProxyType(self._edges)
 
     def edge_count(self, kind: EdgeKind | None = None) -> int:
         if kind is None:
             return len(self._edges)
-        return sum(1 for e in self._edges.values() if e.kind is kind)
+        return sum(1 for key in self._edges if key[2] is kind)
 
     def has_any_edge(self, a: str, b: str) -> bool:
         """True if any edge of any kind connects a and b in either direction."""
@@ -317,30 +312,28 @@ class SkillGraph:
         return sorted(k for k in self._in.get(skill_id, ())
                       if k[2] is EdgeKind.PREREQ)
 
-    def incident_edges(self, skill_id: str) -> list[SkillEdge]:
-        keys = self._out.get(skill_id, set()) | self._in.get(skill_id, set())
-        return [self._edges[k] for k in keys]
+    def incident_edges(self, skill_id: str) -> set[EdgeKey]:
+        return self._out.get(skill_id, set()) | self._in.get(skill_id, set())
 
     def forward_neighbors(self, skill_id: str) -> list[tuple[str, float, EdgeKey]]:
         """Neighbors reachable by one forward hop.
 
         Stored direction for prereq/enhance; both directions for co_occur.
         """
+        edges = self._edges
         out: list[tuple[str, float, EdgeKey]] = []
         for key in self._out.get(skill_id, ()):
-            edge = self._edges[key]
-            out.append((edge.dst, edge.weight, key))
+            out.append((key[1], edges[key], key))
         for key in self._in.get(skill_id, ()):
-            edge = self._edges[key]
-            if edge.kind is EdgeKind.CO_OCCUR:
-                out.append((edge.src, edge.weight, key))
+            if key[2] is EdgeKind.CO_OCCUR:
+                out.append((key[0], edges[key], key))
         return out
 
     def neighbors(self, skill_id: str) -> set[str]:
         """Adjacent non-deprecated skills over all kinds and both directions."""
         adjacent: set[str] = set()
-        for edge in self.incident_edges(skill_id):
-            other = edge.dst if edge.src == skill_id else edge.src
+        for src, dst, _ in self.incident_edges(skill_id):
+            other = dst if src == skill_id else src
             node = self.nodes.get(other)
             if node is not None and not node.deprecated:
                 adjacent.add(other)
@@ -449,7 +442,7 @@ class SkillGraph:
             active=len(self.active_ids()),
             deprecated=sum(n.deprecated for n in self.nodes.values()),
             edges=({kind.value: 0 for kind in EdgeKind}
-                   | Counter(edge.kind.value for edge in self._edges.values())),
+                   | Counter(kind.value for _, _, kind in self._edges)),
             levels=Counter(n.level for n in self.nodes.values()),
             mean_success=(sum(n.success_rate() for n in used) / len(used)
                           if used else 0.0),
@@ -467,15 +460,14 @@ class SkillGraph:
 
         Levels are brought up to date first, so readers sharing a snapshot
         only read it: none of them recomputes levels into it. Copies every
-        container and every node and edge record and shares only immutable
-        values (see the module docstring), which costs a fraction of a deep
-        copy and is just as isolated in both directions.
+        container and every node record and shares only immutable values,
+        edge weights included (see the module docstring), which costs a
+        fraction of a deep copy and is just as isolated in both directions.
         """
         self.ensure_levels()
         clone = SkillGraph()
         clone.nodes = {v: SkillNode(**vars(n)) for v, n in self.nodes.items()}
-        clone._edges = {key: SkillEdge(e.src, e.dst, e.kind, e.weight)
-                        for key, e in self._edges.items()}
+        clone._edges = dict(self._edges)
         clone._out = {v: set(keys) for v, keys in self._out.items()}
         clone._in = {v: set(keys) for v, keys in self._in.items()}
         clone.highest_active_level = self.highest_active_level

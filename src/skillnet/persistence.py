@@ -141,8 +141,8 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
         record["success_rate"] = node.success_rate()
         nodes.append(record)
     edges = [
-        {"src": e.src, "dst": e.dst, "kind": e.kind.value, "weight": e.weight}
-        for e in graph.sorted_edges()
+        {"src": src, "dst": dst, "kind": kind.value, "weight": weight}
+        for (src, dst, kind), weight in sorted(graph.edges().items())
     ]
     co_counts = [
         [a, b, count] for (a, b), count in sorted(graph.co_counts.items())
@@ -193,9 +193,12 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         raise ParseError("meta must be an object")
     _check_fields(meta, _META_FIELDS, "meta", strict)
     _check_types(meta, _META_TYPES, "meta")
-    graph.checkpoint_index = meta.get("checkpoint_index", 0)
-    graph.highest_active_level = meta.get("highest_active_level", 0)
-    graph.next_dynamic_id = meta.get("next_dynamic_id", 1)
+    for name, least in (("checkpoint_index", 0), ("highest_active_level", 0),
+                        ("next_dynamic_id", 1)):
+        value = meta.get(name, least)  # the least value is also the default
+        if value < least:
+            raise ParseError(f"meta {name} must be >= {least}, got {value}")
+        setattr(graph, name, value)
 
     for obj in data.get("nodes", []):
         if not isinstance(obj, dict):
@@ -308,8 +311,8 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
     quote = encode_basestring_ascii
     nodes = [_NODE_RECORD % tuple([encode(get(node)) for get, encode in _NODE_VALUES])
              for _, node in sorted(graph.nodes.items())]
-    edges = [_EDGE_RECORD % (quote(e.dst), _KIND_TEXT[e.kind], quote(e.src), repr(e.weight))
-             for e in graph.sorted_edges()]
+    edges = [_EDGE_RECORD % (quote(dst), _KIND_TEXT[kind], quote(src), repr(weight))
+             for (src, dst, kind), weight in sorted(graph.edges().items())]
     pairs = [_PAIR_RECORD % (quote(a), quote(b), count)
              for (a, b), count in sorted(graph.co_counts.items())]
     meta = _META % (graph.checkpoint_index, graph.highest_active_level,
@@ -425,14 +428,13 @@ def export_dot(graph: SkillGraph, hide_deprecated: bool = False) -> str:
             attrs.append('color="grey"')
             attrs.append('fontcolor="grey"')
         lines.append(f'  "{_dot_escape(skill_id)}" [{", ".join(attrs)}];')
-    for edge in graph.sorted_edges():
-        if edge.src not in shown or edge.dst not in shown:
+    for (src, dst, kind), weight in sorted(graph.edges().items()):
+        if src not in shown or dst not in shown:
             continue
-        attrs = [f"style={_EDGE_STYLE[edge.kind]}",
-                 f"penwidth={0.5 + 3.0 * edge.weight:.2f}"]
-        if edge.kind is EdgeKind.CO_OCCUR:
+        attrs = [f"style={_EDGE_STYLE[kind]}", f"penwidth={0.5 + 3.0 * weight:.2f}"]
+        if kind is EdgeKind.CO_OCCUR:
             attrs.append("dir=none")
-        lines.append(f'  "{_dot_escape(edge.src)}" -> "{_dot_escape(edge.dst)}" '
+        lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
                      f'[{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines)

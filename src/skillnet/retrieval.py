@@ -199,9 +199,8 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     }
     for prev, nxt in zip(ordered, ordered[1:]):
         for kind in DEPENDENCY_KINDS:
-            edge = graph.get_edge(prev, nxt, kind)
-            if edge is not None:
-                traversed.add(edge.key())
+            if graph.weight(prev, nxt, kind) is not None:
+                traversed.add((prev, nxt, kind))
 
     return RetrievalResult(
         ordered_skills=ordered,

@@ -99,8 +99,8 @@ def oracle_best_path_products(graph: SkillGraph, seeds: set[str],
 
 
 def dependency_edges(graph: SkillGraph) -> list[tuple[str, str]]:
-    return [(e.src, e.dst) for e in graph.edges()
-            if e.kind in (EdgeKind.PREREQ, EdgeKind.ENHANCE)]
+    return [(src, dst) for src, dst, kind in graph.edges()
+            if kind in (EdgeKind.PREREQ, EdgeKind.ENHANCE)]
 
 
 def random_graph(rng: random.Random, n: int | None = None,

@@ -32,6 +32,7 @@ from skillnet import (
 from skillnet import evolution, graph_to_dict, load_graph, save_graph
 from skillnet.errors import ProposerUnavailable
 from skillnet.evolution import merge_candidates
+from skillnet.model import edge_key
 from skillnet.proposer import Proposer
 
 from conftest import add_nodes, make_node, random_graph
@@ -140,7 +141,7 @@ class TestInsert:
                                        EvolutionConfig())
         node = graph.nodes[inserted[0]]
         assert node.level == 0
-        assert graph.incident_edges(inserted[0]) == []
+        assert graph.incident_edges(inserted[0]) == set()
 
     def test_proposer_unavailable_degrades(self):
         graph = SkillGraph()
@@ -210,10 +211,10 @@ class TestJaccardAndMerge:
 
     def test_duplicate_edges_keep_higher_weight(self):
         graph = self.build_pair(shared=3)
-        graph.get_edge("s1", "x0", EdgeKind.CO_OCCUR).weight = 0.4
-        graph.get_edge("s2", "x0", EdgeKind.CO_OCCUR).weight = 0.7
+        graph.set_weight(edge_key("s1", "x0", EdgeKind.CO_OCCUR), 0.4)
+        graph.set_weight(edge_key("s2", "x0", EdgeKind.CO_OCCUR), 0.7)
         merge_scan(graph, CountingProposer([proposal(9)]), EvolutionConfig())
-        assert graph.get_edge("s1", "x0", EdgeKind.CO_OCCUR).weight == \
+        assert graph.weight("s1", "x0", EdgeKind.CO_OCCUR) == \
             pytest.approx(0.7)
 
     def test_statistics_summed(self):
@@ -424,8 +425,8 @@ class TestSplit:
         splits = split_scan(graph, proposer, [], EvolutionConfig())
         assert splits == [("broad", ["dyn_0001", "dyn_0002", "dyn_0003"])]
         assert "broad" not in graph.nodes
-        assert graph.get_edge("dyn_0001", "dyn_0002", EdgeKind.PREREQ) is not None
-        assert graph.get_edge("dyn_0002", "dyn_0003", EdgeKind.PREREQ) is not None
+        assert graph.weight("dyn_0001", "dyn_0002", EdgeKind.PREREQ) is not None
+        assert graph.weight("dyn_0002", "dyn_0003", EdgeKind.PREREQ) is not None
         levels = graph.compute_levels()
         assert [levels[f"dyn_000{i}"] for i in (1, 2, 3)] == [0, 1, 2]
 
@@ -463,9 +464,9 @@ class TestSplit:
         proposer = CountingProposer([proposal(1), proposal(2)])
         split_scan(graph, proposer, [], EvolutionConfig())
         # neighbors sorted (n1, n2, n3) -> children (c1, c2, c1)
-        assert graph.get_edge("dyn_0001", "n1", EdgeKind.CO_OCCUR) is not None
-        assert graph.get_edge("n2", "dyn_0002", EdgeKind.CO_OCCUR) is not None
-        assert graph.get_edge("dyn_0001", "n3", EdgeKind.ENHANCE) is not None
+        assert graph.weight("dyn_0001", "n1", EdgeKind.CO_OCCUR) is not None
+        assert graph.weight("n2", "dyn_0002", EdgeKind.CO_OCCUR) is not None
+        assert graph.weight("dyn_0001", "n3", EdgeKind.ENHANCE) is not None
 
     def test_proposer_assignment_respected(self):
         graph = self.banded_graph()
@@ -478,8 +479,8 @@ class TestSplit:
             proposal(2, neighbor_assignment=["n1"]),
         ])
         split_scan(graph, proposer, [], EvolutionConfig())
-        assert graph.get_edge("dyn_0001", "n2", EdgeKind.CO_OCCUR) is not None
-        assert graph.get_edge("dyn_0002", "n1", EdgeKind.CO_OCCUR) is not None
+        assert graph.weight("dyn_0001", "n2", EdgeKind.CO_OCCUR) is not None
+        assert graph.weight("dyn_0002", "n1", EdgeKind.CO_OCCUR) is not None
 
 
 class TestDeprecate:
@@ -529,14 +530,14 @@ class TestReinforce:
         applied, stale = reinforce_paths(
             graph, [success_record(["a", "b"], [("a", "b", "prereq")])], 0.05)
         assert (applied, stale) == (1, 0)
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == \
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == \
             pytest.approx(0.35)
 
     def test_clamped_at_one(self):
         graph = self.linked(0.98)
         reinforce_paths(graph,
                         [success_record(["a", "b"], [("a", "b", "prereq")])], 0.05)
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == 1.0
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == 1.0
 
     def test_two_trajectories_two_increments(self):
         graph = self.linked(0.30)
@@ -544,7 +545,7 @@ class TestReinforce:
                    for _ in range(2)]
         applied, _ = reinforce_paths(graph, records, 0.05)
         assert applied == 2
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == \
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == \
             pytest.approx(0.40)
 
     def test_stale_edge_counted_not_fatal(self):
@@ -576,8 +577,7 @@ class TestDiscover:
         discover_cooccur(graph, [success_record(["a", "b"])], 2)
         added = discover_cooccur(graph, [success_record(["a", "b"])], 2)
         assert added == 1
-        edge = graph.get_edge("a", "b", EdgeKind.CO_OCCUR)
-        assert edge is not None and edge.weight == pytest.approx(0.3)
+        assert graph.weight("a", "b", EdgeKind.CO_OCCUR) == pytest.approx(0.3)
 
     def test_existing_connection_blocks(self):
         graph = SkillGraph()
@@ -610,7 +610,7 @@ class TestDecayPrune:
         add_nodes(graph, ["a", "b"], category="clean")
         graph.add_edge("a", "b", EdgeKind.PREREQ, 1.0)
         assert decay_and_prune(graph, 0.99, 0.05) == 0
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == \
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == \
             pytest.approx(0.99)
 
     def test_reinforce_then_decay_composition(self):
@@ -620,7 +620,7 @@ class TestDecayPrune:
         reinforce_paths(graph,
                         [success_record(["a", "b"], [("a", "b", "prereq")])], 0.05)
         decay_and_prune(graph, 0.99, 0.05)
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == \
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == \
             pytest.approx(0.3465)
 
     def test_unreinforced_weight_follows_geometric_decay(self):
@@ -629,7 +629,7 @@ class TestDecayPrune:
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.9)
         for _ in range(7):
             decay_and_prune(graph, 0.99, 0.05)
-        assert graph.get_edge("a", "b", EdgeKind.PREREQ).weight == \
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == \
             pytest.approx(0.9 * 0.99 ** 7)
 
 
@@ -639,14 +639,14 @@ class TestEvolveStep:
         add_nodes(graph, ["g"], category="general")
         add_nodes(graph, ["t1", "t2"], category="clean")
         graph.init_edges()
-        weights_before = {e.key(): e.weight for e in graph.edges()}
+        weights_before = dict(graph.edges())
         report = evolve_step(graph, [], [], ScriptedProposer(),
                              EvolutionConfig())
         assert report.inserted == [] and report.merged == []
         assert report.split == [] and report.deprecated == []
         assert report.edges_reinforced == 0 and report.edges_added == 0
-        for edge in graph.edges():
-            assert edge.weight == pytest.approx(0.99 * weights_before[edge.key()])
+        for key, weight in graph.edges().items():
+            assert weight == pytest.approx(0.99 * weights_before[key])
         assert graph.checkpoint_index == 1
 
     def test_scripted_pipeline_golden(self):
@@ -670,7 +670,7 @@ class TestEvolveStep:
         assert report.edges_added == 0                    # single co-appearance
         assert report.edges_pruned == 0
         # enhance edge: (0.2 + 0.05) * 0.99
-        assert graph.get_edge("g", "clean_b", EdgeKind.ENHANCE).weight == \
+        assert graph.weight("g", "clean_b", EdgeKind.ENHANCE) == \
             pytest.approx(0.25 * 0.99)
         assert graph.nodes["dyn_0001"].level == 0
         assert graph.checkpoint_index == 1
@@ -698,10 +698,10 @@ class TestEvolveStep:
             discover_cooccur(g2, discover_recs, 2)
             reinforce_paths(g2, reinforce_recs, 0.05)
 
-            state1 = sorted((e.src, e.dst, e.kind.value, e.weight)
-                            for e in g1.edges())
-            state2 = sorted((e.src, e.dst, e.kind.value, e.weight)
-                            for e in g2.edges())
+            state1 = sorted((src, dst, kind.value, weight)
+                            for (src, dst, kind), weight in g1.edges().items())
+            state2 = sorted((src, dst, kind.value, weight)
+                            for (src, dst, kind), weight in g2.edges().items())
             assert state1 == state2
 
     def test_discovered_edge_decays_within_same_checkpoint(self):
@@ -712,7 +712,7 @@ class TestEvolveStep:
         report = evolve_step(graph, wins, [], ScriptedProposer(),
                              EvolutionConfig())
         assert report.edges_added == 1
-        assert graph.get_edge("a", "b", EdgeKind.CO_OCCUR).weight == \
+        assert graph.weight("a", "b", EdgeKind.CO_OCCUR) == \
             pytest.approx(0.3 * 0.99)
 
     def test_proposer_failure_never_aborts_checkpoint(self):
@@ -751,8 +751,8 @@ class SequenceTeacher(Proposer):
             title = "" if n % 4 == 1 else f"Unified {a['skill_id']} {b['skill_id']}"
             return [proposal(n, title=title, category="heat" if n % 3 else None)]
         parent = request.skill["skill_id"]
-        neighbors = sorted({e.dst if e.src == parent else e.src
-                            for e in self.graph.incident_edges(parent)})
+        neighbors = sorted({dst if src == parent else src
+                            for src, dst, _ in self.graph.incident_edges(parent)})
         children = [proposal(1000 * n + i, title=f"Step {i} of {parent}")
                     for i in range(3 + n % 2)]
         if n % 3 == 0:
@@ -773,7 +773,7 @@ def checkpoint_sequence(seed: int = 7, steps: int = 6) -> tuple[list[dict], Skil
     reports = []
     for step in range(steps):
         ids = sorted(graph.nodes)
-        edges = sorted((e.src, e.dst, e.kind.value) for e in graph.edges())
+        edges = sorted((src, dst, kind.value) for src, dst, kind in graph.edges())
         wins = [success_record(rng.sample(ids, 4), rng.sample(edges, min(3, len(edges))))
                 for _ in range(6)]
         losses = [failure(f"t{step}.{i}") for i in range(step % 3)]

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from skillnet import EdgeKind, SkillGraph, TaskQuery, graph_to_dict, retrieve
-from skillnet.model import pair_key
+from skillnet.model import edge_key, pair_key
 from skillnet.errors import (
     AlreadyInitialized,
     CycleWouldForm,
@@ -69,7 +69,7 @@ class TestAddEdge:
         graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.3)
         graph.add_edge("b", "a", EdgeKind.CO_OCCUR, 0.3)
         assert graph.edge_count() == 1
-        assert graph.get_edge("b", "a", EdgeKind.CO_OCCUR) is not None
+        assert graph.weight("b", "a", EdgeKind.CO_OCCUR) == 0.3
 
     def test_three_node_enhance_chain_cycle_rejected(self):
         graph = SkillGraph()
@@ -114,9 +114,58 @@ class TestAddEdge:
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
-        edge = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.9)
-        assert edge.weight == 0.5
+        key = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.9)
+        assert graph.edges()[key] == 0.5
         assert graph.edge_count() == 1
+
+    def test_returns_the_canonical_key(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        assert graph.add_edge("b", "a", EdgeKind.CO_OCCUR, 0.3) == \
+            ("a", "b", EdgeKind.CO_OCCUR)
+        assert graph.add_edge("b", "a", EdgeKind.PREREQ, 0.3) == \
+            ("b", "a", EdgeKind.PREREQ)
+
+
+class TestEdgeWeights:
+    def test_set_weight_rejects_out_of_range(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        key = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(WeightOutOfRange):
+                graph.set_weight(key, bad)
+            assert graph.weight("a", "b", EdgeKind.PREREQ) == 0.5
+
+    def test_set_weight_rejects_an_unknown_key(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.3)
+        with pytest.raises(KeyError):
+            graph.set_weight(("b", "a", EdgeKind.CO_OCCUR), 0.5)  # not canonical
+        with pytest.raises(KeyError):
+            graph.set_weight(("a", "b", EdgeKind.PREREQ), 0.5)
+        assert dict(graph.edges()) == {("a", "b", EdgeKind.CO_OCCUR): 0.3}
+
+    def test_set_weight_stores_a_float(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        key = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.set_weight(key, 1)
+        assert type(graph.edges()[key]) is float and graph.edges()[key] == 1.0
+
+    def test_edges_is_a_read_only_live_view(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"])
+        view = graph.edges()
+        key = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        with pytest.raises(TypeError):
+            view[key] = 0.9
+        with pytest.raises(TypeError):
+            view[("b", "c", EdgeKind.PREREQ)] = 0.9
+        assert dict(view) == {key: 0.5}
+        graph.set_weight(key, 0.7)
+        assert view[key] == 0.7
 
 
 class TestInitEdges:
@@ -125,12 +174,12 @@ class TestInitEdges:
         add_nodes(graph, ["g1", "g2"], category="general")
         add_nodes(graph, ["t1", "t2", "t3"], category="clean")
         added = graph.init_edges()
-        cooccur = [e for e in graph.edges() if e.kind is EdgeKind.CO_OCCUR]
-        enhance = [e for e in graph.edges() if e.kind is EdgeKind.ENHANCE]
-        prereq = [e for e in graph.edges() if e.kind is EdgeKind.PREREQ]
+        cooccur = [w for k, w in graph.edges().items() if k[2] is EdgeKind.CO_OCCUR]
+        enhance = [w for k, w in graph.edges().items() if k[2] is EdgeKind.ENHANCE]
+        prereq = [w for k, w in graph.edges().items() if k[2] is EdgeKind.PREREQ]
         assert added == 9
-        assert len(cooccur) == 3 and all(e.weight == 0.3 for e in cooccur)
-        assert len(enhance) == 6 and all(e.weight == 0.2 for e in enhance)
+        assert len(cooccur) == 3 and all(w == 0.3 for w in cooccur)
+        assert len(enhance) == 6 and all(w == 0.2 for w in enhance)
         assert prereq == []
 
     def test_only_general_skills_no_edges(self):
@@ -277,8 +326,8 @@ class TestGraphInvariants:
             assert not oracle_has_cycle(ids, dependency_edges(graph))
             assert graph.compute_levels() == oracle_levels(
                 ids, dependency_edges(graph))
-            for edge in graph.edges():
-                assert 0.0 <= edge.weight <= 1.0
+            for weight in graph.edges().values():
+                assert 0.0 <= weight <= 1.0
             for skill_id in ids:
                 node = graph.nodes[skill_id]
                 assert node.n_succ <= node.n_use
@@ -294,15 +343,14 @@ class TestGraphInvariants:
     def test_defensive_cycle_detection(self):
         # bypass the add_edge guard to confirm compute_levels still refuses
         from skillnet.errors import CycleDetected
-        from skillnet.model import SkillEdge
 
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"])
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
-        rogue = SkillEdge("b", "a", EdgeKind.PREREQ, 0.5)
-        graph._edges[rogue.key()] = rogue
-        graph._out["b"].add(rogue.key())
-        graph._in["a"].add(rogue.key())
+        rogue = ("b", "a", EdgeKind.PREREQ)
+        graph._edges[rogue] = 0.5
+        graph._out["b"].add(rogue)
+        graph._in["a"].add(rogue)
         with pytest.raises(CycleDetected):
             graph.compute_levels()
 
@@ -312,10 +360,10 @@ class TestGraphInvariants:
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         snapshot = graph.snapshot()
         graph.add_skill(make_node("c"))
-        graph.get_edge("a", "b", EdgeKind.PREREQ).weight = 0.9
+        graph.set_weight(edge_key("a", "b", EdgeKind.PREREQ), 0.9)
         graph.update_stats([("a", True, True)])
         assert "c" not in snapshot.nodes
-        assert snapshot.get_edge("a", "b", EdgeKind.PREREQ).weight == 0.5
+        assert snapshot.weight("a", "b", EdgeKind.PREREQ) == 0.5
         assert snapshot.nodes["a"].n_use == 0
 
     def test_snapshot_matches_a_deep_copy(self, rng):
@@ -357,8 +405,6 @@ class TestGraphInvariants:
             assert snapshot.nodes[v] is not graph.nodes[v]
             assert snapshot._out[v] is not graph._out[v]
             assert snapshot._in[v] is not graph._in[v]
-        for key, edge in graph._edges.items():
-            assert snapshot._edges[key] is not edge
 
     def test_mutating_the_snapshot_leaves_the_original(self, rng):
         graph = random_graph(rng, n=12)
@@ -371,8 +417,8 @@ class TestGraphInvariants:
             node.n_use += 1
             node.title = "changed"
             node.deprecated = True
-        for edge in snapshot.edges():
-            edge.weight = 1.0
+        for key in list(snapshot.edges()):
+            snapshot.set_weight(key, 1.0)
         snapshot.co_counts[("n000", "n001")] = 99
         snapshot.add_skill(make_node("zz_new"))
         snapshot.add_edge("zz_new", "n000", EdgeKind.CO_OCCUR, 0.5)

@@ -119,6 +119,9 @@ class TestSnapshotRoundTrip:
         ("edges", "weight", True),
         ("edges", "src", 7),
         ("meta", "checkpoint_index", "3"),
+        ("meta", "highest_active_level", -2),
+        ("meta", "checkpoint_index", -1),
+        ("meta", "next_dynamic_id", 0),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, section, name, value):
         graph = SkillGraph()
@@ -408,7 +411,7 @@ class TestTrajectories:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(data))
         loaded = load_graph(path)
-        assert loaded.get_edge("a", "b", EdgeKind.CO_OCCUR) is not None
+        assert loaded.weight("a", "b", EdgeKind.CO_OCCUR) is not None
         assert loaded.edge_count() == 1
 
 
@@ -576,6 +579,12 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
+    def test_package_exports_resolve(self):
+        # a stale name in __all__ makes ``from skillnet import *`` raise
+        names = skillnet.__all__
+        assert len(names) == len(set(names))
+        assert [name for name in names if not hasattr(skillnet, name)] == []
+
     def test_usage_error_exit_code(self):
         assert main(["retrieve"]) == 1  # missing required --task-type
 
@@ -686,7 +695,7 @@ class TestCli:
         assert graph.checkpoint_index == 1
         assert graph.nodes["g1"].n_use == 3
         # (0.2 + 3 * 0.05) * 0.99
-        assert graph.get_edge("g1", "c1", EdgeKind.ENHANCE).weight == \
+        assert graph.weight("g1", "c1", EdgeKind.ENHANCE) == \
             pytest.approx(0.35 * 0.99)
 
     def test_evolve_cli_honors_checkpoint_warmup(self, tmp_path, capsys):

@@ -142,7 +142,7 @@ def assert_invariants(graph: SkillGraph) -> None:
     nodes = sorted(graph.nodes)
     deps = dependency_edges(graph)
     assert not oracle_has_cycle(nodes, deps)
-    assert all(0.0 <= e.weight <= 1.0 for e in graph.edges())
+    assert all(0.0 <= w <= 1.0 for w in graph.edges().values())
     assert {v: n.level for v, n in graph.nodes.items()} == oracle_levels(nodes, deps)
     assert all(a in graph.nodes and b in graph.nodes for a, b in graph.co_counts)
 
@@ -151,23 +151,24 @@ def library(seed: int) -> SkillGraph:
     """A random graph plus a twin of n000, so merges have a candidate."""
     graph = random_graph(random.Random(seed), n=12)
     graph.add_skill(make_node("twin", category="clean", n_use=30, n_succ=9))
-    for edge in graph.incident_edges("n000"):
-        src = "twin" if edge.src == "n000" else edge.src
-        dst = "twin" if edge.dst == "n000" else edge.dst
+    for key in graph.incident_edges("n000"):
+        src, dst, kind = key
+        src = "twin" if src == "n000" else src
+        dst = "twin" if dst == "n000" else dst
         with contextlib.suppress(CycleWouldForm):
-            graph.add_edge(src, dst, edge.kind, edge.weight)
+            graph.add_edge(src, dst, kind, graph.edges()[key])
     graph.compute_levels()
     return graph
 
 
 def window(graph: SkillGraph, seed: int) -> list[TrajectoryRecord]:
     rng = random.Random(seed)
-    ids, edges = sorted(graph.nodes), graph.edges()
+    ids, edges = sorted(graph.nodes), list(graph.edges())
     return [TrajectoryRecord(
         task_id=f"t{i}", task_type="clean",
         retrieved_skill_ids=rng.sample(ids, 3),
-        traversed_edges=[(e.src, e.dst, e.kind.value)
-                         for e in rng.sample(edges, min(2, len(edges)))],
+        traversed_edges=[(src, dst, kind.value)
+                         for src, dst, kind in rng.sample(edges, min(2, len(edges)))],
         steps=[{"action": "try", "observation": "no skill guidance"}],
         success=i % 2 == 0) for i in range(6)]
 

@@ -303,7 +303,7 @@ class TestHttpProposer:
         assert "Broad" in split_prompt and "clean: t17" in split_prompt
         assert "2-3 simpler sub-skills" in split_prompt
 
-    def test_any_request_exception_maps_to_unavailable(self):
+    def test_any_request_exception_maps_to_unavailable(self, caplog):
         """A redirect loop degrades the checkpoint like a timeout does."""
         from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
 
@@ -325,6 +325,7 @@ class TestHttpProposer:
         report = evolve_step(SkillGraph(), [], [failure], proposer,
                              EvolutionConfig())
         assert report.inserted == []
+        assert "insert degraded, proposer unavailable" in caplog.text
 
     @pytest.mark.parametrize("content", [None, 5, ["[]"]])
     def test_non_text_content_degrades_the_checkpoint(self, content, caplog):
@@ -351,4 +352,5 @@ class TestHttpProposer:
         report = evolve_step(SkillGraph(), [], [failure], proposer,
                              EvolutionConfig())
         assert report.inserted == []
-        assert "insert degraded" in caplog.text
+        assert "insert degraded, unusable teacher reply" in caplog.text
+        assert "unavailable" not in caplog.text

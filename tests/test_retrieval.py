@@ -214,10 +214,10 @@ def kahn_topo_order(graph: SkillGraph, skill_ids: set[str],
     members = set(skill_ids)
     indegree = {v: 0 for v in members}
     children: dict[str, list[str]] = {v: [] for v in members}
-    for edge in graph.edges():
-        if edge.kind in DEPENDENCY_KINDS and edge.src in members and edge.dst in members:
-            indegree[edge.dst] += 1
-            children[edge.src].append(edge.dst)
+    for src, dst, kind in graph.edges():
+        if kind in DEPENDENCY_KINDS and src in members and dst in members:
+            indegree[dst] += 1
+            children[src].append(dst)
 
     def rank(v: str) -> tuple[int, float, str]:
         return (graph.nodes[v].level, -scores.get(v, 1.0), v)
@@ -331,11 +331,11 @@ class TestRetrieve:
         graph = self.build_layered()
         result = retrieve(graph, TaskQuery("", "clean"))
         position = {v: i for i, v in enumerate(result.ordered_skills)}
-        for edge in graph.edges():
-            if edge.kind is EdgeKind.CO_OCCUR:
+        for src, dst, kind in graph.edges():
+            if kind is EdgeKind.CO_OCCUR:
                 continue
-            if edge.src in position and edge.dst in position:
-                assert position[edge.src] < position[edge.dst]
+            if src in position and dst in position:
+                assert position[src] < position[dst]
 
     def test_deterministic_byte_for_byte(self):
         graph = self.build_layered()
