@@ -307,7 +307,7 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
         survivor.principle = unified.principle
         survivor.when_to_apply = unified.when_to_apply
         if unified.category:
-            survivor.category = unified.category
+            graph.set_category(a, unified.category)
         survivor.n_use += removed.n_use
         survivor.n_succ += removed.n_succ
         _rehome(graph, b, lambda _: a, heir=a)
@@ -394,8 +394,11 @@ def reinforce_paths(graph: SkillGraph, successes: list[TrajectoryRecord],
 
     Applied once per (edge, trajectory) pair and clamped at 1.0, so an edge
     shared by two winning episodes moves up twice. Returns (applications,
-    stale skips); a stale edge is one that was pruned since retrieval.
+    stale skips); a stale edge is one that was pruned since retrieval. A
+    ``step`` outside [0, 1] raises ConfigInvalid before any weight moves.
     """
+    if not 0.0 <= step <= 1.0:
+        raise ConfigInvalid(f"reinforce step must lie in [0, 1], got {step}")
     applied = 0
     stale = 0
     for record in successes:
@@ -441,8 +444,12 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
 def decay_and_prune(graph: SkillGraph, decay: float, floor: float) -> int:
     """Multiplicatively decay every weight, then drop edges below the floor.
 
-    Nodes are never removed here, only edges.
+    Nodes are never removed here, only edges. A ``decay`` or ``floor``
+    outside [0, 1] raises ConfigInvalid before any weight moves.
     """
+    if not (0.0 <= decay <= 1.0 and 0.0 <= floor <= 1.0):
+        raise ConfigInvalid(
+            f"decay and floor must lie in [0, 1], got decay={decay}, floor={floor}")
     doomed = []
     for key, weight in list(graph.edges().items()):
         weight *= decay

@@ -13,7 +13,10 @@ to another thread. The snapshot is a structural copy: every mutable object
 (node records, the adjacency sets, the maps holding them, the co-appearance
 counters) is fresh, while ids, titles, edge keys, kinds and weights are
 shared. Those are immutable strings, tuples, enums and floats, so no write on
-either side can reach the other.
+either side can reach the other. The one write a reader makes is into the
+graph's read memo (see ``SkillGraph``): it stores an immutable tuple that any
+reader would compute alike, so readers sharing a snapshot may race on it
+harmlessly.
 """
 
 from __future__ import annotations
@@ -119,6 +122,16 @@ class SkillGraph:
 
     The active set {v : level(v) <= highest_active_level and not deprecated}
     is always derived, never stored.
+
+    Retrieval reads adjacency through a memo, filled on first touch: the ids
+    of each category (``category_members``), and per node its prereq parent
+    keys (``prereq_parents``) and forward keys (``forward_neighbors``). It
+    holds only structure, so the structural writers drop it: ``add_skill``,
+    ``remove_node``, ``set_category``, ``add_edge`` and ``add_edges`` when they
+    insert, and ``remove_edge`` when it removes. Weights, levels, deprecation
+    and ``highest_active_level`` are read live, so ``set_weight``, unlocks and
+    writes to those fields leave it valid. A node's category must change
+    through ``set_category``. ``snapshot()`` starts with an empty memo.
     """
 
     def __init__(self) -> None:
@@ -133,6 +146,10 @@ class SkillGraph:
         # episodes, persisted with the snapshot
         self.co_counts: dict[tuple[str, str], int] = {}
         self._levels_stale: bool = False
+        # the read memo (see the class docstring)
+        self._memo_categories: dict[str, tuple[str, ...]] | None = None
+        self._memo_parents: dict[str, tuple[EdgeKey, ...]] = {}
+        self._memo_forward: dict[str, tuple[EdgeKey, ...]] = {}
 
     # ------------------------------------------------------------------
     # nodes
@@ -151,7 +168,14 @@ class SkillGraph:
         self._out.setdefault(node.skill_id, set())
         self._in.setdefault(node.skill_id, set())
         self._levels_stale = True
+        self._drop_memo()
         return node.skill_id
+
+    def set_category(self, skill_id: str, category: str) -> None:
+        """Move a skill to another category: the one writer of ``category``
+        after insert, since the read memo indexes skills by it."""
+        self.nodes[skill_id].category = category
+        self._drop_memo()
 
     def new_dynamic_id(self) -> str:
         """Allocate the next engine-owned id for an inserted skill."""
@@ -182,6 +206,7 @@ class SkillGraph:
                 inherited = pair_key(heir, other)
                 self.co_counts[inherited] = self.co_counts.get(inherited, 0) + count
         self._levels_stale = True
+        self._drop_memo()
         return node
 
     # ------------------------------------------------------------------
@@ -214,6 +239,7 @@ class SkillGraph:
         self._in[key[1]].add(key)
         if kind in DEPENDENCY_KINDS:
             self._levels_stale = True
+        self._drop_memo()
         return key
 
     def add_edges(self, rows: Iterable[tuple[str, str, str, float]]) -> None:
@@ -247,6 +273,8 @@ class SkillGraph:
                 out[key[0]].add(key)
                 into[key[1]].add(key)
                 added.append(key)
+            if added:
+                self._drop_memo()
             self.compute_levels()
         except BaseException:
             for key in added:
@@ -260,6 +288,7 @@ class SkillGraph:
         self._in[key[1]].discard(key)
         if key[2] in DEPENDENCY_KINDS:
             self._levels_stale = True
+        self._drop_memo()
 
     def weight(self, src: str, dst: str, kind: EdgeKind | str) -> float | None:
         """The stored weight of an edge, or None when there is none."""
@@ -285,10 +314,10 @@ class SkillGraph:
 
     def has_any_edge(self, a: str, b: str) -> bool:
         """True if any edge of any kind connects a and b in either direction."""
-        for kind in EdgeKind:
-            if edge_key(a, b, kind) in self._edges or edge_key(b, a, kind) in self._edges:
-                return True
-        return False
+        edges = self._edges
+        return ((a, b, EdgeKind.PREREQ) in edges or (b, a, EdgeKind.PREREQ) in edges
+                or (a, b, EdgeKind.ENHANCE) in edges or (b, a, EdgeKind.ENHANCE) in edges
+                or (*pair_key(a, b), EdgeKind.CO_OCCUR) in edges)
 
     def _reaches(self, start: str, target: str) -> bool:
         """DFS over dependency edges: is target reachable from start?"""
@@ -305,29 +334,47 @@ class SkillGraph:
         return False
 
     # ------------------------------------------------------------------
-    # adjacency views
+    # adjacency views; category_members, prereq_parents and forward_neighbors
+    # read through the memo (see the class docstring)
 
-    def prereq_parents(self, skill_id: str) -> list[EdgeKey]:
+    def _drop_memo(self) -> None:
+        self._memo_categories = None
+        self._memo_parents.clear()
+        self._memo_forward.clear()
+
+    def category_members(self, category: str) -> tuple[str, ...]:
+        """Ids of every skill in a category, deprecated and locked included."""
+        index = self._memo_categories
+        if index is None:
+            members: dict[str, list[str]] = {}
+            for v, node in self.nodes.items():
+                members.setdefault(node.category, []).append(v)
+            index = {c: tuple(ids) for c, ids in members.items()}
+            self._memo_categories = index
+        return index.get(category, ())
+
+    def prereq_parents(self, skill_id: str) -> tuple[EdgeKey, ...]:
         """Keys of the prereq edges into a skill, which sort by parent id."""
-        return sorted(k for k in self._in.get(skill_id, ())
-                      if k[2] is EdgeKind.PREREQ)
+        keys = self._memo_parents.get(skill_id)
+        if keys is None:
+            keys = tuple(sorted(k for k in self._in.get(skill_id, ())
+                                if k[2] is EdgeKind.PREREQ))
+            self._memo_parents[skill_id] = keys
+        return keys
+
+    def forward_neighbors(self, skill_id: str) -> tuple[EdgeKey, ...]:
+        """Keys of the edges one forward hop takes from a skill: its out-edges
+        and, since co_occur is walkable both ways, its co_occur in-edges. The
+        neighbor is whichever endpoint is not ``skill_id``."""
+        keys = self._memo_forward.get(skill_id)
+        if keys is None:
+            keys = (*self._out.get(skill_id, ()),
+                    *(k for k in self._in.get(skill_id, ()) if k[2] is EdgeKind.CO_OCCUR))
+            self._memo_forward[skill_id] = keys
+        return keys
 
     def incident_edges(self, skill_id: str) -> set[EdgeKey]:
         return self._out.get(skill_id, set()) | self._in.get(skill_id, set())
-
-    def forward_neighbors(self, skill_id: str) -> list[tuple[str, float, EdgeKey]]:
-        """Neighbors reachable by one forward hop.
-
-        Stored direction for prereq/enhance; both directions for co_occur.
-        """
-        edges = self._edges
-        out: list[tuple[str, float, EdgeKey]] = []
-        for key in self._out.get(skill_id, ()):
-            out.append((key[1], edges[key], key))
-        for key in self._in.get(skill_id, ()):
-            if key[2] is EdgeKind.CO_OCCUR:
-                out.append((key[0], edges[key], key))
-        return out
 
     def neighbors(self, skill_id: str) -> set[str]:
         """Adjacent non-deprecated skills over all kinds and both directions."""
@@ -458,11 +505,12 @@ class SkillGraph:
     def snapshot(self) -> "SkillGraph":
         """Independent copy for concurrent readers, with fresh levels.
 
-        Levels are brought up to date first, so readers sharing a snapshot
-        only read it: none of them recomputes levels into it. Copies every
-        container and every node record and shares only immutable values,
-        edge weights included (see the module docstring), which costs a
-        fraction of a deep copy and is just as isolated in both directions.
+        Levels are brought up to date first, so no reader sharing a
+        snapshot recomputes levels into it; their only write is to fill its
+        read memo, which starts empty. Copies every container and every node
+        record and shares only immutable values, edge weights included (see
+        the module docstring), which costs a fraction of a deep copy and is
+        just as isolated in both directions.
         """
         self.ensure_levels()
         clone = SkillGraph()

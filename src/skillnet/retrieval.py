@@ -3,12 +3,16 @@
 Produces an ordered skill sequence for a task query and renders it as the
 markdown skill block that gets prepended to an agent prompt. The sequence is
 sorted by (level, score, id); it is topological because every dependency edge
-climbs at least one level. All functions are pure reads over the graph and
-safe to run concurrently on a snapshot.
+climbs at least one level. The functions read the graph's adjacency through
+its read memo (see ``SkillGraph``), filling entries on first touch, and read
+weights, levels and deprecation live. Filling the memo is their only write:
+an idempotent store of an immutable tuple, so they are safe to run
+concurrently on a snapshot.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid
@@ -16,7 +20,6 @@ from .model import (
     DEPENDENCY_KINDS,
     GENERAL_CATEGORY,
     EdgeKey,
-    EdgeKind,
     SkillGraph,
 )
 
@@ -77,10 +80,11 @@ class RetrievalResult:
 def select_seeds(graph: SkillGraph, query: TaskQuery) -> set[str]:
     """Active skills whose category is general or matches the task type."""
     graph.ensure_levels()
+    nodes, top = graph.nodes, graph.highest_active_level
     return {
-        v for v in graph.nodes
-        if graph.is_active(v)
-        and graph.nodes[v].category in (GENERAL_CATEGORY, query.task_type)
+        v for category in {GENERAL_CATEGORY, query.task_type}
+        for v in graph.category_members(category)
+        if not nodes[v].deprecated and nodes[v].level <= top
     }
 
 
@@ -91,6 +95,7 @@ def _expand_backward(graph: SkillGraph, seeds: set[str],
     Recovers foundational skills the seeds depend on. Deprecated and locked
     nodes neither appear nor relay the traversal.
     """
+    nodes, top, parents_of = graph.nodes, graph.highest_active_level, graph.prereq_parents
     reached: set[str] = set()
     walked: set[EdgeKey] = set()
     frontier = sorted(seeds)
@@ -98,9 +103,12 @@ def _expand_backward(graph: SkillGraph, seeds: set[str],
     for _ in range(depth):
         next_frontier: list[str] = []
         for v in frontier:
-            for key in graph.prereq_parents(v):
+            for key in parents_of(v):
                 parent = key[0]
-                if parent in visited or not graph.is_active(parent):
+                if parent in visited:
+                    continue
+                node = nodes[parent]
+                if node.deprecated or node.level > top:
                     continue
                 visited.add(parent)
                 reached.add(parent)
@@ -122,6 +130,8 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
     improved nodes re-enter the frontier so better paths keep propagating.
     co_occur edges are walkable in both directions.
     """
+    nodes, top, weights = graph.nodes, graph.highest_active_level, graph.edges()
+    hops_from = graph.forward_neighbors
     kept: dict[str, float] = {}
     walked: set[EdgeKey] = set()
     sigma = {v: 1.0 for v in seeds}
@@ -129,10 +139,15 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
     for _ in range(max_layers):
         best: dict[str, tuple[float, EdgeKey]] = {}
         for u in sorted(frontier):
-            for v, weight, key in graph.forward_neighbors(u):
-                if v in seeds or not graph.is_active(v):
+            sigma_u = sigma[u]
+            for key in hops_from(u):
+                v = key[1] if key[0] == u else key[0]
+                if v in seeds:
                     continue
-                score = sigma[u] * weight
+                node = nodes[v]
+                if node.deprecated or node.level > top:
+                    continue
+                score = sigma_u * weights[key]
                 cur = best.get(v)
                 if cur is None or score > cur[0] or (score == cur[0] and key < cur[1]):
                     best[v] = (score, key)
@@ -140,8 +155,8 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
             (v, score, key) for v, (score, key) in best.items()
             if v not in kept or score > kept[v]
         ]
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        selected = candidates[:beam_width]
+        selected = heapq.nsmallest(beam_width, candidates,
+                                   key=lambda item: (-item[1], item[0]))
         if not selected:
             break
         frontier = set()
@@ -154,18 +169,27 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
 
 
 def topo_order(graph: SkillGraph, skill_ids: set[str],
-               scores: dict[str, float] | None = None) -> list[str]:
+               scores: dict[str, float] | None = None,
+               limit: int = -1) -> list[str]:
     """Deterministic topological order of the induced dependency subgraph.
 
     Skills sort by (level asc, score desc, skill_id asc). That order is
     topological because every dependency edge climbs at least one level, and
-    an identical graph and query always yield an identical sequence.
+    an identical graph and query always yield an identical sequence. A
+    ``limit`` >= 0 keeps only the first ``limit`` skills of that order,
+    without sorting the rest: the keys are unique, so it is the same prefix.
     """
     graph.ensure_levels()
     scores = scores or {}
     nodes = graph.nodes
-    return sorted(set(skill_ids),
-                  key=lambda v: (nodes[v].level, -scores.get(v, 1.0), v))
+    ids = set(skill_ids)
+
+    def order_key(v: str) -> tuple[int, float, str]:
+        return (nodes[v].level, -scores.get(v, 1.0), v)
+
+    if limit >= 0:
+        return heapq.nsmallest(limit, ids, key=order_key)
+    return sorted(ids, key=order_key)
 
 
 def retrieve(graph: SkillGraph, query: TaskQuery,
@@ -189,8 +213,7 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     scores.update(beam_scores)
 
     candidates = seeds | bfs_nodes | set(beam_scores)
-    full_order = topo_order(graph, candidates, scores)
-    ordered = full_order[:k_max] if k_max >= 0 else full_order
+    ordered = topo_order(graph, candidates, scores, k_max)
     kept = set(ordered)
 
     traversed: set[EdgeKey] = {
@@ -208,7 +231,7 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
         seed_count=len(seeds),
         bfs_count=len(bfs_nodes),
         beam_count=len(beam_scores),
-        capped=len(full_order) > len(ordered),
+        capped=len(candidates) > len(ordered),
         traversed_edges=traversed,
     )
 

@@ -75,17 +75,23 @@ def oracle_best_path_products(graph: SkillGraph, seeds: set[str],
     """Best seed-to-node product over simple paths of at most max_edges hops.
 
     Walks the same forward-neighbor relation retrieval uses (stored direction
-    plus symmetric co_occur) but enumerates paths exhaustively. Deprecated
+    plus symmetric co_occur), rebuilt from the edge list rather than read
+    from the graph's memo, but enumerates paths exhaustively. Deprecated
     and locked nodes cannot appear as interior or terminal hops. Products are
     multiplied left to right along the path, matching incremental
     propagation bit for bit.
     """
     best: dict[str, float] = {}
+    hops_from: dict[str, list[tuple[str, float]]] = {v: [] for v in graph.nodes}
+    for (src, dst, kind), weight in graph.edges().items():
+        hops_from[src].append((dst, weight))
+        if kind is EdgeKind.CO_OCCUR:
+            hops_from[dst].append((src, weight))
 
     def walk(node: str, product: float, hops: int, visited: set[str]) -> None:
         if hops == max_edges:
             return
-        for child, weight, _ in graph.forward_neighbors(node):
+        for child, weight in hops_from[node]:
             if child in seeds or child in visited or not graph.is_active(child):
                 continue
             score = product * weight

@@ -30,7 +30,7 @@ from skillnet import (
     split_scan,
 )
 from skillnet import evolution, graph_to_dict, load_graph, save_graph
-from skillnet.errors import ProposerUnavailable
+from skillnet.errors import ConfigInvalid, ProposerUnavailable
 from skillnet.evolution import merge_candidates
 from skillnet.model import edge_key
 from skillnet.proposer import Proposer
@@ -594,6 +594,37 @@ class TestDiscover:
         discover_cooccur(graph, [success_record(["a", "b"])], 3)
         added = discover_cooccur(graph, [success_record(["a", "b"])], 3)
         assert added == 1
+
+
+class TestEdgeOpsCheckTheirArguments:
+    """Out-of-range knobs raise before any weight moves, not at the first
+    weight ``set_weight`` refuses."""
+
+    def three_nodes(self) -> SkillGraph:
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.add_edge("b", "c", EdgeKind.PREREQ, 0.9)
+        return graph
+
+    @pytest.mark.parametrize("decay, floor", [
+        (1.5, 0.05), (-0.1, 0.05), (math.nan, 0.05), (0.99, 1.5), (0.99, -0.1),
+    ])
+    def test_decay_and_prune_leaves_the_graph_untouched(self, decay, floor):
+        graph = self.three_nodes()
+        before = graph_to_dict(graph)
+        with pytest.raises(ConfigInvalid):
+            decay_and_prune(graph, decay, floor)
+        assert graph_to_dict(graph) == before
+
+    @pytest.mark.parametrize("step", [1.5, -0.6, math.nan])
+    def test_reinforce_paths_leaves_the_graph_untouched(self, step):
+        graph = self.three_nodes()
+        before = graph_to_dict(graph)
+        wins = [success_record(["a", "b", "c"], [("b", "c", "prereq"), ("a", "b", "prereq")])]
+        with pytest.raises(ConfigInvalid):
+            reinforce_paths(graph, wins, step)
+        assert graph_to_dict(graph) == before
 
 
 class TestDecayPrune:

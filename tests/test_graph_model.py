@@ -168,6 +168,19 @@ class TestEdgeWeights:
         assert view[key] == 0.7
 
 
+class TestHasAnyEdge:
+    def test_matches_a_lookup_of_every_kind_both_ways(self, rng):
+        for _ in range(10):
+            graph = random_graph(rng)
+            ids = sorted(graph.nodes) + ["missing"]
+            for a in ids:
+                for b in ids:
+                    expected = any(edge_key(a, b, kind) in graph.edges()
+                                   or edge_key(b, a, kind) in graph.edges()
+                                   for kind in EdgeKind)
+                    assert graph.has_any_edge(a, b) == expected, (a, b)
+
+
 class TestInitEdges:
     def test_structural_priors(self):
         graph = SkillGraph()

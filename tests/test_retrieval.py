@@ -15,6 +15,7 @@ from skillnet import (
     SkillGraph,
     TaskQuery,
     render_skill_block,
+    retrieval,
     retrieve,
     select_seeds,
     topo_order,
@@ -290,6 +291,61 @@ class TestTopoOrder:
         scores = data.draw(st.dictionaries(
             st.sampled_from(ids), st.sampled_from([0.0, 0.09, 0.3, 0.5, 1.0])))
         assert topo_order(graph, members, scores) == kahn_topo_order(graph, members, scores)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_limit_keeps_the_prefix_of_the_full_order(self, seed, data):
+        graph = random_graph(random.Random(seed), deprecated_rate=0.3)
+        ids = sorted(graph.nodes)
+        members = data.draw(st.sets(st.sampled_from(ids)))
+        scores = data.draw(st.dictionaries(
+            st.sampled_from(ids), st.sampled_from([0.0, 0.09, 0.3, 0.5, 1.0])))
+        full = sorted(members, key=lambda v: (graph.nodes[v].level, -scores.get(v, 1.0), v))
+        assert topo_order(graph, members, scores, -1) == full
+        for limit in (0, 1, 2, len(members) + 1):
+            assert topo_order(graph, members, scores, limit) == full[:limit], limit
+
+
+class TestStageContract:
+    """``retrieve`` looks its four stages up as module globals and hands
+    ``topo_order`` the whole candidate set as its second positional argument:
+    the benchmark's tracer wraps exactly those names and counts that set as
+    ``retrieval.candidates``."""
+
+    STAGES = ("select_seeds", "_expand_backward", "_expand_forward", "topo_order")
+
+    @pytest.mark.parametrize("k_max", [-1, 0, 3, 8])
+    def test_one_retrieve_crosses_each_stage_once(self, monkeypatch, k_max):
+        calls: dict[str, list[tuple]] = {name: [] for name in self.STAGES}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append((args, kwargs, result))
+                return result
+            return wrapper
+
+        for name in self.STAGES:
+            monkeypatch.setattr(retrieval, name, counted(name, getattr(retrieval, name)))
+        # 4 seeds, 2 prereq ancestors and 3 beam picks: 9 candidates
+        graph = SkillGraph()
+        add_nodes(graph, [f"c{i}" for i in range(4)], category="clean")
+        add_nodes(graph, [f"h{i}" for i in range(8)], category="heat")
+        graph.add_edge("h0", "c0", EdgeKind.PREREQ, 0.5)
+        graph.add_edge("h1", "h0", EdgeKind.PREREQ, 0.5)
+        for i in range(2, 8):
+            graph.add_edge(f"c{i % 4}", f"h{i}", EdgeKind.CO_OCCUR, 0.1 * i)
+        graph.highest_active_level = 5
+        result = retrieval.retrieve(graph, TaskQuery("t", "clean"), k_max=k_max)
+
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(self.STAGES, 1)
+        seeds = calls["select_seeds"][0][2]
+        bfs_nodes = calls["_expand_backward"][0][2][0]
+        beam_scores = calls["_expand_forward"][0][2][0]
+        args, kwargs, ordered = calls["topo_order"][0]
+        assert args[1] == seeds | bfs_nodes | set(beam_scores)
+        assert (len(seeds), len(bfs_nodes), len(beam_scores)) == (4, 2, 3)
+        assert ordered == result.ordered_skills
+        assert result.capped == (len(args[1]) > len(ordered))
 
 
 class TestRetrieve:
