@@ -10,19 +10,17 @@ one range-checked way to change a stored weight.
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
 to another thread. The snapshot is a structural copy: every mutable object
-(node records, the adjacency sets, the maps holding them, the co-appearance
-counters) is fresh, while ids, titles, edge keys, kinds and weights are
-shared. Those are immutable strings, tuples, enums and floats, so no write on
-either side can reach the other. The one write a reader makes is into the
-graph's read memo (see ``SkillGraph``): it stores an immutable tuple that any
-reader would compute alike, so readers sharing a snapshot may race on it
-harmlessly.
+(node records, the adjacency and category maps and the maps holding them, the
+co-appearance counters) is fresh, while ids, titles, edge keys, kinds and
+weights are shared. Those are immutable strings, tuples, enums and floats, so
+no write on either side can reach the other. Readers write nothing, so any
+number of them may share one snapshot.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -88,10 +86,12 @@ class SkillNode:
 
 def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
     """Canonical storage key: co_occur endpoints ordered (min-id, max-id)."""
-    kind = EdgeKind(kind)
-    if kind is EdgeKind.CO_OCCUR and dst < src:
+    checked = _KIND_OF.get(kind)
+    if checked is None:
+        raise ValueError(f"{kind!r} is not a valid EdgeKind")
+    if checked is EdgeKind.CO_OCCUR and dst < src:
         src, dst = dst, src
-    return (src, dst, kind)
+    return (src, dst, checked)
 
 
 @dataclass
@@ -123,22 +123,23 @@ class SkillGraph:
     The active set {v : level(v) <= highest_active_level and not deprecated}
     is always derived, never stored.
 
-    Retrieval reads adjacency through a memo, filled on first touch: the ids
-    of each category (``category_members``), and per node its prereq parent
-    keys (``prereq_parents``) and forward keys (``forward_neighbors``). It
-    holds only structure, so the structural writers drop it: ``add_skill``,
-    ``remove_node``, ``set_category``, ``add_edge`` and ``add_edges`` when they
-    insert, and ``remove_edge`` when it removes. Weights, levels, deprecation
-    and ``highest_active_level`` are read live, so ``set_weight``, unlocks and
-    writes to those fields leave it valid. A node's category must change
-    through ``set_category``. ``snapshot()`` starts with an empty memo.
+    The adjacency is stored the way the retrieval walks read it. ``_out[v]``
+    holds the keys one forward hop from ``v`` takes: its out-edges of every
+    kind, plus every co_occur edge at ``v``, at either endpoint. ``_in[v]``
+    holds the keys of the dependency (prereq, enhance) edges into ``v``. So a
+    dependency key sits in ``_out[src]`` and ``_in[dst]``, and a co_occur key
+    in ``_out`` of both endpoints. Each is an insertion-ordered dict of keys to
+    None, used as a set. ``_categories`` maps each category to its ids, kept
+    by ``add_skill``, ``remove_node`` and ``set_category``, the one writer of
+    a node's category after insert.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, SkillNode] = {}
         self._edges: dict[EdgeKey, float] = {}
-        self._out: dict[str, set[EdgeKey]] = {}
-        self._in: dict[str, set[EdgeKey]] = {}
+        self._out: dict[str, dict[EdgeKey, None]] = {}
+        self._in: dict[str, dict[EdgeKey, None]] = {}
+        self._categories: dict[str, dict[str, None]] = {}
         self.highest_active_level: int = 0
         self.checkpoint_index: int = 0
         self.next_dynamic_id: int = 1
@@ -146,10 +147,6 @@ class SkillGraph:
         # episodes, persisted with the snapshot
         self.co_counts: dict[tuple[str, str], int] = {}
         self._levels_stale: bool = False
-        # the read memo (see the class docstring)
-        self._memo_categories: dict[str, tuple[str, ...]] | None = None
-        self._memo_parents: dict[str, tuple[EdgeKey, ...]] = {}
-        self._memo_forward: dict[str, tuple[EdgeKey, ...]] = {}
 
     # ------------------------------------------------------------------
     # nodes
@@ -165,17 +162,26 @@ class SkillGraph:
                 f"skill {node.skill_id!r}: need 0 <= n_succ <= n_use, "
                 f"got n_succ={node.n_succ}, n_use={node.n_use}")
         self.nodes[node.skill_id] = node
-        self._out.setdefault(node.skill_id, set())
-        self._in.setdefault(node.skill_id, set())
+        self._out.setdefault(node.skill_id, {})
+        self._in.setdefault(node.skill_id, {})
+        self._categories.setdefault(node.category, {})[node.skill_id] = None
         self._levels_stale = True
-        self._drop_memo()
         return node.skill_id
 
     def set_category(self, skill_id: str, category: str) -> None:
         """Move a skill to another category: the one writer of ``category``
-        after insert, since the read memo indexes skills by it."""
-        self.nodes[skill_id].category = category
-        self._drop_memo()
+        after insert, since the category index lists skills by it."""
+        node = self.nodes[skill_id]
+        self._unlist(node)
+        node.category = category
+        self._categories.setdefault(category, {})[skill_id] = None
+
+    def _unlist(self, node: SkillNode) -> None:
+        """Take a skill out of the category index."""
+        members = self._categories[node.category]
+        del members[node.skill_id]
+        if not members:
+            del self._categories[node.category]
 
     def new_dynamic_id(self) -> str:
         """Allocate the next engine-owned id for an inserted skill."""
@@ -191,14 +197,19 @@ class SkillGraph:
         Its co-appearance counts go with it, in one pass over ``co_counts``.
         Given an ``heir`` (a merge survivor), each count is added to the heir's
         count with the same partner instead; a pair with the heir is dropped.
+        An heir that is ``skill_id`` itself or not in the graph is an
+        UnknownSkill, raised before anything changes.
         """
         if skill_id not in self.nodes:
             raise UnknownSkill(skill_id)
-        for key in list(self._out[skill_id] | self._in[skill_id]):
+        if heir is not None and (heir == skill_id or heir not in self.nodes):
+            raise UnknownSkill(heir)
+        for key in self.incident_edges(skill_id):
             self.remove_edge(key)
         del self._out[skill_id]
         del self._in[skill_id]
         node = self.nodes.pop(skill_id)
+        self._unlist(node)
         for pair in [pair for pair in self.co_counts if skill_id in pair]:
             count = self.co_counts.pop(pair)
             other = pair[1] if pair[0] == skill_id else pair[0]
@@ -206,7 +217,6 @@ class SkillGraph:
                 inherited = pair_key(heir, other)
                 self.co_counts[inherited] = self.co_counts.get(inherited, 0) + count
         self._levels_stale = True
-        self._drop_memo()
         return node
 
     # ------------------------------------------------------------------
@@ -220,26 +230,12 @@ class SkillGraph:
         Dependency edges are checked against the acyclicity invariant before
         insertion and rejected with CycleWouldForm.
         """
-        kind = EdgeKind(kind)
-        if src not in self.nodes:
-            raise UnknownEndpoint(src)
-        if dst not in self.nodes:
-            raise UnknownEndpoint(dst)
-        if src == dst:
-            raise CycleWouldForm(f"self-loop on {src!r}")
-        if not 0.0 <= weight <= 1.0:
-            raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {kind.value})")
-        key = edge_key(src, dst, kind)
+        key = self._checked_key(src, dst, kind, weight)
         if key in self._edges:
             return key
-        if kind in DEPENDENCY_KINDS and self._reaches(dst, src):
-            raise CycleWouldForm(f"({src} -> {dst}, {kind.value})")
-        self._edges[key] = float(weight)
-        self._out[key[0]].add(key)
-        self._in[key[1]].add(key)
-        if kind in DEPENDENCY_KINDS:
-            self._levels_stale = True
-        self._drop_memo()
+        if key[2] in DEPENDENCY_KINDS and self._reaches(dst, src):
+            raise CycleWouldForm(f"({src} -> {dst}, {key[2].value})")
+        self._store(key, weight)
         return key
 
     def add_edges(self, rows: Iterable[tuple[str, str, str, float]]) -> None:
@@ -250,45 +246,56 @@ class SkillGraph:
         is a DuplicateEdge instead of a no-op. In place of a cycle search per
         edge, the closing level pass raises CycleDetected for the batch.
         """
-        nodes, edges, out, into = self.nodes, self._edges, self._out, self._in
         added: list[EdgeKey] = []
         try:
             for src, dst, value, weight in rows:
-                kind = _KIND_OF.get(value)
-                if kind is None:
-                    raise ValueError(f"{value!r} is not a valid EdgeKind")
-                if src not in nodes:
-                    raise UnknownEndpoint(src)
-                if dst not in nodes:
-                    raise UnknownEndpoint(dst)
-                if src == dst:
-                    raise CycleWouldForm(f"self-loop on {src!r}")
-                if not 0.0 <= weight <= 1.0:
-                    raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {value})")
-                key = ((dst, src, kind) if kind is EdgeKind.CO_OCCUR and dst < src
-                       else (src, dst, kind))
-                if key in edges:
+                key = self._checked_key(src, dst, value, weight)
+                if key in self._edges:
                     raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
-                edges[key] = float(weight)
-                out[key[0]].add(key)
-                into[key[1]].add(key)
+                self._store(key, weight)
                 added.append(key)
-            if added:
-                self._drop_memo()
             self.compute_levels()
         except BaseException:
             for key in added:
                 self.remove_edge(key)
             raise
 
+    def _checked_key(self, src: str, dst: str, kind: EdgeKind | str,
+                     weight: float) -> EdgeKey:
+        """The canonical key of an edge to insert, after the checks both
+        inserts make, in this order: kind, endpoints, self-loop, weight."""
+        key = edge_key(src, dst, kind)
+        if src not in self.nodes:
+            raise UnknownEndpoint(src)
+        if dst not in self.nodes:
+            raise UnknownEndpoint(dst)
+        if src == dst:
+            raise CycleWouldForm(f"self-loop on {src!r}")
+        if not 0.0 <= weight <= 1.0:
+            raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {key[2].value})")
+        return key
+
+    def _store(self, key: EdgeKey, weight: float) -> None:
+        """Add a checked new edge to the weights and the adjacency."""
+        src, dst, kind = key
+        self._edges[key] = float(weight)
+        self._out[src][key] = None
+        if kind is EdgeKind.CO_OCCUR:
+            self._out[dst][key] = None
+        else:
+            self._in[dst][key] = None
+            self._levels_stale = True
+
     def remove_edge(self, key: EdgeKey) -> None:
         if self._edges.pop(key, None) is None:
             return
-        self._out[key[0]].discard(key)
-        self._in[key[1]].discard(key)
-        if key[2] in DEPENDENCY_KINDS:
+        src, dst, kind = key
+        del self._out[src][key]
+        if kind is EdgeKind.CO_OCCUR:
+            del self._out[dst][key]
+        else:
+            del self._in[dst][key]
             self._levels_stale = True
-        self._drop_memo()
 
     def weight(self, src: str, dst: str, kind: EdgeKind | str) -> float | None:
         """The stored weight of an edge, or None when there is none."""
@@ -334,47 +341,27 @@ class SkillGraph:
         return False
 
     # ------------------------------------------------------------------
-    # adjacency views; category_members, prereq_parents and forward_neighbors
-    # read through the memo (see the class docstring)
+    # adjacency views (see the class docstring)
 
-    def _drop_memo(self) -> None:
-        self._memo_categories = None
-        self._memo_parents.clear()
-        self._memo_forward.clear()
+    def category_members(self, category: str) -> KeysView[str]:
+        """Read-only view of the ids in a category, deprecated and locked
+        skills included."""
+        return self._categories.get(category, {}).keys()
 
-    def category_members(self, category: str) -> tuple[str, ...]:
-        """Ids of every skill in a category, deprecated and locked included."""
-        index = self._memo_categories
-        if index is None:
-            members: dict[str, list[str]] = {}
-            for v, node in self.nodes.items():
-                members.setdefault(node.category, []).append(v)
-            index = {c: tuple(ids) for c, ids in members.items()}
-            self._memo_categories = index
-        return index.get(category, ())
+    def dependency_parents(self, skill_id: str) -> KeysView[EdgeKey]:
+        """Read-only view of the keys of the prereq and enhance edges into a
+        skill."""
+        return self._in[skill_id].keys()
 
-    def prereq_parents(self, skill_id: str) -> tuple[EdgeKey, ...]:
-        """Keys of the prereq edges into a skill, which sort by parent id."""
-        keys = self._memo_parents.get(skill_id)
-        if keys is None:
-            keys = tuple(sorted(k for k in self._in.get(skill_id, ())
-                                if k[2] is EdgeKind.PREREQ))
-            self._memo_parents[skill_id] = keys
-        return keys
-
-    def forward_neighbors(self, skill_id: str) -> tuple[EdgeKey, ...]:
-        """Keys of the edges one forward hop takes from a skill: its out-edges
-        and, since co_occur is walkable both ways, its co_occur in-edges. The
-        neighbor is whichever endpoint is not ``skill_id``."""
-        keys = self._memo_forward.get(skill_id)
-        if keys is None:
-            keys = (*self._out.get(skill_id, ()),
-                    *(k for k in self._in.get(skill_id, ()) if k[2] is EdgeKind.CO_OCCUR))
-            self._memo_forward[skill_id] = keys
-        return keys
+    def forward_neighbors(self, skill_id: str) -> KeysView[EdgeKey]:
+        """Read-only view of the keys of the edges one forward hop takes from
+        a skill: its out-edges and, since co_occur is walkable both ways, every
+        co_occur edge at it. The neighbor is whichever endpoint is not
+        ``skill_id``."""
+        return self._out[skill_id].keys()
 
     def incident_edges(self, skill_id: str) -> set[EdgeKey]:
-        return self._out.get(skill_id, set()) | self._in.get(skill_id, set())
+        return self._out.get(skill_id, {}).keys() | self._in.get(skill_id, {}).keys()
 
     def neighbors(self, skill_id: str) -> set[str]:
         """Adjacent non-deprecated skills over all kinds and both directions."""
@@ -506,18 +493,19 @@ class SkillGraph:
         """Independent copy for concurrent readers, with fresh levels.
 
         Levels are brought up to date first, so no reader sharing a
-        snapshot recomputes levels into it; their only write is to fill its
-        read memo, which starts empty. Copies every container and every node
-        record and shares only immutable values, edge weights included (see
-        the module docstring), which costs a fraction of a deep copy and is
-        just as isolated in both directions.
+        snapshot recomputes levels into it, and readers write nothing else.
+        Copies every container and every node record and shares only
+        immutable values, edge weights included (see the module docstring),
+        which costs a fraction of a deep copy and is just as isolated in both
+        directions.
         """
         self.ensure_levels()
         clone = SkillGraph()
         clone.nodes = {v: SkillNode(**vars(n)) for v, n in self.nodes.items()}
         clone._edges = dict(self._edges)
-        clone._out = {v: set(keys) for v, keys in self._out.items()}
-        clone._in = {v: set(keys) for v, keys in self._in.items()}
+        clone._out = {v: keys.copy() for v, keys in self._out.items()}
+        clone._in = {v: keys.copy() for v, keys in self._in.items()}
+        clone._categories = {c: ids.copy() for c, ids in self._categories.items()}
         clone.highest_active_level = self.highest_active_level
         clone.checkpoint_index = self.checkpoint_index
         clone.next_dynamic_id = self.next_dynamic_id

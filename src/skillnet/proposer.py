@@ -307,10 +307,10 @@ class HttpProposer(Proposer):
     """
 
     def __init__(self, endpoint: str, model: str,
-                 api_key_env: str = "SKILLNET_API_KEY",
-                 timeout: float = 30.0,
-                 temperature: float = 0.0,
-                 max_retries: int = 1,
+                 api_key_env: str = ProposerParams.api_key_env,
+                 timeout: float = ProposerParams.timeout,
+                 temperature: float = ProposerParams.temperature,
+                 max_retries: int = ProposerParams.max_retries,
                  session: requests.Session | None = None):
         self.endpoint = endpoint.rstrip("/")
         self.model = model

@@ -3,11 +3,9 @@
 Produces an ordered skill sequence for a task query and renders it as the
 markdown skill block that gets prepended to an agent prompt. The sequence is
 sorted by (level, score, id); it is topological because every dependency edge
-climbs at least one level. The functions read the graph's adjacency through
-its read memo (see ``SkillGraph``), filling entries on first touch, and read
-weights, levels and deprecation live. Filling the memo is their only write:
-an idempotent store of an immutable tuple, so they are safe to run
-concurrently on a snapshot.
+climbs at least one level. The functions walk the graph's own adjacency
+(see ``SkillGraph``) and write nothing into the graph, so any number of them
+may run concurrently on one snapshot.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from .model import (
     DEPENDENCY_KINDS,
     GENERAL_CATEGORY,
     EdgeKey,
+    EdgeKind,
     SkillGraph,
 )
 
@@ -95,7 +94,8 @@ def _expand_backward(graph: SkillGraph, seeds: set[str],
     Recovers foundational skills the seeds depend on. Deprecated and locked
     nodes neither appear nor relay the traversal.
     """
-    nodes, top, parents_of = graph.nodes, graph.highest_active_level, graph.prereq_parents
+    nodes, top = graph.nodes, graph.highest_active_level
+    parents_of, enhance = graph.dependency_parents, EdgeKind.ENHANCE
     reached: set[str] = set()
     walked: set[EdgeKey] = set()
     frontier = sorted(seeds)
@@ -105,7 +105,7 @@ def _expand_backward(graph: SkillGraph, seeds: set[str],
         for v in frontier:
             for key in parents_of(v):
                 parent = key[0]
-                if parent in visited:
+                if key[2] is enhance or parent in visited:
                     continue
                 node = nodes[parent]
                 if node.deprecated or node.level > top:
@@ -182,14 +182,13 @@ def topo_order(graph: SkillGraph, skill_ids: set[str],
     graph.ensure_levels()
     scores = scores or {}
     nodes = graph.nodes
-    ids = set(skill_ids)
 
     def order_key(v: str) -> tuple[int, float, str]:
         return (nodes[v].level, -scores.get(v, 1.0), v)
 
     if limit >= 0:
-        return heapq.nsmallest(limit, ids, key=order_key)
-    return sorted(ids, key=order_key)
+        return heapq.nsmallest(limit, skill_ids, key=order_key)
+    return sorted(skill_ids, key=order_key)
 
 
 def retrieve(graph: SkillGraph, query: TaskQuery,
@@ -208,12 +207,9 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     bfs_nodes, bfs_walked = _expand_backward(graph, seeds, depth)
     beam_scores, beam_walked = _expand_forward(graph, seeds, beam_width, depth)
 
-    scores = {v: 1.0 for v in seeds}
-    scores.update({v: 1.0 for v in bfs_nodes})
-    scores.update(beam_scores)
-
-    candidates = seeds | bfs_nodes | set(beam_scores)
-    ordered = topo_order(graph, candidates, scores, k_max)
+    # seeds and skills only the BFS reached score 1.0, topo_order's default
+    candidates = seeds | bfs_nodes | beam_scores.keys()
+    ordered = topo_order(graph, candidates, beam_scores, k_max)
     kept = set(ordered)
 
     traversed: set[EdgeKey] = {
@@ -227,7 +223,7 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
 
     return RetrievalResult(
         ordered_skills=ordered,
-        scores={v: scores[v] for v in ordered},
+        scores={v: beam_scores.get(v, 1.0) for v in ordered},
         seed_count=len(seeds),
         bfs_count=len(bfs_nodes),
         beam_count=len(beam_scores),

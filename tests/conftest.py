@@ -76,7 +76,7 @@ def oracle_best_path_products(graph: SkillGraph, seeds: set[str],
 
     Walks the same forward-neighbor relation retrieval uses (stored direction
     plus symmetric co_occur), rebuilt from the edge list rather than read
-    from the graph's memo, but enumerates paths exhaustively. Deprecated
+    from the graph's adjacency, but enumerates paths exhaustively. Deprecated
     and locked nodes cannot appear as interior or terminal hops. Products are
     multiplied left to right along the path, matching incremental
     propagation bit for bit.

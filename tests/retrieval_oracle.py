@@ -1,9 +1,9 @@
-"""The retrieval pipeline before the read memo, kept as a test oracle.
+"""An earlier retrieval pipeline, kept as a test oracle.
 
 ``select_seeds`` through ``retrieve`` are the earlier code verbatim, except
-that the two adjacency reads call the earlier ``SkillGraph`` methods, copied
-below as functions. Those rebuild each answer from the stored adjacency sets
-on every call, so the oracle never reads the graph's memo.
+that the two adjacency reads are the functions below. They derive each
+answer from the public edge view, ``graph.edges()``, on every call, so the
+oracle never reads the adjacency the graph keeps for its own walks.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from skillnet.retrieval import (
 
 def prereq_parents(graph: SkillGraph, skill_id: str) -> list[EdgeKey]:
     """Keys of the prereq edges into a skill, which sort by parent id."""
-    return sorted(k for k in graph._in.get(skill_id, ())
-                  if k[2] is EdgeKind.PREREQ)
+    return sorted(k for k in graph.edges()
+                  if k[1] == skill_id and k[2] is EdgeKind.PREREQ)
 
 
 def forward_neighbors(graph: SkillGraph, skill_id: str) -> list[tuple[str, float, EdgeKey]]:
@@ -29,13 +29,12 @@ def forward_neighbors(graph: SkillGraph, skill_id: str) -> list[tuple[str, float
 
     Stored direction for prereq/enhance; both directions for co_occur.
     """
-    edges = graph._edges
     out: list[tuple[str, float, EdgeKey]] = []
-    for key in graph._out.get(skill_id, ()):
-        out.append((key[1], edges[key], key))
-    for key in graph._in.get(skill_id, ()):
-        if key[2] is EdgeKind.CO_OCCUR:
-            out.append((key[0], edges[key], key))
+    for key, weight in graph.edges().items():
+        if key[0] == skill_id:
+            out.append((key[1], weight, key))
+        elif key[1] == skill_id and key[2] is EdgeKind.CO_OCCUR:
+            out.append((key[0], weight, key))
     return out
 
 

@@ -7,7 +7,9 @@ import random
 
 import pytest
 
-from skillnet import EdgeKind, SkillGraph, TaskQuery, graph_to_dict, retrieve
+from skillnet import (
+    EdgeKind, SkillGraph, TaskQuery, graph_to_dict, load_graph, retrieve, save_graph,
+)
 from skillnet.model import edge_key, pair_key
 from skillnet.errors import (
     AlreadyInitialized,
@@ -362,8 +364,8 @@ class TestGraphInvariants:
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         rogue = ("b", "a", EdgeKind.PREREQ)
         graph._edges[rogue] = 0.5
-        graph._out["b"].add(rogue)
-        graph._in["a"].add(rogue)
+        graph._out["b"][rogue] = None
+        graph._in["a"][rogue] = None
         with pytest.raises(CycleDetected):
             graph.compute_levels()
 
@@ -423,8 +425,8 @@ class TestGraphInvariants:
         graph = random_graph(rng, n=12)
         graph.co_counts[("n000", "n001")] = 3
         before = graph_to_dict(graph)
-        out_before = {v: set(keys) for v, keys in graph._out.items()}
-        in_before = {v: set(keys) for v, keys in graph._in.items()}
+        out_before = {v: keys.copy() for v, keys in graph._out.items()}
+        in_before = {v: keys.copy() for v, keys in graph._in.items()}
         snapshot = graph.snapshot()
         for node in snapshot.nodes.values():
             node.n_use += 1
@@ -494,6 +496,21 @@ class TestRemoveNodeHeir:
         graph.co_counts = {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 4}
         graph.remove_node("a")
         assert graph.co_counts == {("b", "c"): 4}
+
+
+    @pytest.mark.parametrize("heir", ["ghost", "b"])
+    def test_bad_heir_is_refused_before_anything_changes(self, heir, tmp_path):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"])
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.co_counts = {("a", "b"): 2, ("b", "c"): 1}
+        before = graph_to_dict(graph)
+        with pytest.raises(UnknownSkill):
+            graph.remove_node("b", heir=heir)
+        assert graph_to_dict(graph) == before
+        # what save_graph writes, load_graph reads back
+        save_graph(graph, tmp_path / "g.json")
+        assert graph_to_dict(load_graph(tmp_path / "g.json")) == before
 
 
 class TestHealth:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -23,7 +24,7 @@ from skillnet.errors import (
     ProposerUnavailable,
     SchemaViolation,
 )
-from skillnet.proposer import extract_json_array, request_digest
+from skillnet.proposer import ProposerParams, extract_json_array, request_digest
 
 
 def summary(steps: int = 3, task: str = "clean the mug") -> FailureSummary:
@@ -302,6 +303,12 @@ class TestHttpProposer:
             failure_contexts=["clean: t17"]))
         assert "Broad" in split_prompt and "clean: t17" in split_prompt
         assert "2-3 simpler sub-skills" in split_prompt
+
+    def test_defaults_are_the_config_sections(self):
+        params = ProposerParams(endpoint="http://unused")
+        proposer = HttpProposer(params.endpoint, params.model)
+        for field in dataclasses.fields(ProposerParams):
+            assert getattr(proposer, field.name) == getattr(params, field.name), field.name
 
     def test_any_request_exception_maps_to_unavailable(self, caplog):
         """A redirect loop degrades the checkpoint like a timeout does."""

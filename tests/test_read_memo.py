@@ -1,17 +1,27 @@
-"""The graph's read memo: retrieval through it equals the pre-memo pipeline.
+"""Retrieval and the adjacency it walks, under every writer of the graph.
 
 A Hypothesis state machine interleaves every structural writer with the live
-writes the memo must not cache (weights, deprecation, the active level), a
-merge that moves a skill to another category, and snapshots. After every
-step, ``retrieve`` on the live graph and on the last snapshot must equal the
-earlier pipeline kept in ``retrieval_oracle``, which never reads the memo.
+writes retrieval reads as they are (weights, deprecation, the active level,
+usage counts), co-appearance counting, a merge that moves a skill to another
+category, snapshots and a save→load round trip. After every step:
+
+- the adjacency and category index equal what ``edges()`` and ``nodes``
+  derive;
+- the graph invariants hold: an acyclic dependency subgraph, weights in
+  [0, 1], levels equal to the longest dependency path, ``co_counts`` naming
+  two distinct live skills;
+- ``retrieve`` on the live graph and on the last snapshot equals the earlier
+  pipeline kept in ``retrieval_oracle``, which reads only ``edges()``.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -20,13 +30,18 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
-from skillnet import EdgeKind, EvolutionConfig, SkillGraph, TaskQuery, retrieve
-from skillnet.errors import CycleDetected, CycleWouldForm
-from skillnet.evolution import merge_scan
+from skillnet import (
+    EdgeKind, EvolutionConfig, SkillGraph, TaskQuery, TrajectoryRecord, graph_to_dict,
+    load_graph, retrieve, save_graph,
+)
+from skillnet.errors import CycleDetected, CycleWouldForm, UnknownSkill
+from skillnet.evolution import discover_cooccur, merge_scan
 from skillnet.model import DEPENDENCY_KINDS
 from skillnet.proposer import Proposer, SkillProposal
 
-from conftest import add_nodes, dependency_edges, make_node, oracle_has_cycle, random_graph
+from conftest import (
+    add_nodes, dependency_edges, make_node, oracle_has_cycle, oracle_levels, random_graph,
+)
 from retrieval_oracle import retrieve as oracle_retrieve
 
 CATEGORIES = ("general", "alpha", "beta")
@@ -49,6 +64,42 @@ def assert_matches_oracle(graph: SkillGraph) -> None:
                 answer(graph, query, k_max, oracle_retrieve), (query, k_max)
 
 
+def index_of(graph: SkillGraph) -> tuple[dict, dict, dict]:
+    """The graph's adjacency and category index, as plain sets."""
+    return ({v: set(keys) for v, keys in graph._out.items()},
+            {v: set(keys) for v, keys in graph._in.items()},
+            {c: set(ids) for c, ids in graph._categories.items()})
+
+
+def derived_index(graph: SkillGraph) -> tuple[dict, dict, dict]:
+    """What the index must hold, derived from ``edges()`` and ``nodes``: a
+    dependency key in ``_out`` of its source and ``_in`` of its target, a
+    co_occur key in ``_out`` of both endpoints."""
+    out: dict[str, set] = {v: set() for v in graph.nodes}
+    into: dict[str, set] = {v: set() for v in graph.nodes}
+    for key in graph.edges():
+        src, dst, kind = key
+        out[src].add(key)
+        (out if kind is EdgeKind.CO_OCCUR else into)[dst].add(key)
+    categories: dict[str, set] = {}
+    for v, node in graph.nodes.items():
+        categories.setdefault(node.category, set()).add(v)
+    return out, into, categories
+
+
+def assert_invariants(graph: SkillGraph) -> None:
+    """The adjacency upkeep and the four graph invariants."""
+    assert index_of(graph) == derived_index(graph)
+    ids = sorted(graph.nodes)
+    assert not oracle_has_cycle(ids, dependency_edges(graph))
+    assert all(0.0 <= w <= 1.0 for w in graph.edges().values())
+    graph.ensure_levels()
+    assert {v: n.level for v, n in graph.nodes.items()} == \
+        oracle_levels(ids, dependency_edges(graph))
+    for a, b in graph.co_counts:
+        assert a < b and a in graph.nodes and b in graph.nodes, (a, b)
+
+
 class OneMergeTeacher(Proposer):
     """Unifies one chosen pair into a given category and declines the rest."""
 
@@ -62,12 +113,16 @@ class OneMergeTeacher(Proposer):
                               when_to_apply="Either applies.", category=self.category)]
 
 
-class ReadMemoMachine(RuleBasedStateMachine):
+class GraphMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.graph = SkillGraph()
         self.snap: SkillGraph | None = None
         self.added = 0
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def teardown(self) -> None:
+        self.tmp.cleanup()
 
     @initialize(categories=st.lists(st.sampled_from(CATEGORIES), min_size=2, max_size=5),
                 level=st.integers(0, 3))
@@ -124,8 +179,13 @@ class ReadMemoMachine(RuleBasedStateMachine):
     def remove_node(self, data, with_heir):
         victim = self.pick(data, "victim")
         heir = None
-        if with_heir and len(self.graph.nodes) >= 2:
-            heir = data.draw(st.sampled_from(sorted(set(self.graph.nodes) - {victim})))
+        if with_heir:
+            # the victim itself and a missing id are refused before any write
+            heir = data.draw(st.sampled_from(sorted(self.graph.nodes) + ["ghost"]))
+            if heir in (victim, "ghost"):
+                with pytest.raises(UnknownSkill):
+                    self.graph.remove_node(victim, heir=heir)
+                return
         self.graph.remove_node(victim, heir=heir)
 
     @precondition(lambda self: self.graph.nodes)
@@ -146,7 +206,7 @@ class ReadMemoMachine(RuleBasedStateMachine):
         assert merged == [(a, [b])]
         assert self.graph.nodes[a].category == category
 
-    # -- live writes: the memo must not cache what these change ------------
+    # -- live writes: retrieval reads what these change as it is -----------
 
     @precondition(lambda self: self.graph.edge_count() > 0)
     @rule(data=st.data(), weight=WEIGHTS)
@@ -162,9 +222,45 @@ class ReadMemoMachine(RuleBasedStateMachine):
     def set_active_level(self, level):
         self.graph.highest_active_level = level
 
+    @precondition(lambda self: self.graph.nodes)
+    @rule(data=st.data(), size=st.integers(1, 6))
+    def update_stats(self, data, size):
+        batch = []
+        for _ in range(size):
+            used = data.draw(st.booleans(), label="used")
+            batch.append((self.pick(data, "skill"), used,
+                          used and data.draw(st.booleans(), label="succeeded")))
+        self.graph.update_stats(batch)
+
+    @precondition(lambda self: self.graph.nodes)
+    @rule(data=st.data(), min_count=st.integers(1, 3))
+    def discover(self, data, min_count):
+        """Count a win's co-appearances; pairs at ``min_count`` gain co_occur."""
+        retrieved = data.draw(st.lists(st.sampled_from(sorted(self.graph.nodes)),
+                                       min_size=2, max_size=4), label="retrieved")
+        win = TrajectoryRecord(task_id="t", task_type="alpha",
+                               retrieved_skill_ids=retrieved, success=True)
+        discover_cooccur(self.graph, [win], min_count)
+
+    # -- copies ------------------------------------------------------------
+
     @rule()
     def snapshot(self):
         self.snap = self.graph.snapshot()
+
+    @rule()
+    def save_and_load(self):
+        path = Path(self.tmp.name) / "graph.json"
+        save_graph(self.graph, path)
+        loaded = load_graph(path)
+        assert graph_to_dict(loaded) == graph_to_dict(self.graph)
+        self.graph = loaded
+
+    @invariant()
+    def invariants_hold(self):
+        assert_invariants(self.graph)
+        if self.snap is not None:
+            assert_invariants(self.snap)
 
     @invariant()
     def retrieve_matches_the_oracle(self):
@@ -173,35 +269,22 @@ class ReadMemoMachine(RuleBasedStateMachine):
             assert_matches_oracle(self.snap)
 
 
-TestReadMemoMachine = ReadMemoMachine.TestCase
-TestReadMemoMachine.settings = settings(max_examples=40, stateful_step_count=25,
-                                        deadline=None)
+TestGraphMachine = GraphMachine.TestCase
+TestGraphMachine.settings = settings(max_examples=40, stateful_step_count=25,
+                                     deadline=None)
 
 
-def memo_graph() -> SkillGraph:
-    """A small graph whose read memo one retrieve per query has filled."""
+def small_graph() -> SkillGraph:
     graph = SkillGraph()
     add_nodes(graph, ["a", "b"], category="alpha")
     add_nodes(graph, ["c"], category="beta")
     graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
     graph.add_edge("b", "c", EdgeKind.CO_OCCUR, 0.3)
     graph.highest_active_level = 5
-    for query in QUERIES:
-        retrieve(graph, TaskQuery("task", query))
     return graph
 
 
-def memo_filled(graph: SkillGraph) -> bool:
-    return (graph._memo_categories is not None and bool(graph._memo_parents)
-            and bool(graph._memo_forward))
-
-
-def memo_empty(graph: SkillGraph) -> bool:
-    return (graph._memo_categories is None and not graph._memo_parents
-            and not graph._memo_forward)
-
-
-class TestMemoUpkeep:
+class TestIndexUpkeep:
     @pytest.mark.parametrize("write", [
         lambda g: g.add_skill(make_node("d", "alpha")),
         lambda g: g.remove_node("c"),
@@ -212,11 +295,12 @@ class TestMemoUpkeep:
         lambda g: g.set_category("a", "beta"),
     ], ids=["add_skill", "remove_node", "remove_node_heir", "add_edge", "add_edges",
             "remove_edge", "set_category"])
-    def test_structural_writes_drop_the_memo(self, write):
-        graph = memo_graph()
-        assert memo_filled(graph)
+    def test_structural_writes_keep_the_index(self, write):
+        graph = small_graph()
+        before = index_of(graph)
         write(graph)
-        assert memo_empty(graph)
+        assert index_of(graph) != before
+        assert index_of(graph) == derived_index(graph)
         assert_matches_oracle(graph)
 
     @pytest.mark.parametrize("write", [
@@ -230,32 +314,47 @@ class TestMemoUpkeep:
         lambda g: g.update_stats([("a", True, True)]),
     ], ids=["add_existing_edge", "add_no_edges", "remove_missing_edge", "set_weight",
             "deprecate", "lock", "compute_levels", "update_stats"])
-    def test_other_writes_keep_the_memo_and_are_read_live(self, write):
-        graph = memo_graph()
+    def test_other_writes_leave_the_index_and_are_read_live(self, write):
+        graph = small_graph()
+        before = index_of(graph)
         write(graph)
-        assert memo_filled(graph)
+        assert index_of(graph) == before
         assert_matches_oracle(graph)
 
-    def test_snapshot_starts_with_an_empty_memo(self):
-        graph = memo_graph()
+    def test_snapshot_copies_the_index(self):
+        graph = small_graph()
         snapshot = graph.snapshot()
-        assert memo_empty(snapshot)
-        assert memo_filled(graph)
+        assert index_of(snapshot) == index_of(graph)
+        for name in ("_out", "_in", "_categories"):
+            for k, inner in getattr(graph, name).items():
+                assert getattr(snapshot, name)[k] is not inner, (name, k)
         assert_matches_oracle(snapshot)
 
-    def test_memo_entries_are_tuples_of_stored_keys(self):
-        graph = memo_graph()
-        assert graph.category_members("alpha") == ("a", "b")
-        assert graph.category_members("unknown") == ()
-        assert graph.prereq_parents("b") == (("a", "b", EdgeKind.PREREQ),)
+    def test_views_are_read_only_views_of_stored_keys(self):
+        graph = small_graph()
+        assert set(graph.category_members("alpha")) == {"a", "b"}
+        assert not graph.category_members("unknown")
+        assert set(graph.dependency_parents("b")) == {("a", "b", EdgeKind.PREREQ)}
         assert set(graph.forward_neighbors("c")) == {("b", "c", EdgeKind.CO_OCCUR)}
         assert set(graph.forward_neighbors("b")) == {("b", "c", EdgeKind.CO_OCCUR)}
-        assert all(key in graph.edges() for v in graph.nodes
-                   for key in graph.forward_neighbors(v) + graph.prereq_parents(v))
+        for v in graph.nodes:
+            for view in (graph.forward_neighbors(v), graph.dependency_parents(v)):
+                assert not hasattr(view, "add") and not hasattr(view, "__setitem__")
+                assert all(key in graph.edges() for key in view)
 
 
-class TestConcurrentFill:
-    def test_readers_racing_on_an_empty_memo_agree_with_the_oracle(self):
+class TestReadOnly:
+    def test_retrieve_writes_nothing_into_a_snapshot(self, rng):
+        for _ in range(10):
+            graph = random_graph(rng, n=rng.randint(5, 30))
+            snapshot = graph.snapshot()
+            before = copy.deepcopy(vars(snapshot))
+            for query in QUERIES + ("clean", "heat", "cool"):
+                for k_max in K_MAX:
+                    retrieve(snapshot, TaskQuery("task", query), k_max=k_max)
+            assert vars(snapshot) == before
+
+    def test_readers_sharing_a_snapshot_agree_with_the_oracle(self):
         graph = random_graph(random.Random(7), n=30, deprecated_rate=0.1)
         graph.highest_active_level = 4
         queries = [(query, k_max) for query in ("general", "clean", "heat", "unknown")
@@ -280,7 +379,7 @@ class TestConcurrentFill:
                 threads = [threading.Thread(target=reader, args=(frozen,)) for _ in range(6)]
                 for t in threads:
                     t.start()
-                # the writer keeps changing the original while readers fill the copy's memo
+                # the writer keeps changing the original while readers walk the copy
                 graph.add_skill(make_node(f"new{i}", category="clean"))
                 graph.remove_node(f"new{i}")
                 for t in threads:
