@@ -29,7 +29,7 @@ from .errors import (
     ConfigInvalid, CycleWouldForm, ProposerError, ProposerParseError, SchemaViolation,
 )
 from .model import (
-    GENERAL_CATEGORY, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key, pair_key,
+    GENERAL_CATEGORY, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
 )
 from .persistence import TrajectoryRecord, normalize_edge_keys
 from .proposer import (
@@ -420,14 +420,23 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
     skills (``remove_node`` and the snapshot load keep it so); once a pair
     reaches the threshold and is still unconnected by any edge kind, it gains
     a co_occur edge at the structural prior weight.
+
+    A rollout group repeats one skill set, so each distinct set of live ids
+    is counted once, weighted by the wins that carry it. The sets are taken
+    in first-seen order, which adds the pairs to ``co_counts`` in the order
+    a pass over the records one by one would.
     """
+    wins_by_ids: dict[tuple[str, ...], int] = {}
     for record in successes:
         # ids that vanished via merge or split never come back; don't count them
-        ids = sorted(set(record.retrieved_skill_ids) & graph.nodes.keys())
+        ids = tuple(sorted(set(record.retrieved_skill_ids) & graph.nodes.keys()))
+        wins_by_ids[ids] = wins_by_ids.get(ids, 0) + 1
+    co_counts = graph.co_counts
+    for ids, wins in wins_by_ids.items():
+        # sorted distinct ids, so (a, b) is already the canonical pair
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                pair = pair_key(a, b)
-                graph.co_counts[pair] = graph.co_counts.get(pair, 0) + 1
+                co_counts[a, b] = co_counts.get((a, b), 0) + wins
     added = 0
     for (a, b), count in sorted(graph.co_counts.items()):
         if count < min_count:

@@ -198,7 +198,8 @@ class SkillGraph:
         Given an ``heir`` (a merge survivor), each count is added to the heir's
         count with the same partner instead; a pair with the heir is dropped.
         An heir that is ``skill_id`` itself or not in the graph is an
-        UnknownSkill, raised before anything changes.
+        UnknownSkill, raised before anything changes. Levels go stale only
+        when a dependency edge goes with the node (``remove_edge`` marks it).
         """
         if skill_id not in self.nodes:
             raise UnknownSkill(skill_id)
@@ -216,7 +217,6 @@ class SkillGraph:
             if heir is not None and other != heir:
                 inherited = pair_key(heir, other)
                 self.co_counts[inherited] = self.co_counts.get(inherited, 0) + count
-        self._levels_stale = True
         return node
 
     # ------------------------------------------------------------------
@@ -417,20 +417,21 @@ class SkillGraph:
 
         A skill gains one use when retrieved into a prompt and one success when
         the corresponding rollout succeeds. The whole batch is validated before
-        any counter moves, so a bad entry leaves the graph untouched.
+        any counter moves, so a bad entry leaves the graph untouched. Returns
+        each touched skill's success rate after the whole batch, in the order
+        the skills first appear in it.
         """
         for skill_id, used, succeeded in batch:
             if skill_id not in self.nodes:
                 raise UnknownSkill(skill_id)
             if succeeded and not used:
                 raise SuccessWithoutUse(skill_id)
-        touched: dict[str, float] = {}
         for skill_id, used, succeeded in batch:
             node = self.nodes[skill_id]
             node.n_use += 1 if used else 0
             node.n_succ += 1 if succeeded else 0
-            touched[skill_id] = node.success_rate()
-        return touched
+        touched = dict.fromkeys(skill_id for skill_id, _, _ in batch)
+        return {skill_id: self.nodes[skill_id].success_rate() for skill_id in touched}
 
     # ------------------------------------------------------------------
     # structural initialization and active set

@@ -352,13 +352,18 @@ class SimProposer(Proposer):
 
 
 def rollout(task: SyntheticTask, result: RetrievalResult,
-            concept_map: ConceptMap, rng: random.Random) -> TrajectoryRecord:
-    """Simulate one episode against the retrieved skill sequence.
+            concept_map: ConceptMap, rng: random.Random,
+            group_size: int) -> list[TrajectoryRecord]:
+    """Simulate a task's rollout group against the retrieved skill sequence.
 
+    The ``group_size`` members share one episode and differ only in outcome.
     Coverage counts chain positions some retrieved skill covers; ordering
     violations are inverted pairs of covered positions, judged by the first
-    covering skill's position in the sequence. One uniform draw decides
-    success, so paired runs consuming the same rng stay aligned.
+    covering skill's position in the sequence. Both, and so the success
+    probability, the steps and the traversed edges, are computed once per
+    call. Each member then takes one uniform draw, in member order, so
+    paired runs consuming the same rng stay aligned. Every record gets its
+    own lists and step dicts.
     """
     retrieved = result.ordered_skills
     position_of = {sid: i for i, sid in enumerate(retrieved)}
@@ -377,7 +382,6 @@ def rollout(task: SyntheticTask, result: RetrievalResult,
     p = task.base_success + task.per_hit_bonus * len(covered) \
         - task.order_penalty * inversions
     p = min(1.0, max(0.0, p))
-    success = rng.random() < p
 
     steps = []
     for i, concept in enumerate(task.required_chain):
@@ -385,17 +389,19 @@ def rollout(task: SyntheticTask, result: RetrievalResult,
             observation = "followed skill guidance"
         else:
             observation = f"{UNCOVERED_MARKER}{concept}"
-        steps.append({"action": f"attempt {concept}", "observation": observation})
+        steps.append((f"attempt {concept}", observation))
+    traversed = [(src, dst, kind.value)
+                 for src, dst, kind in sorted(result.traversed_edges)]
 
-    return TrajectoryRecord(
+    return [TrajectoryRecord(
         task_id=task.task_id,
         task_type=task.task_type,
         retrieved_skill_ids=list(retrieved),
-        traversed_edges=[(src, dst, kind.value)
-                         for src, dst, kind in sorted(result.traversed_edges)],
-        steps=steps,
-        success=success,
-    )
+        traversed_edges=list(traversed),
+        steps=[{"action": action, "observation": observation}
+               for action, observation in steps],
+        success=rng.random() < p,
+    ) for _ in range(group_size)]
 
 
 def flat_retrieve(graph: SkillGraph, task_type: str, k_max: int,
@@ -569,7 +575,8 @@ def run_loop(config: SimConfig, seed: int,
 
     retriever selects the arm: "graph" uses dependency-aware retrieval,
     "flat" the order-agnostic baseline. Evolution and curriculum run in both
-    arms; only retrieval differs.
+    arms; only retrieval differs. Each task is retrieved once and its
+    ``group_size`` rollouts come from one ``rollout`` call on that result.
     """
     if retriever not in ("graph", "flat"):
         raise ConfigInvalid(f"unknown retriever {retriever!r}")
@@ -595,16 +602,18 @@ def run_loop(config: SimConfig, seed: int,
             else:
                 result = flat_retrieve(graph, task.task_type, params.k_max,
                                        random.Random(f"{seed}/flat/{task_index}"))
-            roll_rng = random.Random(f"{seed}/roll/{task_index}")
-            for _ in range(config.group_size):
-                record = rollout(task, result, concept_map, roll_rng)
+            records = rollout(task, result, concept_map,
+                              random.Random(f"{seed}/roll/{task_index}"),
+                              config.group_size)
+            for record in records:
                 record.checkpoint_index = len(metrics.rows)
-                window.append(record)
-                metrics.rollouts += 1
-                metrics.successes += int(record.success)
-                if len(task.required_chain) >= 3:
-                    metrics.long_chain_rollouts += 1
-                    metrics.long_chain_successes += int(record.success)
+            window += records
+            wins = sum(record.success for record in records)
+            metrics.rollouts += config.group_size
+            metrics.successes += wins
+            if len(task.required_chain) >= 3:
+                metrics.long_chain_rollouts += config.group_size
+                metrics.long_chain_successes += wins
             metrics.tasks += 1
             metrics.retrieved_len_sum += len(result.ordered_skills)
             task_index += 1

@@ -32,7 +32,7 @@ from skillnet import (
 from skillnet import evolution, graph_to_dict, load_graph, save_graph
 from skillnet.errors import ConfigInvalid, ProposerUnavailable
 from skillnet.evolution import merge_candidates
-from skillnet.model import edge_key
+from skillnet.model import edge_key, pair_key
 from skillnet.proposer import Proposer
 
 from conftest import add_nodes, make_node, random_graph
@@ -594,6 +594,76 @@ class TestDiscover:
         discover_cooccur(graph, [success_record(["a", "b"])], 3)
         added = discover_cooccur(graph, [success_record(["a", "b"])], 3)
         assert added == 1
+
+
+def reference_discover(graph: SkillGraph, successes: list[TrajectoryRecord],
+                       min_count: int) -> int:
+    """The oracle: ``discover_cooccur`` as it counted before a rollout
+    group's repeated skill set was counted once, record by record."""
+    for record in successes:
+        ids = sorted(set(record.retrieved_skill_ids) & graph.nodes.keys())
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                pair = pair_key(a, b)
+                graph.co_counts[pair] = graph.co_counts.get(pair, 0) + 1
+    added = 0
+    for (a, b), count in sorted(graph.co_counts.items()):
+        if count < min_count:
+            continue
+        if graph.nodes[a].deprecated or graph.nodes[b].deprecated:
+            continue
+        if graph.has_any_edge(a, b):
+            continue
+        graph.add_edge(a, b, EdgeKind.CO_OCCUR, evolution.COOCCUR_DISCOVERY_WEIGHT)
+        added += 1
+    return added
+
+
+@st.composite
+def discover_cases(draw) -> tuple[SkillGraph, list[list[TrajectoryRecord]], int]:
+    """A small graph with deprecated skills, some pairs already connected and
+    some counts already banked, plus windows of wins drawn from a few skill
+    sets, so sets repeat, and naming ids the graph no longer has."""
+    ids = [f"s{i}" for i in range(draw(st.integers(2, 7)))]
+    graph = SkillGraph()
+    for skill_id in ids:
+        graph.add_skill(make_node(skill_id, category="clean",
+                                  deprecated=draw(st.booleans())))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda pair: pair[0] < pair[1])
+    for a, b in draw(st.lists(pairs, max_size=4)):
+        graph.add_edge(a, b, draw(st.sampled_from(list(EdgeKind))), 0.5)
+    for pair in draw(st.lists(pairs, max_size=4)):
+        graph.co_counts[pair] = draw(st.integers(1, 3))
+    skill_sets = draw(st.lists(
+        st.lists(st.sampled_from(ids + ["gone_a", "gone_b"]), max_size=6),
+        min_size=1, max_size=4))
+    windows = draw(st.lists(
+        st.lists(st.sampled_from(skill_sets).map(success_record), max_size=12),
+        min_size=1, max_size=3))
+    return graph, windows, draw(st.integers(0, 4))
+
+
+class TestDiscoverOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=discover_cases())
+    def test_counts_once_per_distinct_set_as_record_by_record(self, case):
+        graph, windows, min_count = case
+        reference = copy.deepcopy(graph)
+        for window in windows:
+            added = discover_cooccur(graph, window, min_count)
+            expected = reference_discover(reference, window, min_count)
+            assert added == expected
+            assert list(graph.co_counts.items()) == list(reference.co_counts.items())
+            assert graph_to_dict(graph) == graph_to_dict(reference)
+
+    def test_repeated_set_crosses_the_threshold_in_one_window(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"], category="clean")
+        wins = [success_record(["b", "a", "ghost"])] * 3 + [success_record(["c", "a"])]
+        assert discover_cooccur(graph, wins, 3) == 1
+        assert list(graph.co_counts.items()) == [(("a", "b"), 3), (("a", "c"), 1)]
+        assert graph.weight("a", "b", EdgeKind.CO_OCCUR) == pytest.approx(0.3)
 
 
 class TestEdgeOpsCheckTheirArguments:

@@ -306,6 +306,16 @@ class TestUpdateStats:
         with pytest.raises(SuccessWithoutUse):
             SkillGraph().add_skill(make_node("a", n_use=n_use, n_succ=n_succ))
 
+    def test_repeated_ids_return_final_rates_in_first_seen_order(self):
+        graph = SkillGraph()
+        graph.add_skill(make_node("a", n_use=2, n_succ=1))
+        add_nodes(graph, ["b", "c"])
+        batch = [("b", True, True), ("a", True, False), ("b", True, False),
+                 ("c", True, True), ("a", True, True), ("b", True, True)]
+        rates = graph.update_stats(batch)
+        assert list(rates) == ["b", "a", "c"]
+        assert rates == {"b": 2 / 3, "a": 2 / 4, "c": 1.0}
+
     def test_zero_use_rate_convention(self):
         assert make_node("a").success_rate() == 0.0
 
@@ -511,6 +521,41 @@ class TestRemoveNodeHeir:
         # what save_graph writes, load_graph reads back
         save_graph(graph, tmp_path / "g.json")
         assert graph_to_dict(load_graph(tmp_path / "g.json")) == before
+
+
+def refuse_recompute(self):
+    raise AssertionError("levels recomputed after a removal that cannot move them")
+
+
+class TestRemoveNodeLevels:
+    """Removing a node moves other levels only through its dependency edges,
+    whose removal marks the levels stale."""
+
+    @pytest.mark.parametrize("edges", [[], [("d", "a"), ("b", "d")]],
+                             ids=["isolated", "co_occur_only"])
+    def test_removal_without_dependency_edges_keeps_levels(self, edges, monkeypatch):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c", "d"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        for src, dst in edges:
+            graph.add_edge(src, dst, EdgeKind.CO_OCCUR, 0.3)
+        graph.compute_levels()
+        graph.remove_node("d")
+        assert not graph._levels_stale
+        monkeypatch.setattr(SkillGraph, "compute_levels", refuse_recompute)
+        graph.ensure_levels()
+        assert {v: n.level for v, n in graph.nodes.items()} == {"a": 0, "b": 1, "c": 0}
+
+    def test_removing_a_prereq_parent_lowers_its_child(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.add_edge("b", "c", EdgeKind.PREREQ, 0.5)
+        graph.compute_levels()
+        graph.remove_node("a")
+        assert graph._levels_stale
+        graph.ensure_levels()
+        assert {v: n.level for v, n in graph.nodes.items()} == {"b": 0, "c": 1}
 
 
 class TestHealth:

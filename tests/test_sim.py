@@ -6,6 +6,8 @@ import random
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillnet import (
     ConceptMap,
@@ -29,7 +31,9 @@ from skillnet.config import load_section
 from skillnet.curriculum import CurriculumParams
 from skillnet.errors import ConfigInvalid
 from skillnet.retrieval import RetrievalParams
-from skillnet.simulate import InitialSkillSpec, build_initial_graph, checkpoint
+from skillnet.simulate import (
+    MAX_CHAIN_LENGTH, UNCOVERED_MARKER, InitialSkillSpec, build_initial_graph, checkpoint,
+)
 
 from conftest import make_node
 
@@ -37,6 +41,22 @@ from conftest import make_node
 # the default run at seed 42: its metrics CSV and its final snapshot file
 SEED_42_CSV_SHA256 = "05c407704ec0dc79f24957532594867b47857f33a690c97c62c1ec839aaeecf3"
 SEED_42_SNAPSHOT_SHA256 = "21750d61b02dfc3680d7392297dbe984ed812fdb8067c5b93dc8ba46ffa78d02"
+# metrics CSVs of the default config on both arms, and of other group sizes
+# at seed 42, as the one-rollout-per-call loop wrote them
+ARM_CSV_SHA256 = {
+    ("graph", 0): "3481f2b299330690d064f011e9ca02337bfcb2fee5529ecedb8f29adfbf3ae22",
+    ("graph", 1): "2bcb46d5348a17f81aea16991c56254c25050c8b1e720e6115b4916c95ec86ee",
+    ("graph", 2): "e148e6a514d4a669dfdce20565470c14b5e68d455eb9dba8b9ebc6d529b0c575",
+    ("graph", 3): "c6f80c6457ab8c868e355364fc2e09ea85fea99054b88e96a94f5dfe09e4bd73",
+    ("flat", 0): "b2401cb1e3bac789aea88a9e3c5a5da587f07631143458c441efb0b409a925c8",
+    ("flat", 1): "590d1512c19bf8c96a8c7f1c38da9baeda5153fc886025f8743f76d61ae99887",
+    ("flat", 2): "d1da5ccd125a0acc44ae12d3b2acd90edbfe27e2c965d73578b4997d436a4f46",
+    ("flat", 3): "7a57a2962ab4252753d062de5f6071cee045455ce445e8832dcfa860855705be",
+}
+GROUP_SIZE_CSV_SHA256 = {
+    1: "c31a15165e60ff766dcbf23ff5e8a0d6db364051e5ffb182b5950727de0f8fd1",
+    3: "41c09c4d0d4c92ab153075b4e500bf7db14804a3c9762e49dbafb7c6523b9dcb",
+}
 
 
 def task(chain: list[str], p0: float = 0.1, bonus: float = 0.2,
@@ -76,7 +96,7 @@ def success_probability(t: SyntheticTask, result: RetrievalResult,
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = (lo + hi) / 2
-        record = rollout(t, result, concept_map, ProbabilityProbe(mid))
+        [record] = rollout(t, result, concept_map, ProbabilityProbe(mid), 1)
         if record.success:
             lo = mid
         else:
@@ -128,8 +148,8 @@ class TestRolloutArithmetic:
     def test_uncovered_steps_flagged_for_teacher(self):
         chain = ["c1", "c2"]
         concept_map = bound_map({"c1": "s"})
-        record = rollout(task(chain), retrieval(["s"]), concept_map,
-                         random.Random(0))
+        [record] = rollout(task(chain), retrieval(["s"]), concept_map,
+                           random.Random(0), 1)
         observations = [s["observation"] for s in record.steps]
         assert observations[0] == "followed skill guidance"
         assert observations[1] == "no skill guidance for c2"
@@ -140,6 +160,95 @@ class TestRolloutArithmetic:
         with pytest.raises(ConfigInvalid):
             SyntheticTask("t", "clean", [f"c{i}" for i in range(7)],
                           0.1, 0.1, 0.1)
+
+
+def oracle_rollout(task: SyntheticTask, result: RetrievalResult,
+                   concept_map: ConceptMap, rng: random.Random) -> TrajectoryRecord:
+    """The oracle: one group member, as ``rollout`` simulated it before a
+    group shared its episode (the whole episode redone per member)."""
+    retrieved = result.ordered_skills
+    position_of = {sid: i for i, sid in enumerate(retrieved)}
+    cover_index: list[int | None] = []
+    for concept in task.required_chain:
+        indices = [position_of[s] for s in concept_map.covering(concept)
+                   if s in position_of]
+        cover_index.append(min(indices) if indices else None)
+    covered = [i for i, idx in enumerate(cover_index) if idx is not None]
+    inversions = sum(
+        1
+        for a in range(len(covered))
+        for b in range(a + 1, len(covered))
+        if cover_index[covered[a]] > cover_index[covered[b]]
+    )
+    p = task.base_success + task.per_hit_bonus * len(covered) \
+        - task.order_penalty * inversions
+    p = min(1.0, max(0.0, p))
+    success = rng.random() < p
+
+    steps = []
+    for i, concept in enumerate(task.required_chain):
+        if cover_index[i] is not None:
+            observation = "followed skill guidance"
+        else:
+            observation = f"{UNCOVERED_MARKER}{concept}"
+        steps.append({"action": f"attempt {concept}", "observation": observation})
+
+    return TrajectoryRecord(
+        task_id=task.task_id,
+        task_type=task.task_type,
+        retrieved_skill_ids=list(retrieved),
+        traversed_edges=[(src, dst, kind.value)
+                         for src, dst, kind in sorted(result.traversed_edges)],
+        steps=steps,
+        success=success,
+    )
+
+
+CONCEPTS = [f"c{i}" for i in range(7)]
+SKILLS = [f"s{i}" for i in range(6)]
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def episodes(draw) -> tuple[SyntheticTask, RetrievalResult, ConceptMap]:
+    """A chain, a concept map that may leave concepts uncovered or let one
+    skill cover several, and a retrieved order (possibly empty)."""
+    chain = draw(st.lists(st.sampled_from(CONCEPTS), min_size=1,
+                          max_size=MAX_CHAIN_LENGTH))
+    concept_map = ConceptMap()
+    for concept, skill in draw(st.lists(st.tuples(st.sampled_from(CONCEPTS),
+                                                  st.sampled_from(SKILLS)),
+                                        max_size=12)):
+        concept_map.bind(concept, skill)
+    ordered = draw(st.lists(st.sampled_from(SKILLS), unique=True))
+    edges = draw(st.sets(st.tuples(st.sampled_from(SKILLS), st.sampled_from(SKILLS),
+                                   st.sampled_from(list(EdgeKind))), max_size=6))
+    t = task(chain, p0=draw(unit), bonus=draw(unit), penalty=draw(unit))
+    result = retrieval(ordered)
+    result.traversed_edges = edges
+    return t, result, concept_map
+
+
+class TestGroupedRolloutOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(episode=episodes(), group_size=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_group_equals_one_oracle_call_per_member(self, episode, group_size, seed):
+        t, result, concept_map = episode
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        records = rollout(t, result, concept_map, rng, group_size)
+        expected = [oracle_rollout(t, result, concept_map, oracle_rng)
+                    for _ in range(group_size)]
+        assert len(records) == group_size
+        for record, reference in zip(records, expected):
+            assert vars(record) == vars(reference)
+        assert rng.getstate() == oracle_rng.getstate()
+        # each member owns its lists and step dicts, as one call per member gave
+        owned = [result.ordered_skills]
+        for record in records:
+            owned += [record.retrieved_skill_ids, record.traversed_edges,
+                      record.steps, *record.steps]
+        assert len({id(obj) for obj in owned}) == len(owned)
 
 
 class TestFlatRetrieve:
@@ -251,6 +360,38 @@ class TestRunLoop:
         assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == SEED_42_CSV_SHA256
         assert sha256((tmp_path / "final.json").read_bytes()).hexdigest() == \
             SEED_42_SNAPSHOT_SHA256
+
+    @pytest.mark.parametrize("arm, seed", sorted(ARM_CSV_SHA256))
+    def test_default_runs_on_both_arms_are_byte_identical(self, arm, seed):
+        metrics, _ = run_loop(default_sim_config(), seed, retriever=arm)
+        assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == \
+            ARM_CSV_SHA256[arm, seed]
+
+    @pytest.mark.parametrize("group_size", sorted(GROUP_SIZE_CSV_SHA256))
+    def test_other_group_sizes_at_seed_42_are_byte_identical(self, group_size):
+        config = default_sim_config()
+        config.group_size = group_size
+        metrics, _ = run_loop(config, 42)
+        assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == \
+            GROUP_SIZE_CSV_SHA256[group_size]
+
+    @pytest.mark.parametrize("arm", ["graph", "flat"])
+    def test_one_rollout_call_per_task_with_the_group_size(self, arm, monkeypatch):
+        """The loop reaches ``rollout`` through the module binding, once per
+        task, so a wrapper on ``simulate.rollout`` times every rollout."""
+        import skillnet.simulate as simulate_mod
+        real_rollout = simulate_mod.rollout
+        sizes: list[int] = []
+
+        def spying_rollout(task, result, concept_map, rng, group_size):
+            sizes.append(group_size)
+            return real_rollout(task, result, concept_map, rng, group_size)
+
+        monkeypatch.setattr(simulate_mod, "rollout", spying_rollout)
+        config = tiny_config(steps=12, tasks_per_step=3, group_size=5)
+        metrics, _ = run_loop(config, 7, retriever=arm)
+        assert sizes == [config.group_size] * (config.steps * config.tasks_per_step)
+        assert metrics.rollouts == len(sizes) * config.group_size
 
     def test_unknown_retriever_rejected(self):
         with pytest.raises(ConfigInvalid):
