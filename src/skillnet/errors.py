@@ -44,7 +44,8 @@ class AlreadyInitialized(SkillNetError):
 
 
 class SuccessWithoutUse(SkillNetError):
-    """A statistics entry recorded a success without a corresponding use."""
+    """Usage counts that are not ints with 0 <= successes <= uses: a success
+    without a corresponding use, or a negative or fractional count."""
 
 
 # --- persistence errors ---

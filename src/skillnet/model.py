@@ -412,26 +412,35 @@ class SkillGraph:
         if self._levels_stale:
             self.compute_levels()
 
-    def update_stats(self, batch: list[tuple[str, bool, bool]]) -> dict[str, float]:
-        """Fold a batch of (skill_id, used, succeeded) observations into counts.
+    def update_stats(self, batch: list[tuple[str, int, int]]) -> dict[str, float]:
+        """Fold a batch of (skill_id, uses, successes) counts into the statistics.
 
-        A skill gains one use when retrieved into a prompt and one success when
-        the corresponding rollout succeeds. The whole batch is validated before
-        any counter moves, so a bad entry leaves the graph untouched. Returns
+        A skill gains one use each time it is retrieved into a prompt and one
+        success each time that rollout succeeds. A bool counts as 0 or 1, so
+        ``(skill_id, True, succeeded)`` is one observation, and n such
+        entries fold like one ``(skill_id, n, wins)``. Counts must be ints
+        with 0 <= successes <= uses; the whole batch is validated before any
+        counter moves, so a bad entry leaves the graph untouched. Returns
         each touched skill's success rate after the whole batch, in the order
         the skills first appear in it.
         """
-        for skill_id, used, succeeded in batch:
-            if skill_id not in self.nodes:
+        nodes = self.nodes
+        for skill_id, uses, successes in batch:
+            if skill_id not in nodes:
                 raise UnknownSkill(skill_id)
-            if succeeded and not used:
-                raise SuccessWithoutUse(skill_id)
-        for skill_id, used, succeeded in batch:
-            node = self.nodes[skill_id]
-            node.n_use += 1 if used else 0
-            node.n_succ += 1 if succeeded else 0
-        touched = dict.fromkeys(skill_id for skill_id, _, _ in batch)
-        return {skill_id: self.nodes[skill_id].success_rate() for skill_id in touched}
+            if uses is True and (successes is True or successes is False):
+                continue  # one observation: the common entry needs no range check
+            if not (isinstance(uses, int) and isinstance(successes, int)
+                    and 0 <= successes <= uses):
+                raise SuccessWithoutUse(
+                    f"skill {skill_id!r}: need int counts 0 <= successes <= uses, "
+                    f"got successes={successes!r}, uses={uses!r}")
+        touched: dict[str, SkillNode] = {}
+        for skill_id, uses, successes in batch:
+            node = touched[skill_id] = nodes[skill_id]
+            node.n_use += uses
+            node.n_succ += successes
+        return {skill_id: node.success_rate() for skill_id, node in touched.items()}
 
     # ------------------------------------------------------------------
     # structural initialization and active set

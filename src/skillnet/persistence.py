@@ -100,6 +100,10 @@ class TrajectoryRecord:
         steps = obj.get("steps", [])
         if not all(type(s) is str for s in ids):
             raise ParseError("retrieved_skill_ids must hold strings")
+        if len(set(ids)) != len(ids):
+            # a prompt holds each skill once; a repeat would count as two uses
+            repeated = sorted({s for s in ids if ids.count(s) > 1})
+            raise ParseError(f"retrieved_skill_ids repeats {', '.join(repeated)}")
         if not all(type(e) is list and len(e) == 3
                    and all(type(part) is str for part in e) for e in edges):
             raise ParseError("traversed_edges entries must be [src, dst, kind] strings")

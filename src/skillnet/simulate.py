@@ -130,6 +130,10 @@ class SimConfig:
                                          metadata=SHARED)
 
     def validate(self) -> None:
+        """Range checks of the world, the loop and the shared sections."""
+        self.retrieval.validate()
+        self.evolution.validate()
+        self.curriculum.validate()
         if not self.types:
             raise ConfigInvalid("simulation needs at least one task type")
         for spec in self.types:
@@ -549,13 +553,27 @@ def checkpoint(graph: SkillGraph, records: list[TrajectoryRecord],
     fold in usage, evolve, unlock.
 
     Usage comes only from records whose skill ids are all in the graph, but
-    every record counts as a success or failure. Warmup is counted in
-    checkpoints: nothing unlocks while the checkpoint index, read before
-    evolving, is below ``warmup_length``.
+    every record counts as a success or failure. A rollout group repeats one
+    skill list, so each distinct id list is checked once and weighted by the
+    records and the wins carrying it, and ``update_stats`` gets one
+    (skill, uses, successes) count per skill, in first-seen order. Warmup is
+    counted in checkpoints: nothing unlocks while the checkpoint index, read
+    before evolving, is below ``warmup_length``.
     """
-    graph.update_stats([(skill_id, True, record.success) for record in records
-                        if all(s in graph.nodes for s in record.retrieved_skill_ids)
-                        for skill_id in record.retrieved_skill_ids])
+    carried: dict[tuple[str, ...], list[int]] = {}  # ids -> [records, wins]
+    for record in records:
+        tally = carried.setdefault(tuple(record.retrieved_skill_ids), [0, 0])
+        tally[0] += 1
+        tally[1] += record.success
+    usage: dict[str, list[int]] = {}
+    for ids, (n, wins) in carried.items():
+        if all(s in graph.nodes for s in ids):
+            for skill_id in ids:
+                counts = usage.setdefault(skill_id, [0, 0])
+                counts[0] += n
+                counts[1] += wins
+    graph.update_stats([(skill_id, uses, wins)
+                        for skill_id, (uses, wins) in usage.items()])
     state = CurriculumState(
         highest_active_level=graph.highest_active_level,
         warmup_length=curriculum.warmup_length,
@@ -575,8 +593,12 @@ def run_loop(config: SimConfig, seed: int,
 
     retriever selects the arm: "graph" uses dependency-aware retrieval,
     "flat" the order-agnostic baseline. Evolution and curriculum run in both
-    arms; only retrieval differs. Each task is retrieved once and its
-    ``group_size`` rollouts come from one ``rollout`` call on that result.
+    arms; only retrieval differs. The graph changes only at checkpoints, so
+    the graph arm retrieves once per task type per window and every task of
+    that type shares the result until the next checkpoint drops it; the
+    reuse key is ``task_type``, the one query field ``retrieve`` reads. The
+    flat arm shuffles afresh for each task. A task's ``group_size``
+    rollouts come from one ``rollout`` call on its result.
     """
     if retriever not in ("graph", "flat"):
         raise ConfigInvalid(f"unknown retriever {retriever!r}")
@@ -589,16 +611,19 @@ def run_loop(config: SimConfig, seed: int,
     task_rng = random.Random(f"{seed}/tasks")
 
     window: list[TrajectoryRecord] = []
+    shared: dict[str, RetrievalResult] = {}  # graph arm: this window's, by type
     task_index = 0
 
     for step in range(1, config.steps + 1):
         for _ in range(config.tasks_per_step):
             task = _sample_task(config, task_rng, task_index)
             if retriever == "graph":
-                result = retrieve(graph, TaskQuery(task.task_id, task.task_type),
-                                  depth=params.depth,
-                                  beam_width=params.beam_width,
-                                  k_max=params.k_max)
+                result = shared.get(task.task_type)
+                if result is None:
+                    result = shared[task.task_type] = retrieve(
+                        graph, TaskQuery(task.task_id, task.task_type),
+                        depth=params.depth, beam_width=params.beam_width,
+                        k_max=params.k_max)
             else:
                 result = flat_retrieve(graph, task.task_type, params.k_max,
                                        random.Random(f"{seed}/flat/{task_index}"))
@@ -644,6 +669,7 @@ def run_loop(config: SimConfig, seed: int,
                           if window else 0.0),
         ))
         window = []
+        shared.clear()
 
     return metrics, graph
 

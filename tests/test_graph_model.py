@@ -6,6 +6,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skillnet import (
     EdgeKind, SkillGraph, TaskQuery, graph_to_dict, load_graph, retrieve, save_graph,
@@ -315,6 +317,36 @@ class TestUpdateStats:
         rates = graph.update_stats(batch)
         assert list(rates) == ["b", "a", "c"]
         assert rates == {"b": 2 / 3, "a": 2 / 4, "c": 1.0}
+
+    @given(entries=st.lists(st.tuples(st.sampled_from("abcd"), st.booleans()),
+                            max_size=30))
+    def test_n_bool_entries_fold_like_one_count_entry(self, entries):
+        one_by_one, counted = SkillGraph(), SkillGraph()
+        for graph in (one_by_one, counted):
+            graph.add_skill(make_node("a", n_use=4, n_succ=3))
+            add_nodes(graph, ["b", "c", "d"])
+        totals: dict[str, list[int]] = {}
+        for skill_id, won in entries:
+            uses_wins = totals.setdefault(skill_id, [0, 0])
+            uses_wins[0] += 1
+            uses_wins[1] += won
+        rates = one_by_one.update_stats([(v, True, won) for v, won in entries])
+        counted_rates = counted.update_stats([(v, n, w) for v, (n, w) in totals.items()])
+        assert list(rates.items()) == list(counted_rates.items())
+        assert graph_to_dict(one_by_one) == graph_to_dict(counted)
+        assert all(type(node.n_use) is int and type(node.n_succ) is int
+                   for node in counted.nodes.values())
+
+    @pytest.mark.parametrize("uses, successes", [
+        (-1, 0), (2, -1), (0.5, 0), (2, 0.5), ("1", 0), (1, "1"), (2, 3), (False, True), (True, 2),
+    ])
+    def test_bad_counts_leave_every_counter_untouched(self, uses, successes):
+        graph = SkillGraph()
+        graph.add_skill(make_node("a", n_use=5, n_succ=2))
+        add_nodes(graph, ["b"])
+        with pytest.raises(SuccessWithoutUse):
+            graph.update_stats([("a", 3, 1), ("b", True, True), ("a", uses, successes)])
+        assert [(n.n_use, n.n_succ) for n in graph.nodes.values()] == [(5, 2), (0, 0)]
 
     def test_zero_use_rate_convention(self):
         assert make_node("a").success_rate() == 0.0

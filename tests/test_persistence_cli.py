@@ -380,6 +380,7 @@ class TestTrajectories:
         ("success", 0),
         ("task_id", None),
         ("retrieved_skill_ids", ["a", 1]),
+        ("retrieved_skill_ids", ["a", "b", "a"]),  # would count as two uses
         ("traversed_edges", [["a", "b", 3]]),
         ("steps", [{"action": 3}]),
         ("checkpoint_index", True),
@@ -568,6 +569,15 @@ class TestCli:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
         assert main(["ingest", "--input", str(bad)]) == 2
+        repeated = tmp_path / "repeated.jsonl"
+        save_trajectories([TrajectoryRecord(
+            task_id="t", task_type="clean", retrieved_skill_ids=["a", "a"],
+            success=True)], repeated)
+        capsys.readouterr()
+        assert main(["ingest", "--input", str(repeated)]) == 2
+        captured = capsys.readouterr()
+        assert "line 1: retrieved_skill_ids repeats a" in captured.err
+        assert "0 valid record(s), 1 malformed line(s)" in captured.out
 
     def test_cli_import_leaves_requests_out(self):
         # only a real teacher needs requests, and it costs every command

@@ -412,6 +412,22 @@ class TestRetrieve:
         result = retrieve(graph, TaskQuery("", "clean"), k_max=0)
         assert result.ordered_skills == []
 
+    @given(seed=st.integers(0, 2**32 - 1), description=st.text(max_size=12),
+           task_type=st.sampled_from(["clean", "heat", "general", "cook"]),
+           depth=st.integers(0, 3), beam_width=st.integers(0, 4),
+           k_max=st.integers(-1, 10))
+    def test_result_does_not_depend_on_the_description(
+            self, seed, description, task_type, depth, beam_width, k_max):
+        """``run_loop`` shares one result among a window's tasks of one type,
+        which holds only while ``task_type`` is the one query field read here.
+        If this fails, retrieval reads the description, and the reuse key in
+        ``run_loop`` must grow to include it."""
+        graph = random_graph(random.Random(seed), deprecated_rate=0.3)
+        params = dict(depth=depth, beam_width=beam_width, k_max=k_max)
+        reference = retrieve(graph, TaskQuery("", task_type), **params)
+        result = retrieve(graph, TaskQuery(description, task_type), **params)
+        assert result == reference
+
 
 class TestRenderSkillBlock:
     def test_empty_result_header_only(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from hashlib import sha256
 
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skillnet.simulate as simulate_mod
 from skillnet import (
     ConceptMap,
     EdgeKind,
     EvolutionConfig,
+    EvolutionReport,
     RetrievalResult,
     ScriptedProposer,
     SimConfig,
@@ -23,6 +26,7 @@ from skillnet import (
     compare_retrievers,
     default_sim_config,
     flat_retrieve,
+    graph_to_dict,
     rollout,
     run_loop,
     save_graph,
@@ -35,7 +39,7 @@ from skillnet.simulate import (
     MAX_CHAIN_LENGTH, UNCOVERED_MARKER, InitialSkillSpec, build_initial_graph, checkpoint,
 )
 
-from conftest import make_node
+from conftest import make_node, random_graph
 
 
 # the default run at seed 42: its metrics CSV and its final snapshot file
@@ -403,6 +407,24 @@ class TestRunLoop:
         with pytest.raises(ConfigInvalid):
             run_loop(config, 1)
 
+    @pytest.mark.parametrize("section, value", [
+        ("retrieval", RetrievalParams(depth=-3)),
+        ("retrieval", RetrievalParams(beam_width=-1)),
+        ("evolution", EvolutionConfig(reinforce_step=2.0)),
+        ("curriculum", CurriculumParams(unlock_threshold=1.5)),
+    ])
+    def test_shared_sections_refused_before_any_graph_work(self, section, value,
+                                                           monkeypatch):
+        def no_graph_work(config):
+            raise AssertionError("graph built from an invalid config")
+
+        monkeypatch.setattr(simulate_mod, "build_initial_graph", no_graph_work)
+        config = tiny_config(**{section: value})
+        with pytest.raises(ConfigInvalid, match=section):
+            config.validate()
+        with pytest.raises(ConfigInvalid, match=section):
+            run_loop(config, 1)
+
     def test_from_dict_round_trip_defaults(self):
         def load(obj):
             return load_section(obj, SimConfig, "simulation", default_sim_config())
@@ -412,6 +434,67 @@ class TestRunLoop:
         assert custom.steps == 7 and custom.group_size == 2
         with pytest.raises(ConfigInvalid):
             load({"stepz": 7})
+
+
+class TestWindowReuse:
+    """The graph changes only at checkpoints, so the graph arm retrieves once
+    per task type per window and every task of that type shares the result."""
+
+    def test_graph_arm_retrieves_once_per_window_and_task_type(self, monkeypatch):
+        real_retrieve = simulate_mod.retrieve
+        asked: list[tuple[int, str]] = []
+
+        def spying_retrieve(graph, query, **kwargs):
+            asked.append((graph.checkpoint_index, query.task_type))
+            return real_retrieve(graph, query, **kwargs)
+
+        monkeypatch.setattr(simulate_mod, "retrieve", spying_retrieve)
+        monkeypatch.setattr(simulate_mod, "flat_retrieve", None)
+        config = tiny_config(steps=23, tasks_per_step=5, validation_frequency=4)
+        metrics, _ = run_loop(config, 3)
+        assert len(asked) == len(set(asked))
+        # each window (the trailing one without a checkpoint too) asks for
+        # every type it sampled, and that takes fewer calls than tasks
+        assert {window for window, _ in asked} == set(range(len(metrics.rows) + 1))
+        assert len(asked) < metrics.tasks
+
+    def test_flat_arm_still_shuffles_once_per_task(self, monkeypatch):
+        real_flat = simulate_mod.flat_retrieve
+        calls: list[str] = []
+
+        def spying_flat(graph, task_type, k_max, shuffle_rng):
+            calls.append(task_type)
+            return real_flat(graph, task_type, k_max, shuffle_rng)
+
+        monkeypatch.setattr(simulate_mod, "flat_retrieve", spying_flat)
+        monkeypatch.setattr(simulate_mod, "retrieve", None)
+        config = tiny_config(steps=12, tasks_per_step=3)
+        metrics, _ = run_loop(config, 3, retriever="flat")
+        assert len(calls) == metrics.tasks == config.steps * config.tasks_per_step
+
+    def test_shared_result_unchanged_by_the_window_rollouts(self, monkeypatch):
+        real_retrieve = simulate_mod.retrieve
+        real_checkpoint = simulate_mod.checkpoint
+        issued: list[tuple[RetrievalResult, RetrievalResult]] = []
+        checked: list[int] = []
+
+        def spying_retrieve(graph, query, **kwargs):
+            result = real_retrieve(graph, query, **kwargs)
+            issued.append((result, copy.deepcopy(result)))
+            return result
+
+        def checking_checkpoint(graph, records, *args):
+            # every record came from a result of this window, now fully used
+            for result, pristine in issued:
+                assert result == pristine
+            checked.append(len(issued))
+            issued.clear()
+            return real_checkpoint(graph, records, *args)
+
+        monkeypatch.setattr(simulate_mod, "retrieve", spying_retrieve)
+        monkeypatch.setattr(simulate_mod, "checkpoint", checking_checkpoint)
+        run_loop(tiny_config(steps=30), 8)
+        assert len(checked) == 6 and all(checked)
 
 
 def two_level_graph() -> SkillGraph:
@@ -447,6 +530,50 @@ class TestCheckpoint:
                    CurriculumParams())
         assert (graph.nodes["base"].n_use, graph.nodes["base"].n_succ) == (1, 1)
         assert graph.nodes["deep"].n_use == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_usage_fold_matches_the_per_record_batch(self, seed, data):
+        graph = random_graph(random.Random(seed), n=12)
+        ids = st.sampled_from(sorted(graph.nodes) + ["gone_a", "gone_b"])
+        # groups repeat one id list; ids may be stale, lists empty
+        groups = data.draw(st.lists(st.tuples(
+            st.lists(ids, max_size=5), st.lists(st.booleans(), min_size=1, max_size=4)),
+            max_size=8))
+        records = [TrajectoryRecord(task_id=f"t{g}", task_type="clean",
+                                    retrieved_skill_ids=list(skill_ids), success=won)
+                   for g, (skill_ids, outcomes) in enumerate(groups)
+                   for won in outcomes]
+        records = data.draw(st.permutations(records))
+        expected = graph.snapshot()
+        args = (ScriptedProposer(), EvolutionConfig(), CurriculumParams())
+        report = checkpoint(graph, records, *args)
+        expected_report = oracle_checkpoint(expected, records, *args)
+        assert {v: (n.n_use, n.n_succ) for v, n in graph.nodes.items()} == \
+            {v: (n.n_use, n.n_succ) for v, n in expected.nodes.items()}
+        assert report.to_dict() == expected_report.to_dict()
+        assert graph_to_dict(graph) == graph_to_dict(expected)
+
+
+def oracle_usage_batch(graph: SkillGraph,
+                       records: list[TrajectoryRecord]) -> list[tuple[str, bool, bool]]:
+    """One (skill, True, success) entry per record per retrieved id, from the
+    records whose ids are all in the graph."""
+    return [(skill_id, True, record.success) for record in records
+            if all(s in graph.nodes for s in record.retrieved_skill_ids)
+            for skill_id in record.retrieved_skill_ids]
+
+
+def oracle_checkpoint(graph: SkillGraph, records: list[TrajectoryRecord],
+                      *args) -> EvolutionReport:
+    """``checkpoint`` with its usage fold replaced by the per-record batch."""
+    batch = oracle_usage_batch(graph, records)
+    fold = graph.update_stats
+    graph.update_stats = lambda _: fold(batch)  # shadows the method once
+    try:
+        return checkpoint(graph, records, *args)
+    finally:
+        del graph.update_stats
 
 
 class TestCrossProcessDeterminism:
