@@ -428,8 +428,6 @@ class SkillGraph:
         for skill_id, uses, successes in batch:
             if skill_id not in nodes:
                 raise UnknownSkill(skill_id)
-            if uses is True and (successes is True or successes is False):
-                continue  # one observation: the common entry needs no range check
             if not (isinstance(uses, int) and isinstance(successes, int)
                     and 0 <= successes <= uses):
                 raise SuccessWithoutUse(

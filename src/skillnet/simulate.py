@@ -555,25 +555,18 @@ def checkpoint(graph: SkillGraph, records: list[TrajectoryRecord],
     Usage comes only from records whose skill ids are all in the graph, but
     every record counts as a success or failure. A rollout group repeats one
     skill list, so each distinct id list is checked once and weighted by the
-    records and the wins carrying it, and ``update_stats`` gets one
-    (skill, uses, successes) count per skill, in first-seen order. Warmup is
-    counted in checkpoints: nothing unlocks while the checkpoint index, read
-    before evolving, is below ``warmup_length``.
+    records and the wins carrying it: ``update_stats`` gets one
+    (skill, uses, successes) count per skill of each live list and folds the
+    repeats itself. Warmup is counted in checkpoints: nothing unlocks while
+    the checkpoint index, read before evolving, is below ``warmup_length``.
     """
     carried: dict[tuple[str, ...], list[int]] = {}  # ids -> [records, wins]
     for record in records:
         tally = carried.setdefault(tuple(record.retrieved_skill_ids), [0, 0])
         tally[0] += 1
         tally[1] += record.success
-    usage: dict[str, list[int]] = {}
-    for ids, (n, wins) in carried.items():
-        if all(s in graph.nodes for s in ids):
-            for skill_id in ids:
-                counts = usage.setdefault(skill_id, [0, 0])
-                counts[0] += n
-                counts[1] += wins
-    graph.update_stats([(skill_id, uses, wins)
-                        for skill_id, (uses, wins) in usage.items()])
+    graph.update_stats([(skill_id, n, wins) for ids, (n, wins) in carried.items()
+                        if all(s in graph.nodes for s in ids) for skill_id in ids])
     state = CurriculumState(
         highest_active_level=graph.highest_active_level,
         warmup_length=curriculum.warmup_length,
