@@ -228,7 +228,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.compare_flat:
         # the graph arm is the run just written; only the flat arm is new
         flat_metrics, _ = run_loop(sim_config, args.seed, retriever="flat")
-        comparison = ComparisonResult(metrics.arm_stats(), flat_metrics.arm_stats())
+        comparison = ComparisonResult(metrics, flat_metrics)
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -19,7 +19,8 @@ DEFAULT_UNLOCK_THRESHOLD = 0.6
 
 @dataclass
 class CurriculumParams:
-    """The ``curriculum`` config section, read when a ``CurriculumState`` starts."""
+    """The ``curriculum`` config section; each checkpoint builds a
+    ``CurriculumState`` from it and the graph's checkpoint index."""
 
     warmup_length: int = DEFAULT_WARMUP_LENGTH
     unlock_threshold: float = DEFAULT_UNLOCK_THRESHOLD

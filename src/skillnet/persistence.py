@@ -50,6 +50,7 @@ _RECORD_REQUIRED = {"task_id", "task_type", "retrieved_skill_ids", "success"}
 _RECORD_TYPES = {"task_id": str, "task_type": str, "retrieved_skill_ids": list,
                  "traversed_edges": list, "steps": list, "success": bool,
                  "checkpoint_index": int}
+_EDGE_KIND_VALUES = {kind.value for kind in EdgeKind}
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
                bool: "true or false", list: "an array", dict: "an object",
                type(None): "null"}
@@ -107,6 +108,9 @@ class TrajectoryRecord:
         if not all(type(e) is list and len(e) == 3
                    and all(type(part) is str for part in e) for e in edges):
             raise ParseError("traversed_edges entries must be [src, dst, kind] strings")
+        unknown = sorted({kind for _, _, kind in edges} - _EDGE_KIND_VALUES)
+        if unknown:
+            raise ParseError(f"traversed_edges has unknown kind {', '.join(unknown)}")
         for step in steps:
             if type(step) is not dict:
                 raise ParseError("steps entries must be objects")
@@ -384,7 +388,8 @@ def save_trajectories(records: list[TrajectoryRecord], path: str | Path,
 
 
 def normalize_edge_keys(record: TrajectoryRecord) -> list[tuple[str, str, EdgeKind]]:
-    """Turn a record's stringly edge triples into canonical edge keys."""
+    """Turn a record's stringly edge triples into canonical edge keys,
+    skipping an unknown kind (only a record built in code has one)."""
     keys = []
     for src, dst, kind in record.traversed_edges:
         try:

@@ -17,7 +17,7 @@ comparison see identical tasks and random draws.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .curriculum import CurriculumParams, CurriculumState, maybe_unlock
@@ -366,10 +366,11 @@ def rollout(task: SyntheticTask, result: RetrievalResult,
     covering skill's position in the sequence. Both, and so the success
     probability, the steps and the traversed edges, are computed once per
     call. Each member then takes one uniform draw, in member order, so
-    paired runs consuming the same rng stay aligned. Every record gets its
-    own lists and step dicts.
+    paired runs consuming the same rng stay aligned. The members share one
+    id list, one traversed-edge list and one step list, none of them
+    ``result``'s own; nothing writes into a record's lists.
     """
-    retrieved = result.ordered_skills
+    retrieved = list(result.ordered_skills)  # the group's one id list
     position_of = {sid: i for i, sid in enumerate(retrieved)}
     cover_index: list[int | None] = []
     for concept in task.required_chain:
@@ -387,23 +388,18 @@ def rollout(task: SyntheticTask, result: RetrievalResult,
         - task.order_penalty * inversions
     p = min(1.0, max(0.0, p))
 
-    steps = []
-    for i, concept in enumerate(task.required_chain):
-        if cover_index[i] is not None:
-            observation = "followed skill guidance"
-        else:
-            observation = f"{UNCOVERED_MARKER}{concept}"
-        steps.append((f"attempt {concept}", observation))
     traversed = [(src, dst, kind.value)
                  for src, dst, kind in sorted(result.traversed_edges)]
-
+    steps = [{"action": f"attempt {concept}",
+              "observation": ("followed skill guidance" if index is not None
+                              else f"{UNCOVERED_MARKER}{concept}")}
+             for concept, index in zip(task.required_chain, cover_index)]
     return [TrajectoryRecord(
         task_id=task.task_id,
         task_type=task.task_type,
-        retrieved_skill_ids=list(retrieved),
-        traversed_edges=list(traversed),
-        steps=[{"action": action, "observation": observation}
-               for action, observation in steps],
+        retrieved_skill_ids=retrieved,
+        traversed_edges=traversed,
+        steps=steps,
         success=rng.random() < p,
     ) for _ in range(group_size)]
 
@@ -473,6 +469,9 @@ CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 
 @dataclass
 class SimMetrics:
+    """A run's checkpoint rows and reports, and counters over all its tasks;
+    the rates read the counters, and a comparison prints them per arm."""
+
     rows: list[MetricsRow] = field(default_factory=list)
     reports: list[EvolutionReport] = field(default_factory=list)
     initial_nodes: int = 0
@@ -489,11 +488,11 @@ class SimMetrics:
         return "\n".join(lines) + "\n"
 
     @property
-    def task_success_rate(self) -> float:
+    def task_success(self) -> float:
         return self.successes / self.rollouts if self.rollouts else 0.0
 
     @property
-    def long_chain_success_rate(self) -> float:
+    def long_chain_success(self) -> float:
         if not self.long_chain_rollouts:
             return 0.0
         return self.long_chain_successes / self.long_chain_rollouts
@@ -501,17 +500,6 @@ class SimMetrics:
     @property
     def mean_retrieved_len(self) -> float:
         return self.retrieved_len_sum / self.tasks if self.tasks else 0.0
-
-    def arm_stats(self) -> ArmStats:
-        """This run's side of a retriever comparison."""
-        return ArmStats(
-            task_success=self.task_success_rate,
-            long_chain_success=self.long_chain_success_rate,
-            mean_retrieved_len=self.mean_retrieved_len,
-            tasks=self.tasks,
-            rollouts=self.rollouts,
-            long_chain_rollouts=self.long_chain_rollouts,
-        )
 
 
 def build_initial_graph(config: SimConfig) -> tuple[SkillGraph, ConceptMap]:
@@ -534,7 +522,7 @@ def build_initial_graph(config: SimConfig) -> tuple[SkillGraph, ConceptMap]:
 
 def _sample_task(config: SimConfig, rng: random.Random, index: int) -> SyntheticTask:
     spec = rng.choices(config.types, weights=[t.weight for t in config.types])[0]
-    length = rng.randint(spec.chain_min, min(spec.chain_max, len(spec.canonical)))
+    length = rng.randint(spec.chain_min, spec.chain_max)
     positions = sorted(rng.sample(range(len(spec.canonical)), length))
     return SyntheticTask(
         task_id=f"t{index:06d}",
@@ -591,7 +579,9 @@ def run_loop(config: SimConfig, seed: int,
     that type shares the result until the next checkpoint drops it; the
     reuse key is ``task_type``, the one query field ``retrieve`` reads. The
     flat arm shuffles afresh for each task. A task's ``group_size``
-    rollouts come from one ``rollout`` call on its result.
+    rollouts come from one ``rollout`` call on its result and share its
+    episode. A checkpoint row's success and retrieved-length columns are
+    the change in the run's counters since the window opened.
     """
     if retriever not in ("graph", "flat"):
         raise ConfigInvalid(f"unknown retriever {retriever!r}")
@@ -605,6 +595,7 @@ def run_loop(config: SimConfig, seed: int,
 
     window: list[TrajectoryRecord] = []
     shared: dict[str, RetrievalResult] = {}  # graph arm: this window's, by type
+    opened = (0, 0, 0, 0)  # tasks, length sum, rollouts, wins at window start
     task_index = 0
 
     for step in range(1, config.steps + 1):
@@ -643,6 +634,11 @@ def run_loop(config: SimConfig, seed: int,
                             config.curriculum)
         proposer.bind_from_report(graph, report)
         metrics.reports.append(report)
+        counters = (metrics.tasks, metrics.retrieved_len_sum,
+                    metrics.rollouts, metrics.successes)
+        tasks, length, rollouts, wins = (now - then
+                                         for now, then in zip(counters, opened))
+        opened = counters
 
         health = graph.health()
         metrics.rows.append(MetricsRow(
@@ -655,11 +651,9 @@ def run_loop(config: SimConfig, seed: int,
             edges_enhance=health.edges["enhance"],
             edges_cooccur=health.edges["co_occur"],
             mean_node_success=health.mean_success,
-            # every task of the window adds group_size records of one length
-            mean_retrieved_len=(sum(len(r.retrieved_skill_ids) for r in window)
-                                / len(window) if window else 0.0),
-            task_success=(sum(1 for r in window if r.success) / len(window)
-                          if window else 0.0),
+            # a task's records share one length: the per-task mean is exact
+            mean_retrieved_len=length / tasks if tasks else 0.0,
+            task_success=wins / rollouts if rollouts else 0.0,
         ))
         window = []
         shared.clear()
@@ -667,23 +661,22 @@ def run_loop(config: SimConfig, seed: int,
     return metrics, graph
 
 
-@dataclass
-class ArmStats:
-    task_success: float
-    long_chain_success: float
-    mean_retrieved_len: float
-    tasks: int
-    rollouts: int
-    long_chain_rollouts: int
+# what a retriever comparison prints for each arm, in this order
+ARM_FIELDS = ("task_success", "long_chain_success", "mean_retrieved_len",
+              "tasks", "rollouts", "long_chain_rollouts")
 
 
 @dataclass
 class ComparisonResult:
-    graph_arm: ArmStats
-    flat_arm: ArmStats
+    """The two arms' metrics; ``to_dict`` keeps the ``ARM_FIELDS`` of each."""
+
+    graph_arm: SimMetrics
+    flat_arm: SimMetrics
 
     def to_dict(self) -> dict[str, Any]:
-        return {"graph": asdict(self.graph_arm), "flat": asdict(self.flat_arm)}
+        return {arm: {name: getattr(metrics, name) for name in ARM_FIELDS}
+                for arm, metrics in (("graph", self.graph_arm),
+                                     ("flat", self.flat_arm))}
 
 
 def compare_retrievers(config: SimConfig, seed: int) -> ComparisonResult:
@@ -695,4 +688,4 @@ def compare_retrievers(config: SimConfig, seed: int) -> ComparisonResult:
     """
     graph_metrics, _ = run_loop(config, seed, retriever="graph")
     flat_metrics, _ = run_loop(config, seed, retriever="flat")
-    return ComparisonResult(graph_metrics.arm_stats(), flat_metrics.arm_stats())
+    return ComparisonResult(graph_metrics, flat_metrics)

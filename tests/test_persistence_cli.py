@@ -382,6 +382,7 @@ class TestTrajectories:
         ("retrieved_skill_ids", ["a", 1]),
         ("retrieved_skill_ids", ["a", "b", "a"]),  # would count as two uses
         ("traversed_edges", [["a", "b", 3]]),
+        ("traversed_edges", [["a", "b", "bogus"]]),  # reinforce would skip it
         ("steps", [{"action": 3}]),
         ("checkpoint_index", True),
     ])
@@ -577,6 +578,14 @@ class TestCli:
         assert main(["ingest", "--input", str(repeated)]) == 2
         captured = capsys.readouterr()
         assert "line 1: retrieved_skill_ids repeats a" in captured.err
+        assert "0 valid record(s), 1 malformed line(s)" in captured.out
+        bogus = tmp_path / "bogus.jsonl"
+        save_trajectories([TrajectoryRecord(
+            task_id="t", task_type="clean", retrieved_skill_ids=["a", "b"],
+            traversed_edges=[("a", "b", "bogus")], success=True)], bogus)
+        assert main(["ingest", "--input", str(bogus)]) == 2
+        captured = capsys.readouterr()
+        assert "line 1: traversed_edges has unknown kind bogus" in captured.err
         assert "0 valid record(s), 1 malformed line(s)" in captured.out
 
     def test_cli_import_leaves_requests_out(self):

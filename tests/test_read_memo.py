@@ -3,7 +3,8 @@
 A Hypothesis state machine interleaves every structural writer with the live
 writes retrieval reads as they are (weights, deprecation, the active level,
 usage counts), co-appearance counting, a merge that moves a skill to another
-category, snapshots and a save→load round trip. After every step:
+category, a whole ``simulate.checkpoint`` against a hostile teacher, snapshots
+and a save→load round trip. After every step:
 
 - the adjacency and category index equal what ``edges()`` and ``nodes``
   derive;
@@ -34,10 +35,14 @@ from skillnet import (
     EdgeKind, EvolutionConfig, SkillGraph, TaskQuery, TrajectoryRecord, graph_to_dict,
     load_graph, retrieve, save_graph,
 )
-from skillnet.errors import CycleDetected, CycleWouldForm, UnknownSkill
+from skillnet.curriculum import CurriculumParams
+from skillnet.errors import (
+    CycleDetected, CycleWouldForm, ProposerParseError, ProposerUnavailable, UnknownSkill,
+)
 from skillnet.evolution import discover_cooccur, merge_scan
 from skillnet.model import DEPENDENCY_KINDS
-from skillnet.proposer import Proposer, SkillProposal
+from skillnet.proposer import MAX_TITLE_LENGTH, Proposer, SkillProposal
+from skillnet.simulate import checkpoint
 
 from conftest import (
     add_nodes, dependency_edges, make_node, oracle_has_cycle, oracle_levels, random_graph,
@@ -45,7 +50,8 @@ from conftest import (
 from retrieval_oracle import retrieve as oracle_retrieve
 
 CATEGORIES = ("general", "alpha", "beta")
-QUERIES = ("general", "alpha", "beta", "unknown")
+# "gamma" exists only once a hostile teacher names it
+QUERIES = ("general", "alpha", "beta", "gamma", "unknown")
 K_MAX = (-1, 0, 3, 8)
 # few distinct weights, so equal scores and their tie-breaks come up often
 WEIGHTS = st.sampled_from((0.0, 0.2, 0.3, 0.5, 1.0))
@@ -111,6 +117,35 @@ class OneMergeTeacher(Proposer):
             return []
         return [SkillProposal(skill_id="", title="Unified", principle="Both at once.",
                               when_to_apply="Either applies.", category=self.category)]
+
+
+# proposals with blank or 81-character titles, categories the graph lacks and
+# neighbour lists naming missing ids, or a teacher that fails outright
+PROPOSALS = st.lists(st.builds(
+    SkillProposal, skill_id=st.just("p"),
+    title=st.sampled_from(["Wipe first", "Stage the parts", "Check twice",
+                           "Sort the bolts", "  ", "x" * (MAX_TITLE_LENGTH + 1)]),
+    principle=st.just("Do it carefully."), when_to_apply=st.just("Always."),
+    category=st.sampled_from([None, "alpha", "gamma"]),
+    neighbor_assignment=st.none() | st.lists(st.sampled_from(["s00", "s01", "dyn_0001"]),
+                                             max_size=2).map(lambda ids: [*ids, "ghost"])),
+    min_size=2, max_size=3)
+FAILURES = st.sampled_from([None, None, None, ProposerUnavailable, ProposerParseError])
+# loose triggers, so a small window reaches every teacher call
+HOSTILE_EVOLUTION = EvolutionConfig(merge_jaccard=0.2, split_band=(0.0, 1.0),
+                                    split_min_uses=1, deprecate_min_uses=2,
+                                    deprecate_threshold=0.4, cooccur_min_count=1)
+
+
+class HostileTeacher(Proposer):
+    def __init__(self, data) -> None:
+        self.data = data
+
+    def propose(self, request):
+        failure = self.data.draw(FAILURES, label=f"{request.kind} failure")
+        if failure is not None:
+            raise failure("the teacher failed")
+        return self.data.draw(PROPOSALS, label=request.kind)
 
 
 class GraphMachine(RuleBasedStateMachine):
@@ -241,6 +276,26 @@ class GraphMachine(RuleBasedStateMachine):
         win = TrajectoryRecord(task_id="t", task_type="alpha",
                                retrieved_skill_ids=retrieved, success=True)
         discover_cooccur(self.graph, [win], min_count)
+
+    @precondition(lambda self: self.graph.nodes)
+    @rule(data=st.data(), size=st.integers(1, 6), warmup=st.integers(0, 2),
+          threshold=st.sampled_from([0.0, 0.6]))
+    def checkpoint(self, data, size, warmup, threshold):
+        """Fold a window, evolve and unlock; records may name a missing id."""
+        ids = sorted(self.graph.nodes) + ["ghost"]
+        edges = [(src, dst, kind.value) for src, dst, kind in sorted(self.graph.edges())]
+        records = [TrajectoryRecord(
+            task_id=f"t{i}", task_type=data.draw(st.sampled_from(CATEGORIES)),
+            retrieved_skill_ids=data.draw(st.lists(st.sampled_from(ids), unique=True,
+                                                   max_size=4), label="retrieved"),
+            traversed_edges=data.draw(st.lists(st.sampled_from(edges), max_size=2)
+                                      if edges else st.just([]), label="traversed"),
+            steps=[{"action": "try", "observation": "stuck"}],
+            success=data.draw(st.booleans(), label="success")) for i in range(size)]
+        checkpoint(self.graph, records, HostileTeacher(data), HOSTILE_EVOLUTION,
+                   CurriculumParams(warmup_length=warmup, unlock_threshold=threshold))
+        assert all(n.title.strip() and len(n.title) <= MAX_TITLE_LENGTH
+                   for n in self.graph.nodes.values())
 
     # -- copies ------------------------------------------------------------
 

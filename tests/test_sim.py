@@ -61,6 +61,10 @@ GROUP_SIZE_CSV_SHA256 = {
     1: "c31a15165e60ff766dcbf23ff5e8a0d6db364051e5ffb182b5950727de0f8fd1",
     3: "41c09c4d0d4c92ab153075b4e500bf7db14804a3c9762e49dbafb7c6523b9dcb",
 }
+# the JSON `skillnet simulate --seed 42 --compare-flat` prints for the default
+# config, as the per-member-copy loop with its separate arm record printed it
+COMPARE_FLAT_SEED_42_SHA256 = \
+    "78da107935847d5f470fcde5f85a1b896cca55845ebcfdabc02c6c9a4c936a28"
 
 
 def task(chain: list[str], p0: float = 0.1, bonus: float = 0.2,
@@ -247,12 +251,14 @@ class TestGroupedRolloutOracle:
         for record, reference in zip(records, expected):
             assert vars(record) == vars(reference)
         assert rng.getstate() == oracle_rng.getstate()
-        # each member owns its lists and step dicts, as one call per member gave
-        owned = [result.ordered_skills]
+        # the members share one episode: one id list, one edge list and one
+        # step list, and the id list is not the retrieval result's own
+        first = records[0]
         for record in records:
-            owned += [record.retrieved_skill_ids, record.traversed_edges,
-                      record.steps, *record.steps]
-        assert len({id(obj) for obj in owned}) == len(owned)
+            assert record.retrieved_skill_ids is first.retrieved_skill_ids
+            assert record.traversed_edges is first.traversed_edges
+            assert record.steps is first.steps
+        assert first.retrieved_skill_ids is not result.ordered_skills
 
 
 class TestFlatRetrieve:
@@ -497,6 +503,30 @@ class TestWindowReuse:
         assert len(checked) == 6 and all(checked)
 
 
+class TestRecordsAreOnlyRead:
+    """A group's records share their lists, so nothing may write to one."""
+
+    @pytest.mark.parametrize("arm", ["graph", "flat"])
+    def test_checkpoint_leaves_the_window_records_unchanged(self, arm, monkeypatch):
+        real_checkpoint = simulate_mod.checkpoint
+        reports: list[EvolutionReport] = []
+
+        def checking_checkpoint(graph, records, *args):
+            before = copy.deepcopy(records)
+            report = real_checkpoint(graph, records, *args)
+            assert records == before
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(simulate_mod, "checkpoint", checking_checkpoint)
+        config = tiny_config(steps=60, tasks_per_step=6)
+        config.evolution.merge_jaccard = 0.0  # lets the teacher merge too
+        run_loop(config, 42, retriever=arm)
+        assert len(reports) == 12
+        for change in ("inserted", "merged", "split"):
+            assert any(getattr(report, change) for report in reports), change
+
+
 def two_level_graph() -> SkillGraph:
     graph = SkillGraph()
     graph.add_skill(make_node("base", category="clean"))
@@ -639,6 +669,15 @@ class TestCompareRetrievers:
             pytest.approx(outcome.flat_arm.task_success, abs=1e-12)
         assert outcome.graph_arm.task_success < 0.25
         assert outcome.graph_arm.mean_retrieved_len == 0.0
+
+    def test_compare_flat_json_at_seed_42_is_byte_identical(self, tmp_path, capsys):
+        from skillnet.cli import main
+
+        assert main(["simulate", "--seed", "42", "--out", str(tmp_path / "m.csv"),
+                     "--compare-flat"]) == 0
+        out = capsys.readouterr().out
+        assert sha256(out[out.index("{"):].encode("utf-8")).hexdigest() == \
+            COMPARE_FLAT_SEED_42_SHA256
 
     def test_paired_arms_share_task_stream(self):
         outcome = compare_retrievers(tiny_config(), 4)
