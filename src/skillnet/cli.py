@@ -2,9 +2,10 @@
 
 Subcommands: init, retrieve, ingest, evolve, simulate, stats, export-dot.
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 proposer/network error. Outputs are written atomically, and
-input files are never mutated, with one exception: ``evolve`` without
-``--out`` rewrites its ``--graph`` snapshot in place.
+2 data error, 3 proposer/network error. Output paths are checked before any
+work, outputs are written atomically, and input files are never mutated,
+with one exception: ``evolve`` without ``--out`` rewrites its ``--graph``
+snapshot in place.
 """
 
 from __future__ import annotations
@@ -118,7 +119,20 @@ def _require_graph(args: argparse.Namespace) -> SkillGraph:
     return load_graph(args.graph, strict=args.strict)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Reject an output path whose directory cannot take the file; None
+    stands for an output not asked for."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigInvalid(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir() or not os.access(target.parent, os.W_OK | os.X_OK):
+            raise ConfigInvalid(
+                f"cannot write {path}: {target.parent} is not a writable directory")
+
+
 def _cmd_init(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     try:
         records = json.loads(Path(args.skills).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -185,6 +199,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     app = load_app_config(args.config, strict=args.strict)
     graph = _require_graph(args)
+    # a failed write must never leave the window evolved on disk: refuse a
+    # bad output before evolving, and write the snapshot last
+    _check_writable(args.out or args.graph, args.report)
     outcome = ingest_trajectories(args.window, graph=graph)
     for lineno, message in outcome.errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
@@ -196,29 +213,18 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     report = checkpoint(graph, outcome.records, proposer, app.evolution,
                         app.curriculum)
 
-    save_graph(graph, args.out or args.graph)
     if args.report:
         _atomic_write(args.report,
                       json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    save_graph(graph, args.out or args.graph)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _check_writable(path: str) -> None:
-    """Reject an output path whose directory cannot take the file."""
-    target = Path(path)
-    if target.is_dir():
-        raise ConfigInvalid(f"cannot write {path}: it is a directory")
-    if not target.parent.is_dir() or not os.access(target.parent, os.W_OK | os.X_OK):
-        raise ConfigInvalid(
-            f"cannot write {path}: {target.parent} is not a writable directory")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sim_config = load_app_config(args.config, strict=args.strict).simulation
     # the outputs are written after the whole run; refuse a bad path up front
-    for path in filter(None, (args.out, args.graph_out)):
-        _check_writable(path)
+    _check_writable(args.out, args.graph_out)
     metrics, graph = run_loop(sim_config, args.seed)
     _atomic_write(args.out, metrics.to_csv())
     print(f"{len(metrics.rows)} checkpoint(s) -> {args.out}")
@@ -249,6 +255,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     graph = _require_graph(args)
     text = export_dot(graph, hide_deprecated=args.hide_deprecated)
     if args.out:

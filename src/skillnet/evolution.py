@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -232,23 +231,37 @@ def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
 def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
                   threshold: float) -> set[tuple[str, str]]:
     """Pairs (u, v), u before v in ``live``, whose neighborhood prefixes
-    share an id: a superset of the pairs with Jaccard >= ``threshold`` > 0.
+    share an id and whose sizes pass the length filter: a superset of the
+    pairs with Jaccard >= ``threshold`` > 0. ``live`` is sorted, and
+    ``neighborhoods`` maps each of its ids to its live neighbors, both ways,
+    as ``SkillGraph.neighbors`` does.
 
-    J(x, y) >= t needs |x & y| >= t|x|, so once each neighborhood is sorted
-    by one global order (rarest id first), two such sets share an id within
-    their first |x| - ceil(t|x|) + 1 ids. One more id of margin covers float
-    rounding of t|x| and of the Jaccard quotient. Empty neighborhoods have
-    J = 0 and are never candidates.
+    Prefix filter: J(x, y) >= t needs |x & y| >= t|x|, so once each
+    neighborhood is sorted by one global rank (rarest id first, ties by id),
+    two such sets share an id within their first |x| - ceil(t|x|) + 1 ids;
+    one more id of margin covers float rounding of t|x| and of the Jaccard
+    quotient. Length filter: the pair is kept only if
+    min(|x|, |y|) / max(|x|, |y|) >= t as a float. ``jaccard`` returns the
+    rounded i/u with i <= min and u >= max, and rounded division is
+    monotone, so it cannot reach t when min/max does not. Empty
+    neighborhoods post nothing and are never candidates.
     """
-    frequency = Counter(w for v in live for w in neighborhoods[v])
+    # as neighborhoods are symmetric, an id's frequency across them is the
+    # size of its own; a stable sort of the sorted ids by it ranks by
+    # (frequency, id)
+    size_of = {v: len(neighborhoods[v]) for v in live}
+    rank = dict(zip(sorted(live, key=size_of.__getitem__), range(len(live))))
     index: dict[str, list[str]] = {}
     pairs: set[tuple[str, str]] = set()
     for v in live:
-        ordered = sorted(neighborhoods[v], key=lambda w: (frequency[w], w))
+        ordered = sorted(neighborhoods[v], key=rank.__getitem__)
         size = len(ordered)
         for w in ordered[:max(0, size - math.ceil(threshold * size) + 2)]:
             postings = index.setdefault(w, [])
-            pairs.update((u, v) for u in postings)
+            for u in postings:
+                other = size_of[u]
+                if (other / size if other < size else size / other) >= threshold:
+                    pairs.add((u, v))
             postings.append(v)
     return pairs
 
@@ -257,11 +270,13 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     """Live pairs (a < b) whose all-kind, both-way neighborhoods have
     ``jaccard >= threshold``, sorted.
 
-    For a positive threshold the pairs compared come from a prefix-filtered
-    inverted neighbor index (Bayardo et al., WWW 2007), which drops only
-    pairs that cannot reach the threshold; every remaining pair is checked
-    with ``jaccard``. The result is therefore exactly that of comparing all
-    pairs, in the same order. A threshold of 0 admits every pair, empty
+    For a positive threshold the pairs compared come from an inverted
+    neighbor index with the prefix and length filters of Bayardo et al.
+    (WWW 2007; see ``_prefix_pairs``), which drop only pairs that cannot
+    reach the threshold: the rounded ``jaccard`` never exceeds the rounded
+    size ratio, so the length filter needs no margin. Every remaining pair
+    is checked with ``jaccard``, so the result is exactly that of comparing
+    all pairs, in the same order. A threshold of 0 admits every pair, empty
     neighborhoods included, so it compares all pairs.
     """
     live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
@@ -278,13 +293,15 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
                cfg: EvolutionConfig) -> list[tuple[str, list[str]]]:
     """Fold together skill pairs whose graph neighborhoods nearly coincide.
 
-    Candidate pairs are fixed up front by ``merge_candidates``: a
-    prefix-filtered neighbor index proposes them and ``jaccard`` checks each,
-    so they are exactly the pairs an all-pairs scan finds, in the same sorted
-    order. A pair is skipped when either member was consumed earlier in the
-    pass. The survivor keeps the lexicographically smaller id, takes the
-    teacher's unified wording, inherits the union of both edge sets (higher
-    weight wins on duplicates), and sums both statistics and both sets of
+    Candidate pairs are fixed up front by ``merge_candidates``: a neighbor
+    index proposes the pairs that pass its prefix filter (their rarest
+    neighbors meet) and length filter (their neighborhood sizes allow the
+    threshold), and ``jaccard`` checks each, so they are exactly the pairs
+    an all-pairs scan finds, in the same sorted order. A pair is skipped
+    when either member was consumed earlier in the pass. The survivor keeps
+    the lexicographically smaller id, takes the teacher's unified wording,
+    inherits the union of both edge sets (higher weight wins on
+    duplicates), and sums both statistics and both sets of
     co-appearance counts.
     """
     merges: list[tuple[str, list[str]]] = []

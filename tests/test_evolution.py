@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +380,61 @@ class TestMergeCandidatesOracle:
     def test_candidates_equal_the_all_pairs_scan(self, graph, threshold):
         assert merge_candidates(graph, threshold) == \
             reference_candidates(graph, threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=neighborhood_graphs())
+    def test_an_ids_frequency_is_its_neighborhood_size(self, graph):
+        # the identity through which the prefix filter ranks by (frequency, id)
+        live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
+        neighborhoods = {v: graph.neighbors(v) for v in live}
+        frequency = Counter(w for v in live for w in neighborhoods[v])
+        assert set(frequency) <= set(live)
+        assert all(frequency[w] == len(neighborhoods[w]) for w in live)
+
+    @pytest.mark.parametrize("threshold, kept", [
+        (6 / 7, True), (math.nextafter(6 / 7, 1.0), False), (0.85, True)])
+    def test_length_filter_boundary(self, threshold, kept):
+        # N(a) = n0..n5 inside N(b) = n0..n6: J(a, b) is the size ratio 6/7
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"] + [f"n{i}" for i in range(7)])
+        for i in range(7):
+            if i < 6:
+                graph.add_edge("a", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
+            graph.add_edge("b", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
+        candidates = merge_candidates(graph, threshold)
+        assert (("a", "b") in candidates) is kept
+        assert candidates == reference_candidates(graph, threshold)
+
+    def test_sizes_alone_exclude_a_pair_sharing_its_rarest_neighbor(self, monkeypatch):
+        # N(lean) = {a_rare, x}, N(wide) = {a_rare, y0..y9}; the filler makes
+        # x and every y as frequent as a_rare, which wins the tie by id
+        graph = SkillGraph()
+        ys = [f"y{i}" for i in range(10)]
+        add_nodes(graph, ["lean", "wide", "a_rare", "x", "filler"] + ys)
+        for src, dst in ([("lean", "a_rare"), ("lean", "x"), ("wide", "a_rare"),
+                          ("filler", "x")] + [("wide", y) for y in ys]
+                         + [("filler", y) for y in ys]):
+            graph.add_edge(src, dst, EdgeKind.CO_OCCUR, 0.5)
+        live = sorted(graph.nodes)
+        neighborhoods = {v: graph.neighbors(v) for v in live}
+        frequency = Counter(w for v in live for w in neighborhoods[v])
+        for v in ("lean", "wide"):
+            assert min(neighborhoods[v], key=lambda w: (frequency[w], w)) == "a_rare"
+        compared = []
+        real_jaccard = evolution.jaccard
+
+        def spy(a, b):
+            compared.append({frozenset(a), frozenset(b)})
+            return real_jaccard(a, b)
+
+        monkeypatch.setattr(evolution, "jaccard", spy)
+        candidates = merge_candidates(graph, 0.85)  # 2 / 11 < 0.85
+        assert candidates == reference_candidates(graph, 0.85)
+        proposed = evolution._prefix_pairs(live, neighborhoods, 0.85)
+        assert ("lean", "wide") not in proposed
+        assert len(compared) == len(proposed)  # one jaccard call per proposed pair
+        assert {frozenset(neighborhoods["lean"]), frozenset(neighborhoods["wide"])} \
+            not in compared
 
     def test_zero_threshold_admits_every_pair(self):
         graph = SkillGraph()

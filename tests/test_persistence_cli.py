@@ -847,6 +847,53 @@ class TestCli:
                      "--out", str(tmp_path / "missing" / "g.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--window", "{window}", "--report", "{bad}"],
+        ["evolve", "--window", "{window}", "--out", "{bad}"],
+        ["evolve", "--window", "{window}", "--report", "{report}", "--out", "{bad}"],
+        ["export-dot", "--out", "{bad}"],
+        ["init", "--skills", "{skills}", "--out", "{bad}"],
+    ], ids=["evolve-report", "evolve-out", "evolve-out-after-report", "export-dot",
+            "init"])
+    @pytest.mark.parametrize("bad", ["nodir/x.json", "."])
+    def test_a_bad_output_is_refused_before_any_work(self, tmp_path, capsys, argv, bad):
+        skills = self.write_skills(tmp_path)
+        graph_path = tmp_path / "g.json"
+        assert main(["init", "--skills", skills, "--out", str(graph_path)]) == 0
+        window = tmp_path / "w.jsonl"
+        save_trajectories([TrajectoryRecord(
+            task_id="t", task_type="clean", retrieved_skill_ids=["c1"],
+            success=True)], window)
+        before = graph_path.read_bytes()
+        paths = {"window": window, "skills": skills, "bad": tmp_path / bad,
+                 "report": tmp_path / "r.json"}
+        argv = ["--graph", str(graph_path)] + [a.format(**paths) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {paths['bad']}: ")
+        assert err.count("\n") == 1 and ".tmp" not in err
+        assert graph_path.read_bytes() == before
+        assert not paths["report"].exists() and not (tmp_path / "nodir").exists()
+
+    def test_evolve_in_place_refuses_a_graph_it_cannot_rewrite(
+            self, tmp_path, capsys, monkeypatch):
+        from skillnet import cli
+        graph_path = tmp_path / "g.json"
+        assert main(["init", "--skills", self.write_skills(tmp_path),
+                     "--out", str(graph_path)]) == 0
+        window = tmp_path / "w.jsonl"
+        save_trajectories([], window)
+        before = graph_path.read_bytes()
+        real_access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            False if Path(path) == tmp_path else real_access(path, mode)))
+        capsys.readouterr()
+        assert main(["--graph", str(graph_path), "evolve", "--window", str(window)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {graph_path}: ") and err.count("\n") == 1
+        assert graph_path.read_bytes() == before
+
     @pytest.mark.parametrize("flag", ["--out", "--graph-out"])
     @pytest.mark.parametrize("bad", ["missing/x", "."])
     def test_simulate_refuses_a_bad_output_before_running(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 from hashlib import sha256
 
@@ -60,6 +61,16 @@ ARM_CSV_SHA256 = {
 GROUP_SIZE_CSV_SHA256 = {
     1: "c31a15165e60ff766dcbf23ff5e8a0d6db364051e5ffb182b5950727de0f8fd1",
     3: "41c09c4d0d4c92ab153075b4e500bf7db14804a3c9762e49dbafb7c6523b9dcb",
+}
+# metrics CSVs at seed 42 with ``merge_jaccard`` lowered so that merge_scan
+# merges (the default run never does), as the scan before its length filter
+# wrote them: (threshold, arm) -> (merges over the run, sha256). 0.5 and 0.2
+# take the filtered index, 0.0 the all-pairs path.
+MERGE_CSV_SHA256 = {
+    (0.5, "graph"): (1, "e84ed43207bc19f97616e5dbcca7bcc19ad1166cdf2a4680ac90da1fce8f35aa"),
+    (0.2, "graph"): (12, "6b8ff7c3fd25fff3ecb344a38afe82b4376ce15cd6597612b5a36623e67c3cfc"),
+    (0.0, "graph"): (76, "d66c067819ecb839f0d3169f23cfbbfc435c2a5b2420cea698df69f1ac82aa15"),
+    (0.0, "flat"): (58, "21e5797a3a547eafa8e994e11bb56ba22a1712bb6600239dfb134ffe744a688d"),
 }
 # the JSON `skillnet simulate --seed 42 --compare-flat` prints for the default
 # config, as the per-member-copy loop with its separate arm record printed it
@@ -384,6 +395,16 @@ class TestRunLoop:
         metrics, _ = run_loop(config, 42)
         assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == \
             GROUP_SIZE_CSV_SHA256[group_size]
+
+    @pytest.mark.parametrize("threshold, arm", sorted(MERGE_CSV_SHA256))
+    def test_runs_that_merge_are_byte_identical(self, threshold, arm):
+        config = default_sim_config()
+        config = dataclasses.replace(config, evolution=dataclasses.replace(
+            config.evolution, merge_jaccard=threshold))
+        metrics, _ = run_loop(config, 42, retriever=arm)
+        merges, digest = MERGE_CSV_SHA256[threshold, arm]
+        assert sum(len(report.merged) for report in metrics.reports) == merges
+        assert sha256(metrics.to_csv().encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("arm", ["graph", "flat"])
     def test_one_rollout_call_per_task_with_the_group_size(self, arm, monkeypatch):
