@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Iterable, KeysView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -82,6 +83,10 @@ class SkillNode:
 
     def is_general(self) -> bool:
         return self.category == GENERAL_CATEGORY
+
+
+# a node's field values in declaration order, for positional copies
+_node_values = attrgetter(*(f.name for f in fields(SkillNode)))
 
 
 def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
@@ -364,13 +369,21 @@ class SkillGraph:
         return self._out.get(skill_id, {}).keys() | self._in.get(skill_id, {}).keys()
 
     def neighbors(self, skill_id: str) -> set[str]:
-        """Adjacent non-deprecated skills over all kinds and both directions."""
+        """Adjacent non-deprecated skills over all kinds and both directions.
+
+        ``_out`` and ``_in`` hold no key in common (that would be a
+        self-loop), so they are walked one after the other; a key in ``_in``
+        always ends at ``skill_id``.
+        """
+        nodes = self.nodes
         adjacent: set[str] = set()
-        for src, dst, _ in self.incident_edges(skill_id):
+        for src, dst, _ in self._out.get(skill_id, ()):
             other = dst if src == skill_id else src
-            node = self.nodes.get(other)
-            if node is not None and not node.deprecated:
+            if not nodes[other].deprecated:
                 adjacent.add(other)
+        for src, _, _ in self._in.get(skill_id, ()):
+            if not nodes[src].deprecated:
+                adjacent.add(src)
         return adjacent
 
     # ------------------------------------------------------------------
@@ -509,7 +522,7 @@ class SkillGraph:
         """
         self.ensure_levels()
         clone = SkillGraph()
-        clone.nodes = {v: SkillNode(**vars(n)) for v, n in self.nodes.items()}
+        clone.nodes = {v: SkillNode(*_node_values(n)) for v, n in self.nodes.items()}
         clone._edges = dict(self._edges)
         clone._out = {v: keys.copy() for v, keys in self._out.items()}
         clone._in = {v: keys.copy() for v, keys in self._in.items()}

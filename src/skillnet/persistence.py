@@ -14,7 +14,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -265,19 +265,27 @@ def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    A failed write leaves no temporary file behind and raises an OSError
+    that names ``path``, not the temporary name.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
+                                   prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             # the rename must not reach the disk before the data it names
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -291,19 +299,15 @@ def _object_template(names: set[str], indent: int) -> str:
 
 
 # save_graph writes json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
-# + "\n" in one pass: a %-template per record, values encoded as json.dumps
-# encodes them. The node record is built from the stored fields, so a field
-# added to SkillNode is written, or refused here if its type has no encoder.
-_ENCODE = {str: encode_basestring_ascii, int: repr, float: repr,
-           bool: {False: "false", True: "true"}.__getitem__}
-_NODE_RECORD = _object_template(_NODE_FIELDS, 4)
-_NODE_VALUES = [
-    (attrgetter(name), _ENCODE[_NODE_TYPES[name]]) if name in _NODE_TYPES
-    else (SkillNode.success_rate, repr)  # the one derived field
-    for name in sorted(_NODE_FIELDS)]
-_EDGE_RECORD = _object_template(_EDGE_FIELDS, 4)
+# + "\n" in one pass, values encoded as json.dumps encodes them: one f-string
+# per record, its keys in sorted order, strings through encode_basestring_ascii,
+# ints and floats through repr. Ids are quoted once per save; nodes and edges
+# are visited by sorting the ids and keys themselves, which gives the order of
+# graph_to_dict (the keys are unique) and allocates no tuple per record. A
+# field added to SkillNode must be added to the node record too; the writer
+# test against json.dumps fails until it is.
+_BOOL_TEXT = {False: "false", True: "true"}
 _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
-_PAIR_RECORD = "    [\n      %s,\n      %s,\n      %s\n    ]"
 _SNAPSHOT = _object_template(_TOP_LEVEL_FIELDS, 0) + "\n"
 _META = _object_template(_META_FIELDS, 2).lstrip()  # opens after its key
 
@@ -317,16 +321,37 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
     with ``indent=2, sort_keys=True`` and a final newline."""
     graph.ensure_levels()
     quote = encode_basestring_ascii
-    nodes = [_NODE_RECORD % tuple([encode(get(node)) for get, encode in _NODE_VALUES])
-             for _, node in sorted(graph.nodes.items())]
-    edges = [_EDGE_RECORD % (quote(dst), _KIND_TEXT[kind], quote(src), repr(weight))
-             for (src, dst, kind), weight in sorted(graph.edges().items())]
-    pairs = [_PAIR_RECORD % (quote(a), quote(b), count)
-             for (a, b), count in sorted(graph.co_counts.items())]
+    nodes = graph.nodes
+    ids = {v: quote(v) for v in nodes}
+    node_records = [
+        f'    {{\n      "category": {quote(n.category)},\n'
+        f'      "created_step": {n.created_step!r},\n'
+        f'      "deprecated": {_BOOL_TEXT[n.deprecated]},\n'
+        f'      "level": {n.level!r},\n'
+        f'      "n_succ": {n.n_succ!r},\n'
+        f'      "n_use": {n.n_use!r},\n'
+        f'      "principle": {quote(n.principle)},\n'
+        f'      "skill_id": {quote(n.skill_id)},\n'
+        f'      "success_rate": {n.success_rate()!r},\n'
+        f'      "title": {quote(n.title)},\n'
+        f'      "when_to_apply": {quote(n.when_to_apply)}\n    }}'
+        for n in map(nodes.__getitem__, sorted(nodes))]
+    weights = graph.edges()
+    edge_records = [
+        f'    {{\n      "dst": {ids[key[1]]},\n'
+        f'      "kind": {_KIND_TEXT[key[2]]},\n'
+        f'      "src": {ids[key[0]]},\n'
+        f'      "weight": {weights[key]!r}\n    }}'
+        for key in sorted(weights)]
+    counts = graph.co_counts
+    pair_records = [
+        f'    [\n      {quote(pair[0])},\n      {quote(pair[1])},\n'
+        f'      {counts[pair]!r}\n    ]'
+        for pair in sorted(counts)]
     meta = _META % (graph.checkpoint_index, graph.highest_active_level,
                     graph.next_dynamic_id)
-    _atomic_write(path, _SNAPSHOT % (_section(pairs), _section(edges), meta,
-                                     _section(nodes), SNAPSHOT_VERSION))
+    _atomic_write(path, _SNAPSHOT % (_section(pair_records), _section(edge_records),
+                                     meta, _section(node_records), SNAPSHOT_VERSION))
 
 
 def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
@@ -358,7 +383,9 @@ def ingest_trajectories(path: str | Path,
     records: list[TrajectoryRecord] = []
     errors: list[tuple[int, str]] = []
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # "\n" only: splitlines also breaks at U+2028, U+2029 and U+0085,
+        # which JSON allows raw inside strings (read_text turns CRLF into "\n")
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):

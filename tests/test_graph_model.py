@@ -185,6 +185,18 @@ class TestHasAnyEdge:
                     assert graph.has_any_edge(a, b) == expected, (a, b)
 
 
+class TestNeighbors:
+    def test_matches_a_scan_of_every_edge(self, rng):
+        for _ in range(30):
+            graph = random_graph(rng, deprecated_rate=0.3)
+            for v in graph.nodes:  # deprecated nodes included
+                expected = {b if a == v else a for a, b, _ in graph.edges()
+                            if v in (a, b)}
+                expected = {u for u in expected if not graph.nodes[u].deprecated}
+                assert graph.neighbors(v) == expected, v
+        assert graph.neighbors("missing") == set()
+
+
 class TestInitEdges:
     def test_structural_priors(self):
         graph = SkillGraph()

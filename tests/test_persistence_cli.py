@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -35,6 +36,10 @@ from skillnet.errors import ParseError, VersionMismatch
 
 from conftest import add_nodes, make_node, random_graph
 from test_config import BAD_CONFIGS
+
+
+def disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestSnapshotRoundTrip:
@@ -102,6 +107,17 @@ class TestSnapshotRoundTrip:
                             lambda a, b: events.append("replace") or replace(a, b))
         save_graph(SkillGraph(), tmp_path / "g.json")
         assert events == ["fsync", "replace"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_a_failed_write_names_the_path(self, tmp_path, monkeypatch, step):
+        monkeypatch.setattr(os, step, disk_full)
+        path = tmp_path / "g.json"
+        with pytest.raises(OSError) as info:
+            save_graph(SkillGraph(), path)
+        assert info.value.errno == errno.ENOSPC
+        assert f"cannot write {path}: " in str(info.value)
+        assert ".tmp" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_node_field_rejected(self, tmp_path, rng):
         data = graph_to_dict(random_graph(rng, n=2))
@@ -342,6 +358,28 @@ class TestTrajectories:
         outcome = ingest_trajectories(path)
         assert len(outcome.records) == 3
         assert [lineno for lineno, _ in outcome.errors] == [3]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path, char):
+        record = self.record(0)
+        record.steps[0]["observation"] = f"mug{char}on desk"
+        lines = [json.dumps(r.to_dict(), ensure_ascii=False)
+                 for r in (record, self.record(1))]
+        lines.insert(1, "{not json")
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcome = ingest_trajectories(path)
+        assert [r.task_id for r in outcome.records] == ["t0", "t1"]
+        assert outcome.records[0].steps[0]["observation"] == f"mug{char}on desk"
+        assert [lineno for lineno, _ in outcome.errors] == [2]
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps(self.record(i).to_dict()) for i in range(2)]
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        outcome = ingest_trajectories(path)
+        assert [r.task_id for r in outcome.records] == ["t0", "t1"]
+        assert outcome.errors == []
 
     def test_unknown_skill_id_accepted_with_warning(self, tmp_path, caplog):
         graph = SkillGraph()
@@ -846,6 +884,17 @@ class TestCli:
         assert main(["init", "--skills", self.write_skills(tmp_path),
                      "--out", str(tmp_path / "missing" / "g.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_write_that_fails_after_the_checks_names_the_path(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "fsync", disk_full)
+        out = tmp_path / "g.json"
+        assert main(["init", "--skills", self.write_skills(tmp_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cannot write {out}: " in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["skills.json"]
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--window", "{window}", "--report", "{bad}"],

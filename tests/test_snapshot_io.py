@@ -103,6 +103,59 @@ def test_writer_covers_empty_and_populated_sections():
     assert saved_text(graph) == oracle_text(graph)
 
 
+# text that json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters
+TRICKY_TEXT = ['say "hi"', "C:\\path\\", "tab\tnew\nline\x00\x1f", "café 中文",
+               "\u2028\u00a0\U0001f600", "/slash/"]
+
+
+def library_scale_graph(seed: int) -> SkillGraph:
+    """``random_graph`` at 2000 nodes, plus ids with long shared prefixes and
+    escaped characters, tricky text, the weights whose repr is easy to get
+    wrong on every edge kind, and co-appearance counts."""
+    rng = random.Random(seed)
+    graph = random_graph(rng, n=2000)
+    prefix = "skill-with-a-long-shared-prefix-" * 3
+    extra = [f"{prefix}{i:02d}" for i in range(20)] + [f'{prefix}"q\\', f"{prefix}é"]
+    add_nodes(graph, extra, category="heat")
+    ids = sorted(graph.nodes)
+    for i, skill_id in enumerate(rng.sample(ids, 300)):
+        node = graph.nodes[skill_id]
+        node.title = f"{TRICKY_TEXT[i % len(TRICKY_TEXT)]} {skill_id}"
+        node.principle = TRICKY_TEXT[(i + 1) % len(TRICKY_TEXT)]
+        node.deprecated = node.deprecated or i % 5 == 0
+    for a, b in zip(extra, extra[1:]):
+        graph.add_edge(a, b, EdgeKind.CO_OCCUR, 0.5)
+        graph.co_counts[pair_key(a, b)] = rng.randint(1, 10**6)
+    keys = list(graph.edges())
+    for kind in EdgeKind:
+        of_kind = [key for key in keys if key[2] is kind]
+        for key, weight in zip(rng.sample(of_kind, 4), [0.0, 1.0, 1e-07, 0.1 + 0.2]):
+            graph.set_weight(key, weight)
+    return graph
+
+
+def first_difference(saved: str, expected: str) -> tuple[int, str, str] | None:
+    """None for equal texts, else the first offset where they differ and the
+    text around it in each: a readable failure where a diff of two
+    megabyte-sized texts would take minutes."""
+    if saved == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(saved, expected)) if a != b),
+              min(len(saved), len(expected)))
+    return at, saved[at - 200:at + 200], expected[at - 200:at + 200]
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_writer_matches_the_general_encoder_at_library_scale(seed):
+    graph = library_scale_graph(seed)
+    assert any(node.deprecated for node in graph.nodes.values()) and graph.co_counts
+    assert {kind for _, _, kind in graph.edges()} == set(EdgeKind)
+    before = graph_to_dict(graph)
+    assert first_difference(saved_text(graph), oracle_text(graph)) is None
+    assert graph_to_dict(graph) == before
+
+
 # ----------------------------------------------------------------------
 # loader: the same graph as one add_edge per edge
 
