@@ -23,9 +23,11 @@ from .config import load_app_config
 from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
 from .model import SkillGraph, SkillNode
 from .persistence import (
+    decode_json,
     export_dot,
     ingest_trajectories,
     load_graph,
+    read_text,
     save_graph,
     _atomic_write,
     _check_types,
@@ -133,13 +135,7 @@ def _check_writable(*paths: str | None) -> None:
 
 def _cmd_init(args: argparse.Namespace) -> int:
     _check_writable(args.out)
-    try:
-        records = json.loads(Path(args.skills).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read {args.skills}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {args.skills}: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
+    records = decode_json(read_text(args.skills, ConfigInvalid), args.skills)
     if not isinstance(records, list):
         raise ParseError("skills file must be a JSON array of skill records")
     graph = SkillGraph()

@@ -10,7 +10,6 @@ out-of-range value becomes one ConfigInvalid before any graph work starts.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import sys
 import types
@@ -19,8 +18,9 @@ from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .curriculum import CurriculumParams
-from .errors import ConfigInvalid, ParseError
+from .errors import ConfigInvalid
 from .evolution import EvolutionConfig
+from .persistence import decode_json, read_text
 from .proposer import ProposerParams
 from .retrieval import RetrievalParams
 from .simulate import SimConfig, default_sim_config
@@ -112,13 +112,7 @@ def load_app_config(path: str | Path | None, strict: bool = False) -> AppConfig:
     """
     if path is None:
         return AppConfig()
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
+    data = decode_json(read_text(path, ConfigInvalid), path)
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
     sections = {f.name for f in dataclasses.fields(AppConfig)}

@@ -30,7 +30,7 @@ from .errors import (
 from .model import (
     GENERAL_CATEGORY, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
 )
-from .persistence import TrajectoryRecord, normalize_edge_keys
+from .persistence import TrajectoryRecord
 from .proposer import (
     FailureSummary,
     Proposer,
@@ -419,7 +419,8 @@ def reinforce_paths(graph: SkillGraph, successes: list[TrajectoryRecord],
     applied = 0
     stale = 0
     for record in successes:
-        for key in normalize_edge_keys(record):
+        for src, dst, kind in record.traversed_edges:
+            key = edge_key(src, dst, kind)
             weight = graph.weight(*key)
             if weight is None:
                 stale += 1

@@ -1,5 +1,10 @@
 """Graph snapshot files, trajectory JSONL handling, and DOT export.
 
+This module holds the one reader of outside JSON: every file the package
+reads goes through ``read_text``, and every JSON document or line through
+``decode_json``, where bad syntax, nesting too deep and an integer too long
+all become a ParseError.
+
 Snapshots are single JSON documents written atomically (temp file then
 rename) with canonical ordering, so saving the same graph twice produces
 byte-identical files. Trajectories are JSONL: streamable and appendable
@@ -25,7 +30,7 @@ from .errors import (
     SkillNetError,
     VersionMismatch,
 )
-from .model import EdgeKind, SkillGraph, SkillNode, edge_key, pair_key
+from .model import EdgeKind, SkillGraph, SkillNode, pair_key
 
 logger = logging.getLogger(__name__)
 
@@ -354,17 +359,34 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
                                      meta, _section(node_records), SNAPSHOT_VERSION))
 
 
-def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
+def read_text(path: str | Path, unreadable: type[SkillNetError] = ParseError) -> str:
+    """A file's UTF-8 text; a failed read or decode raises ``unreadable``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise unreadable(f"cannot read {path}: {exc}") from exc
+
+
+def decode_json(text: str, where: str | Path) -> Any:
+    """Decode one JSON document from outside; ``where`` names it in errors.
+
+    Nesting deeper than the interpreter's recursion limit and an integer of
+    more digits than ``int`` converts are ParseErrors too, with no position.
+    """
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}",
+        raise ParseError(f"invalid JSON in {where}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
-    return graph_from_dict(data, strict=strict)
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError:
+        reason = "integer too long"
+    raise ParseError(f"invalid JSON in {where}: {reason}")
+
+
+def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
+    return graph_from_dict(decode_json(read_text(path), path), strict=strict)
 
 
 # ----------------------------------------------------------------------
@@ -382,19 +404,15 @@ def ingest_trajectories(path: str | Path,
     """
     records: list[TrajectoryRecord] = []
     errors: list[tuple[int, str]] = []
-    try:
-        # "\n" only: splitlines also breaks at U+2028, U+2029 and U+0085,
-        # which JSON allows raw inside strings (read_text turns CRLF into "\n")
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    # "\n" only: splitlines also breaks at U+2028, U+2029 and U+0085,
+    # which JSON allows raw inside strings (read_text turns CRLF into "\n")
+    lines = read_text(path).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            record = TrajectoryRecord.from_dict(obj)
-        except (json.JSONDecodeError, ParseError) as exc:
+            record = TrajectoryRecord.from_dict(decode_json(line, path))
+        except ParseError as exc:
             errors.append((lineno, str(exc)))
             continue
         if graph is not None:
@@ -412,18 +430,6 @@ def save_trajectories(records: list[TrajectoryRecord], path: str | Path,
     with open(path, mode, encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
-def normalize_edge_keys(record: TrajectoryRecord) -> list[tuple[str, str, EdgeKind]]:
-    """Turn a record's stringly edge triples into canonical edge keys,
-    skipping an unknown kind (only a record built in code has one)."""
-    keys = []
-    for src, dst, kind in record.traversed_edges:
-        try:
-            keys.append(edge_key(src, dst, EdgeKind(kind)))
-        except ValueError:
-            logger.warning("skipping edge with unknown kind %r", kind)
-    return keys
 
 
 # ----------------------------------------------------------------------

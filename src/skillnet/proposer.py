@@ -289,8 +289,10 @@ def extract_json_array(text: str) -> list[Any]:
             continue
         try:
             value, _ = decoder.raw_decode(text[i:])
-        except json.JSONDecodeError:
+        except ValueError:  # bad syntax, or an integer too long to convert
             continue
+        except RecursionError:  # every later "[" would overflow again
+            raise ProposerParseError("proposer response nested too deeply") from None
         if isinstance(value, list):
             return value
     raise ProposerParseError("no JSON array found in proposer response")
@@ -351,7 +353,7 @@ class HttpProposer(Proposer):
                 f"proposer endpoint returned HTTP {response.status_code}")
         try:
             content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ProposerParseError(f"malformed completion payload: {exc}") from exc
         if not isinstance(content, str):
             raise ProposerParseError(

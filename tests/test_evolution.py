@@ -619,6 +619,14 @@ class TestReinforce:
             graph, [success_record(["a", "b"], [("b", "a", "co_occur")])], 0.05)
         assert applied == 1
 
+    def test_unknown_kind_built_in_code_is_refused(self):
+        # a parsed record never holds one: TrajectoryRecord.from_dict refuses it
+        graph = self.linked(0.30)
+        with pytest.raises(ValueError, match="bogus"):
+            reinforce_paths(graph, [success_record(["a", "b"], [("a", "b", "bogus")])],
+                            0.05)
+        assert graph.weight("a", "b", EdgeKind.PREREQ) == 0.30
+
 
 class TestDiscover:
     def test_single_coappearance_insufficient(self):

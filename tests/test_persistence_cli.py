@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -40,6 +41,16 @@ from test_config import BAD_CONFIGS
 
 def disk_full(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# each CLI argument that names an input file, with ``{bad}`` for the file
+FILE_BOUNDARIES = [
+    ["--graph", "{bad}", "stats"],
+    ["ingest", "--input", "{bad}"],
+    ["init", "--skills", "{bad}", "--out", "{out}"],
+    ["--config", "{bad}", "simulate", "--out", "{out}"],
+]
+FILE_BOUNDARY_IDS = ["stats-graph", "ingest-input", "init-skills", "config"]
 
 
 class TestSnapshotRoundTrip:
@@ -651,12 +662,7 @@ class TestCli:
     def test_graph_flag_required_for_stats(self, capsys):
         assert main(["stats"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["--graph", "{bad}", "stats"],
-        ["ingest", "--input", "{bad}"],
-        ["init", "--skills", "{bad}", "--out", "{out}"],
-        ["--config", "{bad}", "simulate", "--out", "{out}"],
-    ], ids=["stats-graph", "ingest-input", "init-skills", "config"])
+    @pytest.mark.parametrize("argv", FILE_BOUNDARIES, ids=FILE_BOUNDARY_IDS)
     def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys, argv):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b"\xff\xfe not utf-8")
@@ -666,6 +672,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document, reason", [
+        *((unit * depth, "nested too deeply")
+          for unit in ("[", '{"a":') for depth in (1000, 100000)),
+        ("[" + "9" * 5000 + "]", "integer too long"),
+    ], ids=["list-1000", "list-100000", "object-1000", "object-100000", "long-int"])
+    @pytest.mark.parametrize("argv", FILE_BOUNDARIES, ids=FILE_BOUNDARY_IDS)
+    def test_undecodable_input_is_a_data_error(self, tmp_path, capsys, argv,
+                                               document, reason):
+        # json.loads raises RecursionError or a bare ValueError for these,
+        # not JSONDecodeError
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        out = tmp_path / "out"
+        argv = [arg.format(bad=bad, out=out) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        prefix = "line 1: " if argv[0] == "ingest" else "error: "
+        assert err == f"{prefix}invalid JSON in {bad}: {reason}\n"
         assert not out.exists()
 
     def test_init_rejects_bad_skill_files(self, tmp_path, capsys):
@@ -978,3 +1004,37 @@ class TestCli:
               "--out", str(graph_path)])
         assert main(["--graph", str(graph_path), "retrieve",
                      "--task-type", "clean", "--depth", "-1"]) == 2
+
+
+def test_outside_json_is_decoded_in_one_place():
+    """json.loads and json.load run only in persistence.decode_json, which
+    turns every failure into a ParseError. The teacher's reply, decoded in
+    proposer.py, is the one other input."""
+    expected = [("persistence", "decode_json", "json.loads"),
+                ("proposer", "_post", "json"),
+                ("proposer", "extract_json_array", "raw_decode")]
+
+    def decoder(call: ast.AST) -> str | None:
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            return None
+        name = call.func.attr
+        if name in ("json", "raw_decode"):
+            return name
+        if name in ("load", "loads") and getattr(call.func.value, "id", None) == "json":
+            return f"json.{name}"
+        return None
+
+    found, total = [], 0
+    for path in sorted(Path(skillnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        total += sum(decoder(node) is not None for node in ast.walk(tree))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [(path.stem, func.name, decoder(node))
+                          for node in ast.walk(func) if decoder(node)]
+        # no decoder comes in under another name
+        assert not [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "json"
+                    for alias in node.names], path.name
+    assert sorted(found) == expected
+    assert total == len(expected)  # none outside a function

@@ -4,7 +4,8 @@ Random config documents, wrong types and out-of-range values included, either
 load or fail with ConfigInvalid. An evolution section that loads then drives
 a checkpoint against a hostile teacher; the graph must keep its invariants and
 its snapshot must load back unchanged. The CLI answers every document with a
-documented exit code and never lets an exception escape.
+documented exit code and never lets an exception escape, and so does every
+mutant of a snapshot or a trajectory file.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 import pytest
@@ -32,6 +35,7 @@ from skillnet import (
     evolve_step,
     graph_to_dict,
     load_graph,
+    run_loop,
     save_graph,
     save_trajectories,
 )
@@ -230,3 +234,59 @@ def test_cli_maps_any_config_to_a_documented_exit_code(doc):
     assert "Traceback" not in err.getvalue()
     # both commands read the same document, so they agree on whether it is valid
     assert codes[0] == codes[1]
+
+
+# one JSON token: a string, a run of number or literal characters, or one
+# punctuation character; a mutant swaps a value that is not an object key for
+# a non-finite or out-of-range number, one too long to convert, a null or the
+# wrong container
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[^\s"{}\[\]:,]+|\S')
+SWAPS = ["NaN", "Infinity", "-Infinity", "1e999", "-1", "9" * 30, "9" * 5000,
+         "null", "[]", "{}"]
+
+
+def mutants(data: bytes, rng: random.Random, count: int) -> Iterator[bytes]:
+    """``data`` truncated, with one bit flipped, or with one value swapped, in
+    turn; the swaps take each of SWAPS in turn."""
+    text = data.decode("utf-8")
+    tokens = list(JSON_TOKEN.finditer(text))
+    values = [token for token, after in zip(tokens, tokens[1:] + tokens[:1])
+              if token.group() not in "{}[]:," and after.group() != ":"]
+    for i in range(count):
+        if i % 3 == 0:
+            yield data[:rng.randrange(len(data))]
+        elif i % 3 == 1:
+            at = rng.randrange(len(data))
+            yield data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+        else:
+            found = rng.choice(values)
+            swap = SWAPS[i // 3 % len(SWAPS)]
+            yield (text[:found.start()] + swap + text[found.end():]).encode()
+
+
+def test_cli_survives_any_mutant_of_a_snapshot_or_trajectory_file(tmp_path):
+    """Every mutant gets a documented exit code from stats, retrieve and
+    ingest, and a snapshot mutant that loads saves and loads back unchanged."""
+    _, graph = run_loop(default_sim_config(), 42)
+    save_graph(graph, tmp_path / "g.json")
+    save_trajectories(window(graph, 42), tmp_path / "w.jsonl")
+    task_type = graph.nodes[min(graph.nodes)].category
+    rng = random.Random(0)
+    path = tmp_path / "mutant"
+    for original in ("g.json", "w.jsonl"):
+        for data in mutants((tmp_path / original).read_bytes(), rng, 40):
+            path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                codes = [main(["--graph", str(path), "stats"]),
+                         main(["--graph", str(path), "retrieve", "--render",
+                               "--task-type", task_type]),
+                         main(["ingest", "--input", str(path)])]
+            assert set(codes) <= {0, 1, 2, 3}
+            assert "Traceback" not in err.getvalue()
+            if codes[0] == 0:
+                loaded = load_graph(path)
+                save_graph(loaded, tmp_path / "again.json")
+                assert graph_to_dict(load_graph(tmp_path / "again.json")) == \
+                    graph_to_dict(loaded)

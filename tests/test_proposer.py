@@ -334,25 +334,36 @@ class TestHttpProposer:
         assert report.inserted == []
         assert "insert degraded, proposer unavailable" in caplog.text
 
-    @pytest.mark.parametrize("content", [None, 5, ["[]"]])
-    def test_non_text_content_degrades_the_checkpoint(self, content, caplog):
-        """A completion whose content is not a string is a parse error, so
-        the sub-operation degrades instead of aborting the checkpoint."""
+    @pytest.mark.parametrize("payload, reason", [
+        *(({"choices": [{"message": {"content": content}}]}, "not text")
+          for content in (None, 5, ["[]"])),
+        (RecursionError("maximum recursion depth exceeded"), "malformed completion"),
+        ({"choices": [{"message": {"content": "[" * 100000}}]}, "nested too deeply"),
+        ({"choices": [{"message": {"content": "[" + "9" * 5000 + "]"}}]},
+         "no JSON array"),
+    ], ids=["content-None", "content-5", "content-list", "payload-nested-too-deeply",
+            "content-nested-too-deeply", "content-integer-too-long"])
+    def test_unusable_reply_degrades_the_checkpoint(self, payload, reason, caplog):
+        """Content that is not a string, or a reply json cannot decode for its
+        depth or an integer's length, is a parse error, so the sub-operation
+        degrades instead of aborting the checkpoint."""
         from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
 
         class Completion:
             status_code = 200
 
             def json(self):
-                return {"choices": [{"message": {"content": content}}]}
+                if isinstance(payload, Exception):
+                    raise payload
+                return payload
 
-        class NonTextSession:
+        class UnusableSession:
             def post(self, *args, **kwargs):
                 return Completion()
 
         proposer = HttpProposer("http://teacher.invalid", model="stub",
-                                session=NonTextSession())
-        with pytest.raises(ProposerParseError, match="not text"):
+                                session=UnusableSession())
+        with pytest.raises(ProposerParseError, match=reason):
             proposer.propose(insert_request())
         failure = TrajectoryRecord(task_id="t", task_type="clean",
                                    retrieved_skill_ids=[], success=False)
