@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import load_app_config
 from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
 from .model import SkillGraph, SkillNode
 from .persistence import (
@@ -32,9 +31,7 @@ from .persistence import (
     _atomic_write,
     _check_types,
 )
-from .proposer import HttpProposer, ScriptedProposer
-from .retrieval import TaskQuery, render_skill_block, retrieve
-from .simulate import ComparisonResult, checkpoint, run_loop
+from .retrieval import RetrievalParams, TaskQuery, render_skill_block, retrieve
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _app_config(args: argparse.Namespace):
+    """The ``--config`` file, every section checked. Imported here, since
+    the config sections pull in the simulator, evolution and the teacher."""
+    from .config import load_app_config
+
+    return load_app_config(args.config, strict=args.strict)
+
+
 def _require_graph(args: argparse.Namespace) -> SkillGraph:
     if not args.graph:
         raise ConfigInvalid("this command needs --graph")
@@ -160,13 +165,14 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
-    app = load_app_config(args.config, strict=args.strict)
+    # without a file, the defaults are AppConfig().retrieval
+    defaults = RetrievalParams() if args.config is None else _app_config(args).retrieval
     graph = _require_graph(args)
     query = TaskQuery(description=args.task_description,
                       task_type=args.task_type)
     flags = {"k_max": args.kmax, "depth": args.depth, "beam_width": args.beam}
     params = dataclasses.replace(
-        app.retrieval, **{k: v for k, v in flags.items() if v is not None})
+        defaults, **{k: v for k, v in flags.items() if v is not None})
     params.validate()
     result = retrieve(graph, query, depth=params.depth,
                       beam_width=params.beam_width, k_max=params.k_max)
@@ -193,7 +199,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    app = load_app_config(args.config, strict=args.strict)
+    from .proposer import HttpProposer, ScriptedProposer
+    from .simulate import checkpoint
+
+    app = _app_config(args)
     graph = _require_graph(args)
     # a failed write must never leave the window evolved on disk: refuse a
     # bad output before evolving, and write the snapshot last
@@ -218,7 +227,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    sim_config = load_app_config(args.config, strict=args.strict).simulation
+    from .simulate import ComparisonResult, run_loop
+
+    sim_config = _app_config(args).simulation
     # the outputs are written after the whole run; refuse a bad path up front
     _check_writable(args.out, args.graph_out)
     metrics, graph = run_loop(sim_config, args.seed)

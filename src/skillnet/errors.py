@@ -53,12 +53,15 @@ class SuccessWithoutUse(SkillNetError):
 class ParseError(SkillNetError):
     """Malformed snapshot, config, or record file.
 
-    Carries optional line/column context for JSON syntax failures.
+    Carries optional line/column context for JSON syntax failures; each
+    one given is named in the message.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
+        at = ", ".join(f"{name} {value}" for name, value
+                       in (("line", line), ("column", column)) if value is not None)
+        if at:
+            message = f"{message} ({at})"
         super().__init__(message)
         self.line = line
         self.column = column

@@ -245,25 +245,52 @@ class SkillGraph:
 
     def add_edges(self, rows: Iterable[tuple[str, str, str, float]]) -> None:
         """Insert stored edges, given as (src, dst, kind value, weight), all
-        or none, and recompute levels.
+        or none, and bring levels up to date.
 
         Each edge gets the checks of ``add_edge``, and one already present
         is a DuplicateEdge instead of a no-op. In place of a cycle search per
-        edge, the closing level pass raises CycleDetected for the batch.
+        edge, the closing level check raises CycleDetected for the batch.
+        The nodes' levels are kept when they already fit the topology (see
+        ``_levels_hold``) and recomputed otherwise.
         """
-        added: list[EdgeKey] = []
+        rows = list(rows)
+        keys = self._new_keys(rows)
         try:
-            for src, dst, value, weight in rows:
-                key = self._checked_key(src, dst, value, weight)
-                if key in self._edges:
-                    raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
-                self._store(key, weight)
-                added.append(key)
-            self.compute_levels()
+            for key, row in zip(keys, rows):
+                self._store(key, row[3])
+            if not self._levels_hold():
+                self.compute_levels()
+            self._levels_stale = False
         except BaseException:
-            for key in added:
+            for key in keys:
                 self.remove_edge(key)
             raise
+
+    def _new_keys(self, rows: list[tuple[str, str, str, float]]) -> list[EdgeKey]:
+        """The checked canonical keys of a batch of new edges. The batch is
+        checked as a whole; on a fault, a walk over the rows raises the first
+        one as a row-by-row insert would."""
+        nodes, kind_of, co = self.nodes, _KIND_OF.__getitem__, EdgeKind.CO_OCCUR
+        try:
+            # edge_key's canonical keys, inline
+            keys = [(src, dst, kind) if (kind := kind_of(value)) is not co or src <= dst
+                    else (dst, src, kind) for src, dst, value, _ in rows]
+            if (all(src in nodes and dst in nodes and src != dst for src, dst, _ in keys)
+                    and all(0.0 <= row[3] <= 1.0 for row in rows)
+                    and len(set(keys)) == len(keys)
+                    and self._edges.keys().isdisjoint(keys)):
+                return keys
+        except (KeyError, TypeError, ValueError):
+            pass
+        keys = []
+        seen: set[EdgeKey] = set()
+        for src, dst, value, weight in rows:
+            key = self._checked_key(src, dst, value, weight)
+            if key in self._edges or key in seen:
+                raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
+            seen.add(key)
+            keys.append(key)
+        return keys
 
     def _checked_key(self, src: str, dst: str, kind: EdgeKind | str,
                      weight: float) -> EdgeKey:
@@ -420,6 +447,20 @@ class SkillGraph:
             self.nodes[v].level = lvl
         self._levels_stale = False
         return levels
+
+    def _levels_hold(self) -> bool:
+        """Whether every level already is what ``compute_levels`` gives: an
+        int equal to 1 + the maximum of its dependency parents' levels, or 0
+        with none. Such levels climb along every dependency edge, so the
+        subgraph is acyclic, and on a DAG the rule has one solution."""
+        level = {v: n.level for v, n in self.nodes.items()}
+        if not all(type(lvl) is int for lvl in level.values()):
+            return False
+        fit = dict.fromkeys(level, 0)
+        for src, dst, kind in self._edges:
+            if kind is not EdgeKind.CO_OCCUR and fit[dst] <= level[src]:
+                fit[dst] = level[src] + 1
+        return fit == level
 
     def ensure_levels(self) -> None:
         if self._levels_stale:

@@ -46,11 +46,17 @@ _NODE_FIELDS = set(_NODE_TYPES) | {"success_rate"}
 _EDGE_TYPES = {"src": str, "dst": str, "kind": str, "weight": float}
 _EDGE_FIELDS = set(_EDGE_TYPES)
 # fast path for the bulk of a snapshot: one tuple of values in field order and
-# one comparison of their types; _check_types explains a mismatch
+# one comparison of their types; _check_types explains a mismatch. A node as
+# save_graph writes it also holds success_rate, a float.
 _node_values = itemgetter(*_NODE_TYPES)
 _edge_values = itemgetter(*_EDGE_TYPES)
 _NODE_SIGNATURE = tuple(_NODE_TYPES.values())
 _EDGE_SIGNATURE = tuple(_EDGE_TYPES.values())
+_node_record = itemgetter(*_NODE_TYPES, "success_rate")
+_NODE_RECORD_SIGNATURE = (*_NODE_SIGNATURE, float)
+# the largest counter a snapshot may hold (a signed 64-bit integer): the
+# counters only grow, and past about 4300 digits save_graph cannot write them
+MAX_STORED_INT = 2**63 - 1
 _RECORD_REQUIRED = {"task_id", "task_type", "retrieved_skill_ids", "success"}
 _RECORD_TYPES = {"task_id": str, "task_type": str, "retrieved_skill_ids": list,
                  "traversed_edges": list, "steps": list, "success": bool,
@@ -186,8 +192,10 @@ def _check_fields(obj: dict, known: set[str], where: str, strict: bool) -> None:
 def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     """Rebuild a graph from a snapshot dict, revalidating every invariant.
 
-    Stored levels and success rates are informational; both are recomputed
-    from raw counts and topology after loading.
+    Stored success rates are informational, derived from the raw counts.
+    Stored levels are checked, and recomputed when off. The counters that
+    grow (meta values, ``n_use`` and co_counts counts) must be at most
+    ``MAX_STORED_INT``.
     """
     if not isinstance(data, dict):
         raise ParseError("snapshot must be a JSON object")
@@ -211,27 +219,30 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         value = meta.get(name, least)  # the least value is also the default
         if value < least:
             raise ParseError(f"meta {name} must be >= {least}, got {value}")
+        if value > MAX_STORED_INT:
+            raise ParseError(f"meta {name} must be <= {MAX_STORED_INT}")
         setattr(graph, name, value)
 
-    for obj in data.get("nodes", []):
-        if not isinstance(obj, dict):
-            raise ParseError("node entry must be an object")
-        _check_fields(obj, _NODE_FIELDS, "node", strict)
-        missing = _NODE_TYPES.keys() - obj.keys()
-        if missing:
-            raise ParseError(
-                f"node entry missing field(s): {', '.join(sorted(missing))}")
-        values = _node_values(obj)
-        if tuple(map(type, values)) != _NODE_SIGNATURE:
-            _check_types(obj, _NODE_TYPES, "node")
+    node_objs = data.get("nodes", [])
+    records = _exact_records(node_objs, _node_record, _NODE_RECORD_SIGNATURE)
+    # the checked path is lazy, so a record's fault and an earlier node's
+    # insert error come in file order
+    rows = ([values[:-1] for values in records] if records is not None
+            else (_node_row(obj, strict) for obj in node_objs))
+    for values in rows:
+        node = SkillNode(*values)
+        if node.n_use > MAX_STORED_INT:
+            raise ParseError(f"node {node.skill_id!r} n_use must be <= {MAX_STORED_INT}")
         try:
-            graph.add_skill(SkillNode(*values))
+            graph.add_skill(node)
         except SkillNetError as exc:
             raise ParseError(f"invalid node: {exc}") from exc
 
-    rows = [_edge_row(obj, strict) for obj in data.get("edges", [])]
+    edge_objs = data.get("edges", [])
+    rows = (_exact_records(edge_objs, _edge_values, _EDGE_SIGNATURE)
+            or [_edge_row(obj, strict) for obj in edge_objs])
     try:
-        graph.add_edges(rows)  # also computes the levels
+        graph.add_edges(rows)  # also checks the levels
     except ValueError as exc:
         raise ParseError(f"bad edge entry: {exc}") from exc
     except DuplicateEdge as exc:
@@ -248,11 +259,43 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         if a == b or a not in graph.nodes or b not in graph.nodes or count < 1:
             raise ParseError(f"co_counts entry {json.dumps(entry)} must name two "
                              f"distinct skills of the graph and a count >= 1")
+        if count > MAX_STORED_INT:
+            raise ParseError(f"co_counts count for ({a}, {b}) must be <= {MAX_STORED_INT}")
         pair = pair_key(a, b)
         if pair in graph.co_counts:
             raise ParseError(f"duplicate co_counts entry for the pair {pair}")
         graph.co_counts[pair] = count
     return graph
+
+
+def _exact_records(objs: list, values: itemgetter, signature: tuple) -> list[tuple] | None:
+    """Each record's ``values`` when every record is a dict of just those
+    fields (as many keys as it reads, all found), typed exactly as
+    ``signature``; otherwise None, for the checked path to explain."""
+    try:
+        rows = list(map(values, objs))
+    except (KeyError, TypeError):
+        return None
+    size = len(signature)
+    if (all(type(obj) is dict and len(obj) == size for obj in objs)
+            and all(tuple(map(type, row)) == signature for row in rows)):
+        return rows
+    return None
+
+
+def _node_row(obj: Any, strict: bool) -> tuple:
+    """A node entry's SkillNode field values, their JSON types checked."""
+    if not isinstance(obj, dict):
+        raise ParseError("node entry must be an object")
+    _check_fields(obj, _NODE_FIELDS, "node", strict)
+    missing = _NODE_TYPES.keys() - obj.keys()
+    if missing:
+        raise ParseError(
+            f"node entry missing field(s): {', '.join(sorted(missing))}")
+    values = _node_values(obj)
+    if tuple(map(type, values)) != _NODE_SIGNATURE:
+        _check_types(obj, _NODE_TYPES, "node")
+    return values
 
 
 def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
@@ -367,17 +410,20 @@ def read_text(path: str | Path, unreadable: type[SkillNetError] = ParseError) ->
         raise unreadable(f"cannot read {path}: {exc}") from exc
 
 
-def decode_json(text: str, where: str | Path) -> Any:
+def decode_json(text: str, where: str | Path, one_line: bool = False) -> Any:
     """Decode one JSON document from outside; ``where`` names it in errors.
 
-    Nesting deeper than the interpreter's recursion limit and an integer of
-    more digits than ``int`` converts are ParseErrors too, with no position.
+    A syntax error gives its line and column, or only the column when the
+    text is ``one_line`` of a file, whose caller names the line. Nesting
+    deeper than the interpreter's recursion limit and an integer of more
+    digits than ``int`` converts are ParseErrors too, with no position.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {where}: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
+                         line=None if one_line else exc.lineno,
+                         column=exc.colno) from exc
     except RecursionError:
         reason = "nested too deeply"
     except ValueError:
@@ -411,7 +457,7 @@ def ingest_trajectories(path: str | Path,
         if not line.strip():
             continue
         try:
-            record = TrajectoryRecord.from_dict(decode_json(line, path))
+            record = TrajectoryRecord.from_dict(decode_json(line, path, one_line=True))
         except ParseError as exc:
             errors.append((lineno, str(exc)))
             continue

@@ -22,6 +22,7 @@ from skillnet import (
     SkillGraph,
     TrajectoryRecord,
     compare_retrievers,
+    default_sim_config,
     export_dot,
     graph_from_dict,
     graph_to_dict,
@@ -34,6 +35,7 @@ from skillnet import (
 from skillnet.cli import main
 from skillnet.config import load_app_config
 from skillnet.errors import ParseError, VersionMismatch
+from skillnet.persistence import MAX_STORED_INT
 
 from conftest import add_nodes, make_node, random_graph
 from test_config import BAD_CONFIGS
@@ -149,6 +151,8 @@ class TestSnapshotRoundTrip:
         ("meta", "highest_active_level", -2),
         ("meta", "checkpoint_index", -1),
         ("meta", "next_dynamic_id", 0),
+        ("meta", "next_dynamic_id", MAX_STORED_INT + 1),
+        ("nodes", "n_use", MAX_STORED_INT + 1),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, section, name, value):
         graph = SkillGraph()
@@ -176,7 +180,8 @@ class TestSnapshotRoundTrip:
             graph_from_dict(data)
 
     @pytest.mark.parametrize("entry", [["ghost", "zz", 3], ["a", "ghost", 1],
-                                       ["a", "a", 2], ["a", "b", 0], ["a", "b", -3]])
+                                       ["a", "a", 2], ["a", "b", 0], ["a", "b", -3],
+                                       ["a", "b", MAX_STORED_INT + 1]])
     def test_co_counts_entry_outside_the_graph_rejected(self, tmp_path, capsys, entry):
         # a self-pair used to load and end the next evolve with a self-loop error
         graph = SkillGraph()
@@ -194,6 +199,33 @@ class TestSnapshotRoundTrip:
         assert main(["--graph", str(path), "evolve", "--window", str(window)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "co_counts" in err and err.count("\n") == 1
+
+    def test_counters_at_the_bound_load_and_save(self, tmp_path):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        data["meta"] = dict.fromkeys(data["meta"], MAX_STORED_INT)
+        data["nodes"][0].update(n_use=MAX_STORED_INT, n_succ=MAX_STORED_INT)
+        data["co_counts"] = [["a", "b", MAX_STORED_INT]]
+        loaded = graph_from_dict(data)
+        save_graph(loaded, tmp_path / "g.json")
+        assert graph_to_dict(load_graph(tmp_path / "g.json")) == graph_to_dict(loaded)
+
+    def test_a_counter_past_the_bound_is_a_data_error(self, tmp_path, capsys):
+        # it used to load, and evolve raised a traceback when it could not
+        # write the next, 4301-digit checkpoint index
+        _, graph = run_loop(default_sim_config(), 42)
+        data = graph_to_dict(graph)
+        data["meta"]["checkpoint_index"] = int("9" * 4300)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        window = tmp_path / "w.jsonl"
+        save_trajectories([], window)
+        before = path.read_bytes()
+        assert main(["--graph", str(path), "evolve", "--window", str(window)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: meta checkpoint_index must be <= {MAX_STORED_INT}\n")
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("n_use, n_succ", [(3, -1), (-5, -6)])
     def test_negative_usage_count_rejected(self, tmp_path, capsys, n_use, n_succ):
@@ -618,7 +650,12 @@ class TestCli:
         assert main(["ingest", "--input", str(good)]) == 0
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
+        capsys.readouterr()
         assert main(["ingest", "--input", str(bad)]) == 2
+        # the line is the file's; JSON's own "line 1" would contradict it
+        assert capsys.readouterr().err == (
+            f"line 1: invalid JSON in {bad}: Expecting property name enclosed "
+            f"in double quotes (column 2)\n")
         repeated = tmp_path / "repeated.jsonl"
         save_trajectories([TrajectoryRecord(
             task_id="t", task_type="clean", retrieved_skill_ids=["a", "a"],
@@ -646,6 +683,44 @@ class TestCli:
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+    @pytest.mark.parametrize("command", [["retrieve", "--task-type", "clean"],
+                                         ["--version"]])
+    def test_retrieve_imports_only_what_it_runs(self, tmp_path, command):
+        # the simulator, evolution, the teacher and the config sections cost
+        # every retrieve call their import time
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        save_graph(graph, tmp_path / "g.json")
+        argv = ["--graph", str(tmp_path / "g.json"), *command]
+        src = Path(skillnet.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from skillnet import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print(code, sorted(m for m in sys.modules if m.startswith('skillnet.')))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        code, loaded = result.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        unused = {f"skillnet.{name}" for name in
+                  ("simulate", "evolution", "proposer", "config", "curriculum")}
+        assert unused.isdisjoint(ast.literal_eval(loaded))
+
+    @pytest.mark.parametrize("doc", [doc for doc in BAD_CONFIGS if "simulation" in doc])
+    def test_retrieve_checks_the_whole_config(self, tmp_path, capsys, doc):
+        graph = SkillGraph()
+        add_nodes(graph, ["a"], category="clean")
+        save_graph(graph, tmp_path / "g.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert main(["--graph", str(tmp_path / "g.json"), "--config", str(config),
+                     "retrieve", "--task-type", "clean"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "simulation." in err
 
     def test_package_exports_resolve(self):
         # a stale name in __all__ makes ``from skillnet import *`` raise
@@ -724,7 +799,7 @@ class TestCli:
         assert not out.exists()
 
     def test_compare_flat_reuses_the_graph_run(self, tmp_path, capsys, monkeypatch):
-        from skillnet import cli
+        from skillnet import simulate
 
         arms = []
 
@@ -732,7 +807,7 @@ class TestCli:
             arms.append(retriever)
             return run_loop(config, seed, retriever)
 
-        monkeypatch.setattr(cli, "run_loop", spy)
+        monkeypatch.setattr(simulate, "run_loop", spy)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "simulation": {"steps": 10, "tasks_per_step": 2}}))
@@ -973,12 +1048,12 @@ class TestCli:
     @pytest.mark.parametrize("bad", ["missing/x", "."])
     def test_simulate_refuses_a_bad_output_before_running(
             self, tmp_path, capsys, monkeypatch, flag, bad):
-        from skillnet import cli
+        from skillnet import simulate
 
         def never(*args):
             raise AssertionError("run_loop must not start")
 
-        monkeypatch.setattr(cli, "run_loop", never)
+        monkeypatch.setattr(simulate, "run_loop", never)
         paths = {"--out": tmp_path / "m.csv", "--graph-out": tmp_path / "g.json"}
         paths[flag] = tmp_path / bad
         argv = ["simulate"] + [str(x) for pair in paths.items() for x in pair]

@@ -225,7 +225,7 @@ def test_cli_maps_any_config_to_a_documented_exit_code(doc):
         common = ["--graph", str(tmp / "g.json"), "--config", str(load_doc(doc, tmp))]
         err = io.StringIO()
         # the teacher is never contacted, whatever endpoint the document names
-        with mock.patch("skillnet.cli.HttpProposer", OfflineProposer), \
+        with mock.patch("skillnet.proposer.HttpProposer", OfflineProposer), \
                 contextlib.redirect_stderr(err):
             codes = [main([*common, "retrieve", "--task-type", "clean"]),
                      main([*common, "evolve", "--window", str(tmp / "w.jsonl"),

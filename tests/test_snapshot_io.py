@@ -3,8 +3,10 @@
 ``save_graph`` writes its schema in one pass; the oracle is the general
 encoder it replaced, ``json.dumps(graph_to_dict(g), indent=2,
 sort_keys=True) + "\\n"``. ``graph_from_dict`` inserts all edges in one bulk
-call; the oracle is the per-edge loader it replaced, one ``add_edge`` (with
-its cycle search) per edge, kept here.
+call; the oracles are the per-edge loader it replaced, one ``add_edge`` (with
+its cycle search) per edge, and the row-by-row load that checked every
+record field by field, stored each edge on its own and recomputed every
+level, both kept here.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ from skillnet import (
     SkillNode,
     graph_from_dict,
     graph_to_dict,
+    persistence,
     save_graph,
 )
-from skillnet.errors import CycleWouldForm, DuplicateEdge, ParseError, SkillNetError
+from skillnet.errors import (
+    CycleDetected,
+    CycleWouldForm,
+    DuplicateEdge,
+    ParseError,
+    SkillNetError,
+)
 from skillnet.model import is_blank, pair_key
 
 from conftest import add_nodes, random_graph
@@ -234,3 +243,149 @@ def test_bulk_insert_names_a_duplicate_as_given():
     add_nodes(graph, ["a", "b"])
     with pytest.raises(DuplicateEdge, match=r"^duplicate edge b -> a \(co_occur\)$"):
         graph.add_edges([("a", "b", "co_occur", 0.3), ("b", "a", "co_occur", 0.6)])
+
+
+@pytest.mark.parametrize("level", [float("inf"), 1.0, True])
+def test_bulk_insert_trusts_only_int_levels(level):
+    # infinite levels would fit a cycle, and 1.0 or True would stay unwritten
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.nodes["b"].level = level
+    if level == float("inf"):
+        graph.nodes["a"].level = level
+        with pytest.raises(CycleDetected):
+            graph.add_edges([("a", "b", "prereq", 0.5), ("b", "a", "enhance", 0.5)])
+    else:
+        graph.add_edges([("a", "b", "prereq", 0.5)])
+        assert [type(n.level) for n in graph.nodes.values()] == [int, int]
+
+
+# ----------------------------------------------------------------------
+# loader: the bulk checks and the level check against the row-by-row load
+
+
+def row_by_row_load(data: dict) -> SkillGraph:
+    """The load before the bulk paths: every record through the checked
+    path, every edge through ``_checked_key`` and ``_store`` one at a time,
+    then a full ``compute_levels``, with the loader's error mapping."""
+    graph = SkillGraph()
+    for name, value in data["meta"].items():
+        setattr(graph, name, value)
+    for obj in data["nodes"]:
+        values = persistence._node_row(obj, strict=False)
+        try:
+            graph.add_skill(SkillNode(*values))
+        except SkillNetError as exc:
+            raise ParseError(f"invalid node: {exc}") from exc
+    rows = [persistence._edge_row(obj, strict=False) for obj in data["edges"]]
+    try:
+        for src, dst, value, weight in rows:
+            key = graph._checked_key(src, dst, value, weight)
+            if key in graph.edges():
+                raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
+            graph._store(key, weight)
+        graph.compute_levels()
+    except ValueError as exc:
+        raise ParseError(f"bad edge entry: {exc}") from exc
+    except DuplicateEdge as exc:
+        raise ParseError(str(exc)) from exc
+    except CycleDetected as exc:
+        raise ParseError(f"snapshot violates graph invariants: {exc}") from exc
+    except SkillNetError as exc:
+        raise ParseError(f"invalid edge: {exc}") from exc
+    graph.co_counts = {pair_key(a, b): count for a, b, count in data["co_counts"]}
+    return graph
+
+
+def edge(src: str, dst: str, kind: str = "prereq", weight: float = 0.5) -> dict:
+    return {"src": src, "dst": dst, "kind": kind, "weight": weight}
+
+
+def entry_of(data: dict, kinds: set[str], draw) -> dict:
+    """An edge entry of one of ``kinds`` in the snapshot, or a new prereq or
+    co_occur one between its first two nodes, inserted too."""
+    entries = [e for e in data["edges"] if e["kind"] in kinds]
+    if entries:
+        return draw(st.sampled_from(entries))
+    first, second = sorted(n["skill_id"] for n in data["nodes"])[:2]
+    entry = edge(first, second, "co_occur" if "co_occur" in kinds else "prereq")
+    data["edges"].append(entry)
+    return entry
+
+
+DEPENDENCY = {"prereq", "enhance"}
+# one fault each, but for the last three: records the fast path hands to
+# the checked path, which loads them
+MUTANTS = ["stale_level", "negative_level", "cycle", "duplicate", "reversed_co_occur",
+           "unknown_endpoint", "self_loop", "weight", "unknown_kind",
+           "integer_weight", "unknown_field", "integer_rate"]
+
+
+def mutate(data: dict, name: str, draw) -> None:
+    node = draw(st.sampled_from(data["nodes"]))
+    added = None
+    if name == "stale_level":
+        node["level"] += draw(st.sampled_from([-1, 1]))
+    elif name == "negative_level":
+        node["level"] = -1
+    elif name == "cycle":
+        entry = entry_of(data, DEPENDENCY, draw)
+        added = edge(entry["dst"], entry["src"], entry["kind"])
+    elif name == "duplicate":
+        added = dict(entry_of(data, DEPENDENCY, draw), weight=0.9)
+    elif name == "reversed_co_occur":
+        entry = entry_of(data, {"co_occur"}, draw)
+        added = edge(entry["dst"], entry["src"], "co_occur", 0.6)
+    elif name == "unknown_endpoint":
+        added = edge(node["skill_id"], "ghost")
+    elif name == "self_loop":
+        added = edge(node["skill_id"], node["skill_id"], "enhance")
+    elif name == "weight":
+        entry = entry_of(data, DEPENDENCY | {"co_occur"}, draw)
+        entry["weight"] = draw(st.sampled_from([1.5, -0.1, float("nan")]))
+    elif name == "unknown_kind":
+        entry_of(data, {"co_occur"}, draw)["kind"] = "co-occur"
+    elif name == "integer_weight":
+        entry_of(data, DEPENDENCY, draw)["weight"] = 1
+    elif name == "unknown_field":
+        node["note"] = "ignored with a warning"
+    else:
+        node["success_rate"] = 1
+    if added is not None:
+        data["edges"].insert(draw(st.integers(0, len(data["edges"]))), added)
+
+
+@st.composite
+def snapshot_mutants(draw) -> dict:
+    """A random snapshot dict, its nodes and edges in a drawn file order,
+    with one or two mutants applied."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = graph_to_dict(random_graph(rng, n=draw(st.integers(2, 12))))
+    rng.shuffle(data["nodes"])
+    rng.shuffle(data["edges"])
+    for name in draw(st.lists(st.sampled_from(MUTANTS), min_size=1, max_size=2)):
+        mutate(data, name, draw)
+    return data
+
+
+def load_outcome(load, data: dict):
+    """What a load gives: its exception's type and message, or the graph's
+    adjacency orders, staleness and levels before any read, and its dict."""
+    try:
+        graph = load(data)
+    except SkillNetError as exc:
+        return type(exc), str(exc)
+    orders = [[(key, list(entries)) for key, entries in table.items()]
+              for table in (graph._out, graph._in, graph._categories)]
+    levels = [(v, n.level) for v, n in graph.nodes.items()]
+    return orders, graph._levels_stale, levels, graph_to_dict(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=snapshot_mutants())
+def test_bulk_load_matches_the_row_by_row_load(data):
+    """Stale and negative levels, cycles, duplicates (a reversed co_occur
+    one too), unknown endpoints and kinds, self-loops, weights out of range,
+    and records the fast path passes over: the same graph, in the same
+    order, or the same error."""
+    assert load_outcome(graph_from_dict, data) == load_outcome(row_by_row_load, data)
