@@ -45,7 +45,9 @@ class AlreadyInitialized(SkillNetError):
 
 class SuccessWithoutUse(SkillNetError):
     """Usage counts that are not ints with 0 <= successes <= uses: a success
-    without a corresponding use, or a negative or fractional count."""
+    without a corresponding use, or a negative or fractional count. A skill
+    given a counter that is not exactly an int, or a ``deprecated`` that is
+    not a bool, is refused with it too."""
 
 
 # --- persistence errors ---

@@ -136,12 +136,15 @@ class SkillGraph:
     in ``_out`` of both endpoints. Each is an insertion-ordered dict of keys to
     None, used as a set. ``_categories`` maps each category to its ids, kept
     by ``add_skill``, ``remove_node`` and ``set_category``, the one writer of
-    a node's category after insert.
+    a node's category after insert. ``_edge_writes`` counts the writes to
+    ``_edges``, made only by ``_store``, ``remove_edge`` and ``set_weight``,
+    so a reader can tell that no edge changed since it last looked.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, SkillNode] = {}
         self._edges: dict[EdgeKey, float] = {}
+        self._edge_writes: int = 0
         self._out: dict[str, dict[EdgeKey, None]] = {}
         self._in: dict[str, dict[EdgeKey, None]] = {}
         self._categories: dict[str, dict[str, None]] = {}
@@ -157,11 +160,23 @@ class SkillGraph:
     # nodes
 
     def add_skill(self, node: SkillNode) -> str:
-        """Insert a skill node. Levels become stale until recomputed."""
+        """Insert a skill node. Levels become stale until recomputed.
+
+        ``n_use``, ``n_succ`` and ``created_step`` must be exact ints (a bool
+        is refused) and ``deprecated`` a bool.
+        """
         if node.skill_id in self.nodes:
             raise DuplicateId(node.skill_id)
         if is_blank(node.title):
             raise EmptyTitle(f"skill {node.skill_id!r} has an empty title")
+        # exact types: a bool counter would be written as Python's True
+        if not (type(node.n_use) is type(node.n_succ) is type(node.created_step) is int
+                and type(node.deprecated) is bool):
+            raise SuccessWithoutUse(
+                f"skill {node.skill_id!r}: need int n_use, n_succ and created_step "
+                f"and a bool deprecated, got n_use={node.n_use!r}, "
+                f"n_succ={node.n_succ!r}, created_step={node.created_step!r}, "
+                f"deprecated={node.deprecated!r}")
         if not 0 <= node.n_succ <= node.n_use:
             raise SuccessWithoutUse(
                 f"skill {node.skill_id!r}: need 0 <= n_succ <= n_use, "
@@ -311,6 +326,7 @@ class SkillGraph:
         """Add a checked new edge to the weights and the adjacency."""
         src, dst, kind = key
         self._edges[key] = float(weight)
+        self._edge_writes += 1
         self._out[src][key] = None
         if kind is EdgeKind.CO_OCCUR:
             self._out[dst][key] = None
@@ -321,6 +337,7 @@ class SkillGraph:
     def remove_edge(self, key: EdgeKey) -> None:
         if self._edges.pop(key, None) is None:
             return
+        self._edge_writes += 1
         src, dst, kind = key
         del self._out[src][key]
         if kind is EdgeKind.CO_OCCUR:
@@ -340,6 +357,7 @@ class SkillGraph:
         if not 0.0 <= weight <= 1.0:
             raise WeightOutOfRange(f"{weight} for ({key[0]}, {key[1]}, {key[2].value})")
         self._edges[key] = float(weight)
+        self._edge_writes += 1
 
     def edges(self) -> Mapping[EdgeKey, float]:
         """Read-only live view of every edge key and its weight; keys sort

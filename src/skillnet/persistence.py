@@ -18,10 +18,12 @@ import logging
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, is_not, itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
+from weakref import WeakKeyDictionary
 
 from .errors import (
     CycleDetected,
@@ -312,8 +314,9 @@ def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
     return values
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its directory.
+def _atomic_write(path: str | Path, *pieces: str) -> None:
+    """Write the text ``pieces`` make up to ``path`` through a temporary file
+    in its directory, piece by piece, so the text is never one string.
 
     A failed write leaves no temporary file behind and raises an OSError
     that names ``path``, not the temporary name.
@@ -324,7 +327,7 @@ def _atomic_write(path: str | Path, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                    prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
             # the rename must not reach the disk before the data it names
             handle.flush()
             os.fsync(handle.fileno())
@@ -347,59 +350,127 @@ def _object_template(names: set[str], indent: int) -> str:
 
 
 # save_graph writes json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
-# + "\n" in one pass, values encoded as json.dumps encodes them: one f-string
-# per record, its keys in sorted order, strings through encode_basestring_ascii,
-# ints and floats through repr. Ids are quoted once per save; nodes and edges
-# are visited by sorting the ids and keys themselves, which gives the order of
-# graph_to_dict (the keys are unique) and allocates no tuple per record. A
-# field added to SkillNode must be added to the node record too; the writer
+# + "\n", values encoded as json.dumps encodes them: one f-string per record,
+# its keys in sorted order, strings through encode_basestring_ascii, ints and
+# floats through repr. Nodes and edges are visited by sorting the ids and keys
+# themselves, which gives the order of graph_to_dict (the keys are unique).
+# A field added to SkillNode must be added to the node record too; the writer
 # test against json.dumps fails until it is.
+#
+# A repeat save of the same graph reuses the text of its last one, kept in
+# _LAST_SAVES. That holds each graph weakly, so a snapshot() clone or a loaded
+# graph starts with nothing and a dropped graph frees its text.
+# - A node's record is kept while every field value is the same object it
+#   was rendered from. Identity, not equality: True == 1 and 0.0 == -0.0, but
+#   they render differently. Records are matched by their position in id
+#   order, field by field in one flat list, so a shifted position fails on
+#   its skill_id, and a changed node count renders every node again.
+# - The edge section is kept while the graph's edge-write count is unchanged.
+# The document reaches the file in pieces of at most _CHUNK records, so it is
+# never held as one string, nor as one encoded copy, next to the kept text.
 _BOOL_TEXT = {False: "false", True: "true"}
 _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
-_SNAPSHOT = _object_template(_TOP_LEVEL_FIELDS, 0) + "\n"
+# the literal text around the five sections, in key order
+_SNAPSHOT = (_object_template(_TOP_LEVEL_FIELDS, 0) + "\n").split("%s")
 _META = _object_template(_META_FIELDS, 2).lstrip()  # opens after its key
+_node_attrs = attrgetter(*_NODE_TYPES)
+_WIDTH = len(_NODE_TYPES)
+_CHUNK = 256
+# per graph: its node field values in id order (_WIDTH per node, flat), its
+# node records, its edge-write count and its edge section, as last saved
+_LAST_SAVES: WeakKeyDictionary = WeakKeyDictionary()
+_NOTHING_SAVED = ([], [], -1, [])
 
 
-def _section(records: list[str]) -> str:
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+def _past_bound(what: str) -> SkillNetError:
+    return SkillNetError(f"cannot save: {what} must be <= {MAX_STORED_INT}")
 
 
-def save_graph(graph: SkillGraph, path: str | Path) -> None:
-    """Write the canonical snapshot: the bytes of ``graph_to_dict`` dumped
-    with ``indent=2, sort_keys=True`` and a final newline."""
-    graph.ensure_levels()
+def _node_text(n: SkillNode) -> str:
+    if n.n_use > MAX_STORED_INT:
+        raise _past_bound(f"node {n.skill_id!r} n_use")
     quote = encode_basestring_ascii
-    nodes = graph.nodes
-    ids = {v: quote(v) for v in nodes}
-    node_records = [
-        f'    {{\n      "category": {quote(n.category)},\n'
-        f'      "created_step": {n.created_step!r},\n'
-        f'      "deprecated": {_BOOL_TEXT[n.deprecated]},\n'
-        f'      "level": {n.level!r},\n'
-        f'      "n_succ": {n.n_succ!r},\n'
-        f'      "n_use": {n.n_use!r},\n'
-        f'      "principle": {quote(n.principle)},\n'
-        f'      "skill_id": {quote(n.skill_id)},\n'
-        f'      "success_rate": {n.success_rate()!r},\n'
-        f'      "title": {quote(n.title)},\n'
-        f'      "when_to_apply": {quote(n.when_to_apply)}\n    }}'
-        for n in map(nodes.__getitem__, sorted(nodes))]
+    return (f'    {{\n      "category": {quote(n.category)},\n'
+            f'      "created_step": {n.created_step!r},\n'
+            f'      "deprecated": {_BOOL_TEXT[n.deprecated]},\n'
+            f'      "level": {n.level!r},\n'
+            f'      "n_succ": {n.n_succ!r},\n'
+            f'      "n_use": {n.n_use!r},\n'
+            f'      "principle": {quote(n.principle)},\n'
+            f'      "skill_id": {quote(n.skill_id)},\n'
+            f'      "success_rate": {n.success_rate()!r},\n'
+            f'      "title": {quote(n.title)},\n'
+            f'      "when_to_apply": {quote(n.when_to_apply)}\n    }}')
+
+
+def _edge_section(graph: SkillGraph) -> list[str]:
+    ids = {v: encode_basestring_ascii(v) for v in graph.nodes}
     weights = graph.edges()
-    edge_records = [
+    return _section([
         f'    {{\n      "dst": {ids[key[1]]},\n'
         f'      "kind": {_KIND_TEXT[key[2]]},\n'
         f'      "src": {ids[key[0]]},\n'
         f'      "weight": {weights[key]!r}\n    }}'
-        for key in sorted(weights)]
+        for key in sorted(weights)])
+
+
+def _section(records: list[str]) -> list[str]:
+    """A JSON array of records, in pieces of at most _CHUNK records."""
+    if not records:
+        return ["[]"]
+    pieces = ["[\n"]
+    for start in range(0, len(records), _CHUNK):
+        pieces += (",\n".join(records[start:start + _CHUNK]), ",\n")
+    pieces[-1] = "\n  ]"
+    return pieces
+
+
+def save_graph(graph: SkillGraph, path: str | Path) -> None:
+    """Write the canonical snapshot: the bytes of ``graph_to_dict`` dumped
+    with ``indent=2, sort_keys=True`` and a final newline.
+
+    A repeat save of the same graph renders again only the node records
+    whose field values changed, and the edge section only when an edge was
+    written since (see the comment above). A counter above
+    ``MAX_STORED_INT``, which ``load_graph`` would refuse, is a SkillNetError
+    before any file is touched.
+    """
+    graph.ensure_levels()
+    meta = (graph.checkpoint_index, graph.highest_active_level, graph.next_dynamic_id)
+    for name, value in zip(sorted(_META_FIELDS), meta):
+        if value > MAX_STORED_INT:
+            raise _past_bound(f"meta {name}")
     counts = graph.co_counts
+    if counts and max(counts.values()) > MAX_STORED_INT:
+        a, b = min(pair for pair, n in counts.items() if n > MAX_STORED_INT)
+        raise _past_bound(f"co_counts count for ({a}, {b})")
+    quote = encode_basestring_ascii
     pair_records = [
         f'    [\n      {quote(pair[0])},\n      {quote(pair[1])},\n'
         f'      {counts[pair]!r}\n    ]'
         for pair in sorted(counts)]
-    meta = _META % (graph.checkpoint_index, graph.highest_active_level,
-                    graph.next_dynamic_id)
-    _atomic_write(path, _SNAPSHOT % (_section(pair_records), _section(edge_records),
-                                     meta, _section(node_records), SNAPSHOT_VERSION))
+
+    kept_fields, kept_nodes, kept_writes, kept_edges = _LAST_SAVES.get(graph, _NOTHING_SAVED)
+    nodes = graph.nodes
+    order = sorted(nodes)
+    fields = list(chain.from_iterable(map(_node_attrs, map(nodes.__getitem__, order))))
+    if len(fields) == len(kept_fields):
+        node_records = kept_nodes.copy()
+        for i in {i // _WIDTH for i in compress(count(), map(is_not, fields, kept_fields))}:
+            node_records[i] = _node_text(nodes[order[i]])
+    else:
+        node_records = list(map(_node_text, map(nodes.__getitem__, order)))
+    writes = graph._edge_writes
+    edges = kept_edges if writes == kept_writes else _edge_section(graph)
+
+    sections = (_section(pair_records), edges, [_META % meta],
+                _section(node_records), [str(SNAPSHOT_VERSION)])
+    pieces = [_SNAPSHOT[0]]
+    for section, after in zip(sections, _SNAPSHOT[1:]):
+        pieces += section
+        pieces.append(after)
+    _atomic_write(path, *pieces)
+    _LAST_SAVES[graph] = (fields, node_records, writes, edges)
 
 
 def read_text(path: str | Path, unreadable: type[SkillNetError] = ParseError) -> str:

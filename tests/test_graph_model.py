@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import skillnet
 from skillnet import (
     EdgeKind, SkillGraph, TaskQuery, graph_to_dict, load_graph, retrieve, save_graph,
 )
@@ -320,6 +323,19 @@ class TestUpdateStats:
         with pytest.raises(SuccessWithoutUse):
             SkillGraph().add_skill(make_node("a", n_use=n_use, n_succ=n_succ))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_use", True), ("n_succ", True), ("created_step", True), ("n_use", 2.0),
+        ("created_step", "3"), ("deprecated", 0), ("deprecated", "false")])
+    def test_counters_and_flag_of_the_wrong_type_rejected(self, field, value):
+        # a bool counter used to be saved as Python's True, which no JSON
+        # reader takes back
+        node = make_node("a", n_use=1, n_succ=1)
+        setattr(node, field, value)
+        graph = SkillGraph()
+        with pytest.raises(SuccessWithoutUse, match=field):
+            graph.add_skill(node)
+        assert not graph.nodes
+
     def test_repeated_ids_return_final_rates_in_first_seen_order(self):
         graph = SkillGraph()
         graph.add_skill(make_node("a", n_use=2, n_succ=1))
@@ -629,3 +645,52 @@ class TestHealth:
         assert health.edges == {"prereq": 0, "enhance": 0, "co_occur": 0}
         assert (health.nodes, health.active, health.levels,
                 health.mean_success) == (0, 0, {}, 0.0)
+
+
+def test_edges_are_written_only_where_the_edge_write_count_moves():
+    """Only _store, remove_edge and set_weight write SkillGraph._edges, each
+    bumping _edge_writes, which save_graph reads to keep its edge section;
+    __init__ and snapshot() bind a fresh graph's map. A write counts whether
+    it goes through ``._edges`` or a local name bound to it."""
+    mutators = {"pop", "popitem", "clear", "update", "setdefault",
+                "__setitem__", "__delitem__"}
+
+    def is_edges(node: ast.AST, aliases: set[str]) -> bool:
+        return ((isinstance(node, ast.Attribute) and node.attr == "_edges")
+                or (isinstance(node, ast.Name) and node.id in aliases))
+
+    def writes(func: ast.FunctionDef) -> list[str]:
+        aliases = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                   and is_edges(node.value, set())
+                   for target in node.targets if isinstance(target, ast.Name)}
+        found = []
+        for node in ast.walk(func):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr == "_edges":
+                    found.append("bind")
+                elif isinstance(target, ast.Subscript) and is_edges(target.value, aliases):
+                    found.append("del" if isinstance(node, ast.Delete) else "item")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators and is_edges(node.func.value, aliases)):
+                found.append(node.func.attr)
+        return found
+
+    found = []
+    for path in sorted(Path(skillnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [(path.stem, func.name, kind) for kind in writes(func)]
+    assert sorted(found) == [("model", "__init__", "bind"), ("model", "_store", "item"),
+                             ("model", "remove_edge", "pop"), ("model", "set_weight", "item"),
+                             ("model", "snapshot", "bind")]
+    model = ast.parse((Path(skillnet.__file__).parent / "model.py").read_text(encoding="utf-8"))
+    bumps = {func.name for func in ast.walk(model) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func) if isinstance(node, ast.AugAssign)
+             and getattr(node.target, "attr", None) == "_edge_writes"}
+    assert bumps == {"_store", "remove_edge", "set_weight"}

@@ -34,7 +34,7 @@ from skillnet import (
 )
 from skillnet.cli import main
 from skillnet.config import load_app_config
-from skillnet.errors import ParseError, VersionMismatch
+from skillnet.errors import ParseError, SkillNetError, VersionMismatch
 from skillnet.persistence import MAX_STORED_INT
 
 from conftest import add_nodes, make_node, random_graph
@@ -226,6 +226,48 @@ class TestSnapshotRoundTrip:
         err = capsys.readouterr().err
         assert err == (f"error: meta checkpoint_index must be <= {MAX_STORED_INT}\n")
         assert path.read_bytes() == before
+
+    def test_evolve_does_not_save_a_counter_past_the_bound(self, tmp_path, capsys):
+        # evolve used to save checkpoint_index 2**63, which the next load refused
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        graph.checkpoint_index = MAX_STORED_INT
+        path = tmp_path / "g.json"
+        save_graph(graph, path)
+        window = tmp_path / "w.jsonl"
+        save_trajectories([], window)
+        before = path.read_bytes()
+        assert main(["--graph", str(path), "evolve", "--window", str(window)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot save: meta checkpoint_index must be <= {MAX_STORED_INT}\n")
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["g.json", "w.jsonl"]
+        assert load_graph(path).checkpoint_index == MAX_STORED_INT
+
+    @pytest.mark.parametrize("saved_before", [False, True])
+    @pytest.mark.parametrize("counter, message", [
+        ("n_use", "node 'a' n_use"), ("co_counts", "co_counts count for (a, b)"),
+        ("next_dynamic_id", "meta next_dynamic_id")])
+    def test_save_refuses_a_counter_past_the_bound(self, tmp_path, saved_before,
+                                                   counter, message):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        path = tmp_path / "g.json"
+        path.write_text("old")
+        if saved_before:  # the repeat save checks the records it renders again
+            save_graph(graph, path)
+        before = path.read_bytes()
+        if counter == "n_use":
+            graph.nodes["a"].n_use = MAX_STORED_INT + 1
+        elif counter == "co_counts":
+            graph.co_counts[("a", "b")] = MAX_STORED_INT + 1
+        else:
+            graph.next_dynamic_id = MAX_STORED_INT + 1
+        with pytest.raises(SkillNetError) as caught:
+            save_graph(graph, path)
+        assert str(caught.value) == f"cannot save: {message} must be <= {MAX_STORED_INT}"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["g.json"]
 
     @pytest.mark.parametrize("n_use, n_succ", [(3, -1), (-5, -6)])
     def test_negative_usage_count_rejected(self, tmp_path, capsys, n_use, n_succ):

@@ -3,8 +3,8 @@
 A Hypothesis state machine interleaves every structural writer with the live
 writes retrieval reads as they are (weights, deprecation, the active level,
 usage counts), co-appearance counting, a merge that moves a skill to another
-category, a whole ``simulate.checkpoint`` against a hostile teacher, snapshots
-and a save→load round trip. After every step:
+category, a whole ``simulate.checkpoint`` against a hostile teacher, snapshots,
+a repeat save of the same graph and a save→load round trip. After every step:
 
 - the adjacency and category index equal what ``edges()`` and ``nodes``
   derive;
@@ -13,19 +13,25 @@ and a save→load round trip. After every step:
   two distinct live skills;
 - ``retrieve`` on the live graph and on the last snapshot equals the earlier
   pipeline kept in ``retrieval_oracle``, which reads only ``edges()``.
+
+A repeat ``save_graph`` reuses the text of the graph's last save where nothing
+changed; every saved text must equal the general encoder's, whatever was
+written in between.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import random
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
@@ -48,6 +54,7 @@ from conftest import (
     add_nodes, dependency_edges, make_node, oracle_has_cycle, oracle_levels, random_graph,
 )
 from retrieval_oracle import retrieve as oracle_retrieve
+from test_snapshot_io import oracle_text
 
 CATEGORIES = ("general", "alpha", "beta")
 # "gamma" exists only once a hostile teacher names it
@@ -91,6 +98,11 @@ def derived_index(graph: SkillGraph) -> tuple[dict, dict, dict]:
     for v, node in graph.nodes.items():
         categories.setdefault(node.category, set()).add(v)
     return out, into, categories
+
+
+def assert_saves_as_the_oracle(graph: SkillGraph, path: Path) -> None:
+    save_graph(graph, path)
+    assert path.read_text(encoding="utf-8") == oracle_text(graph)
 
 
 def assert_invariants(graph: SkillGraph) -> None:
@@ -304,6 +316,11 @@ class GraphMachine(RuleBasedStateMachine):
         self.snap = self.graph.snapshot()
 
     @rule()
+    def save_again(self):
+        """Save the graph kept across steps; its last save's text is reused."""
+        assert_saves_as_the_oracle(self.graph, Path(self.tmp.name) / "again.json")
+
+    @rule()
     def save_and_load(self):
         path = Path(self.tmp.name) / "graph.json"
         save_graph(self.graph, path)
@@ -444,3 +461,122 @@ class TestReadOnly:
             sys.setswitchinterval(interval)
         assert not errors
         assert not mismatches
+
+
+# ----------------------------------------------------------------------
+# repeat saves: the writes that a kept record or edge section must notice
+
+
+def _stats(graph, data):
+    # 300 uses push n_use past 256, beyond the interpreter's cached ints
+    uses = data.draw(st.sampled_from([1, 300]), label="uses")
+    skill = data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")
+    graph.update_stats([(skill, uses, data.draw(st.integers(0, uses), label="wins"))])
+
+
+def _weight(graph, data):
+    if not graph.edges():
+        return
+    key = data.draw(st.sampled_from(sorted(graph.edges())), label="key")
+    value = data.draw(st.sampled_from(["same", "equal", 0.0, -0.0, 0.25]), label="weight")
+    if value == "same":
+        value = graph.edges()[key]
+    elif value == "equal":  # a new float object of the same value
+        value = float(repr(graph.edges()[key]))
+    graph.set_weight(key, value)
+
+
+def _add_edge(graph, data):
+    src, dst = data.draw(st.lists(st.sampled_from(sorted(graph.nodes)), min_size=2,
+                                  max_size=2, unique=True), label="ends")
+    try:
+        graph.add_edge(src, dst, data.draw(st.sampled_from(EdgeKind), label="kind"), 0.5)
+    except CycleWouldForm:
+        pass
+
+
+def _remove_edge(graph, data):
+    if graph.edges():
+        graph.remove_edge(data.draw(st.sampled_from(sorted(graph.edges())), label="key"))
+
+
+def _remove_node(graph, data):
+    if len(graph.nodes) > 2:
+        victim, heir = data.draw(st.lists(st.sampled_from(sorted(graph.nodes)), min_size=2,
+                                          max_size=2, unique=True), label="victim, heir")
+        graph.remove_node(victim, heir=heir)
+
+
+def _set_category(graph, data):
+    graph.set_category(data.draw(st.sampled_from(sorted(graph.nodes)), label="skill"),
+                       data.draw(st.sampled_from(CATEGORIES), label="category"))
+
+
+def _title(graph, data):
+    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
+    # an equal title as a new string object, or another title
+    node.title = data.draw(st.sampled_from([node.title.encode().decode(), "Renamed"]))
+
+
+def _created_step(graph, data):
+    # equal but not the same: 3.0 == 3, and it is written as 3.0
+    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
+    node.created_step = data.draw(st.sampled_from([float(node.created_step),
+                                                   int(node.created_step)]))
+
+
+def _deprecated(graph, data):
+    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
+    node.deprecated = data.draw(st.booleans(), label="deprecated")
+
+
+WRITES = [_stats, _weight, _add_edge, _remove_edge, _remove_node, _set_category,
+          _title, _created_step, _deprecated, "snapshot"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_repeat_saves_of_one_graph_match_the_general_encoder(data, seed):
+    graph = random_graph(random.Random(seed), n=8)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "g.json"
+        assert_saves_as_the_oracle(graph, path)
+        for write in data.draw(st.lists(st.sampled_from(WRITES), max_size=10), label="writes"):
+            if write == "snapshot":
+                # a clone renders from nothing and leaves the graph's text alone
+                clone = graph.snapshot()
+                assert_saves_as_the_oracle(clone, Path(directory) / "clone.json")
+                _stats(clone, data)
+                assert_saves_as_the_oracle(clone, Path(directory) / "clone.json")
+            else:
+                write(graph, data)
+            assert_saves_as_the_oracle(graph, path)
+
+
+def test_repeat_saves_follow_levels_above_256(tmp_path):
+    graph = SkillGraph()
+    ids = [f"s{i:03d}" for i in range(260)]
+    add_nodes(graph, ids)
+    graph.add_edges([(a, b, "prereq", 0.5) for a, b in zip(ids, ids[1:])])
+    path = tmp_path / "g.json"
+    assert_saves_as_the_oracle(graph, path)
+    assert graph.nodes["s259"].level == 259
+    graph.update_stats([("s259", 300, 299)])
+    assert_saves_as_the_oracle(graph, path)
+    # a new root lifts every level by one; the large ones are new int objects
+    add_nodes(graph, ["root"])
+    graph.add_edge("root", "s000", EdgeKind.PREREQ, 0.5)
+    assert_saves_as_the_oracle(graph, path)
+    graph.compute_levels()  # the same levels again, as new objects above 256
+    assert_saves_as_the_oracle(graph, path)
+    assert graph.nodes["s259"].level == 260
+
+
+def test_a_saved_graph_that_is_dropped_is_collected(tmp_path):
+    graph = random_graph(random.Random(5), n=10)
+    save_graph(graph, tmp_path / "g.json")
+    save_graph(graph, tmp_path / "g.json")
+    dropped = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert dropped() is None
