@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
-from .model import SkillGraph, SkillNode
+from .model import GENERAL_CATEGORY, SKILL_TEXT_FIELDS, SkillGraph, SkillNode
 from .persistence import (
     decode_json,
     export_dot,
@@ -41,8 +41,7 @@ EXIT_DATA = 2
 EXIT_PROPOSER = 3
 
 # an ``init`` skills entry: every field a string, checked, never coerced
-_SKILL_TYPES = dict.fromkeys(
-    ("skill_id", "title", "principle", "when_to_apply", "category"), str)
+_SKILL_TYPES = dict.fromkeys(SKILL_TEXT_FIELDS, str)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,7 +153,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
             title=obj["title"],
             principle=obj.get("principle", ""),
             when_to_apply=obj.get("when_to_apply", ""),
-            category=obj.get("category", "general"),
+            category=obj.get("category", GENERAL_CATEGORY),
         ))
     added = graph.init_edges()
     graph.compute_levels()
@@ -301,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     except ProposerError as exc:
         print(f"proposer error: {exc}", file=sys.stderr)
         return EXIT_PROPOSER
-    except (SkillNetError, KeyError, OSError) as exc:
+    except (SkillNetError, KeyError, OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: a lone surrogate, which JSON can spell, in output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

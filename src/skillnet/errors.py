@@ -36,7 +36,7 @@ class CycleWouldForm(SkillNetError):
 
 
 class CycleDetected(SkillNetError):
-    """Dependency subgraph contains a cycle (should be unreachable)."""
+    """Dependency subgraph contains a cycle, as a snapshot's edges can."""
 
 
 class AlreadyInitialized(SkillNetError):

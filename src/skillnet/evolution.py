@@ -28,7 +28,7 @@ from .errors import (
     ConfigInvalid, CycleWouldForm, ProposerError, ProposerParseError, SchemaViolation,
 )
 from .model import (
-    GENERAL_CATEGORY, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
+    GENERAL_CATEGORY, SKILL_TEXT_FIELDS, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
 )
 from .persistence import TrajectoryRecord
 from .proposer import (
@@ -110,13 +110,7 @@ def summarize_failures(failures: list[TrajectoryRecord]) -> list[FailureSummary]
 
 
 def _node_view(node: SkillNode) -> dict[str, str]:
-    return {
-        "skill_id": node.skill_id,
-        "title": node.title,
-        "principle": node.principle,
-        "when_to_apply": node.when_to_apply,
-        "category": node.category,
-    }
+    return {name: getattr(node, name) for name in SKILL_TEXT_FIELDS}
 
 
 def _ask(proposer: Proposer, request: ProposerRequest) -> list[SkillProposal] | None:

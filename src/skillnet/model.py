@@ -85,8 +85,10 @@ class SkillNode:
         return self.category == GENERAL_CATEGORY
 
 
-# a node's field values in declaration order, for positional copies
-_node_values = attrgetter(*(f.name for f in fields(SkillNode)))
+# a skill's text fields, as ``init`` reads them and a teacher sees them
+SKILL_TEXT_FIELDS = ("skill_id", "title", "principle", "when_to_apply", "category")
+# a node's field values in declaration order, for positional copies and saves
+node_values = attrgetter(*(f.name for f in fields(SkillNode)))
 
 
 def edge_key(src: str, dst: str, kind: EdgeKind | str) -> EdgeKey:
@@ -136,15 +138,14 @@ class SkillGraph:
     in ``_out`` of both endpoints. Each is an insertion-ordered dict of keys to
     None, used as a set. ``_categories`` maps each category to its ids, kept
     by ``add_skill``, ``remove_node`` and ``set_category``, the one writer of
-    a node's category after insert. ``_edge_writes`` counts the writes to
-    ``_edges``, made only by ``_store``, ``remove_edge`` and ``set_weight``,
-    so a reader can tell that no edge changed since it last looked.
+    a node's category after insert. Only ``_store``, ``remove_edge`` and
+    ``set_weight`` write ``_edges``, so the adjacency and the stale-level
+    flag follow every edge change.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, SkillNode] = {}
         self._edges: dict[EdgeKey, float] = {}
-        self._edge_writes: int = 0
         self._out: dict[str, dict[EdgeKey, None]] = {}
         self._in: dict[str, dict[EdgeKey, None]] = {}
         self._categories: dict[str, dict[str, None]] = {}
@@ -166,7 +167,7 @@ class SkillGraph:
         is refused) and ``deprecated`` a bool.
         """
         if node.skill_id in self.nodes:
-            raise DuplicateId(node.skill_id)
+            raise DuplicateId(f"duplicate skill id {node.skill_id!r}")
         if is_blank(node.title):
             raise EmptyTitle(f"skill {node.skill_id!r} has an empty title")
         # exact types: a bool counter would be written as Python's True
@@ -222,9 +223,9 @@ class SkillGraph:
         when a dependency edge goes with the node (``remove_edge`` marks it).
         """
         if skill_id not in self.nodes:
-            raise UnknownSkill(skill_id)
+            raise UnknownSkill(f"unknown skill id {skill_id!r}")
         if heir is not None and (heir == skill_id or heir not in self.nodes):
-            raise UnknownSkill(heir)
+            raise UnknownSkill(f"heir {heir!r} is not another skill of the graph")
         for key in self.incident_edges(skill_id):
             self.remove_edge(key)
         del self._out[skill_id]
@@ -312,21 +313,20 @@ class SkillGraph:
         """The canonical key of an edge to insert, after the checks both
         inserts make, in this order: kind, endpoints, self-loop, weight."""
         key = edge_key(src, dst, kind)
-        if src not in self.nodes:
-            raise UnknownEndpoint(src)
-        if dst not in self.nodes:
-            raise UnknownEndpoint(dst)
+        for end in (src, dst):
+            if end not in self.nodes:
+                raise UnknownEndpoint(f"unknown endpoint {end!r} of {src} -> {dst}")
         if src == dst:
             raise CycleWouldForm(f"self-loop on {src!r}")
         if not 0.0 <= weight <= 1.0:
-            raise WeightOutOfRange(f"{weight} for ({src}, {dst}, {key[2].value})")
+            raise WeightOutOfRange(f"weight {weight} outside [0, 1] for "
+                                   f"{src} -> {dst} ({key[2].value})")
         return key
 
     def _store(self, key: EdgeKey, weight: float) -> None:
         """Add a checked new edge to the weights and the adjacency."""
         src, dst, kind = key
         self._edges[key] = float(weight)
-        self._edge_writes += 1
         self._out[src][key] = None
         if kind is EdgeKind.CO_OCCUR:
             self._out[dst][key] = None
@@ -337,7 +337,6 @@ class SkillGraph:
     def remove_edge(self, key: EdgeKey) -> None:
         if self._edges.pop(key, None) is None:
             return
-        self._edge_writes += 1
         src, dst, kind = key
         del self._out[src][key]
         if kind is EdgeKind.CO_OCCUR:
@@ -355,9 +354,9 @@ class SkillGraph:
         if key not in self._edges:
             raise KeyError(key)
         if not 0.0 <= weight <= 1.0:
-            raise WeightOutOfRange(f"{weight} for ({key[0]}, {key[1]}, {key[2].value})")
+            raise WeightOutOfRange(f"weight {weight} outside [0, 1] for "
+                                   f"{key[0]} -> {key[1]} ({key[2].value})")
         self._edges[key] = float(weight)
-        self._edge_writes += 1
 
     def edges(self) -> Mapping[EdgeKey, float]:
         """Read-only live view of every edge key and its weight; keys sort
@@ -499,7 +498,7 @@ class SkillGraph:
         nodes = self.nodes
         for skill_id, uses, successes in batch:
             if skill_id not in nodes:
-                raise UnknownSkill(skill_id)
+                raise UnknownSkill(f"unknown skill id {skill_id!r}")
             if not (isinstance(uses, int) and isinstance(successes, int)
                     and 0 <= successes <= uses):
                 raise SuccessWithoutUse(
@@ -581,7 +580,7 @@ class SkillGraph:
         """
         self.ensure_levels()
         clone = SkillGraph()
-        clone.nodes = {v: SkillNode(*_node_values(n)) for v, n in self.nodes.items()}
+        clone.nodes = {v: SkillNode(*node_values(n)) for v, n in self.nodes.items()}
         clone._edges = dict(self._edges)
         clone._out = {v: keys.copy() for v, keys in self._out.items()}
         clone._in = {v: keys.copy() for v, keys in self._in.items()}

@@ -20,7 +20,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, is_not, itemgetter
+from operator import is_, is_not, itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 from weakref import WeakKeyDictionary
@@ -32,7 +32,7 @@ from .errors import (
     SkillNetError,
     VersionMismatch,
 )
-from .model import EdgeKind, SkillGraph, SkillNode, pair_key
+from .model import EdgeKind, SkillGraph, SkillNode, node_values, pair_key
 
 logger = logging.getLogger(__name__)
 
@@ -155,12 +155,8 @@ class IngestResult:
 def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
     """Canonical snapshot dict: nodes sorted by id, edges by key."""
     graph.ensure_levels()
-    nodes = []
-    for skill_id in sorted(graph.nodes):
-        node = graph.nodes[skill_id]
-        record = {name: getattr(node, name) for name in _NODE_TYPES}
-        record["success_rate"] = node.success_rate()
-        nodes.append(record)
+    nodes = [dict(zip(_NODE_TYPES, node_values(node)), success_rate=node.success_rate())
+             for node in map(graph.nodes.__getitem__, sorted(graph.nodes))]
     edges = [
         {"src": src, "dst": dst, "kind": kind.value, "weight": weight}
         for (src, dst, kind), weight in sorted(graph.edges().items())
@@ -359,13 +355,15 @@ def _object_template(names: set[str], indent: int) -> str:
 #
 # A repeat save of the same graph reuses the text of its last one, kept in
 # _LAST_SAVES. That holds each graph weakly, so a snapshot() clone or a loaded
-# graph starts with nothing and a dropped graph frees its text.
-# - A node's record is kept while every field value is the same object it
-#   was rendered from. Identity, not equality: True == 1 and 0.0 == -0.0, but
-#   they render differently. Records are matched by their position in id
-#   order, field by field in one flat list, so a shifted position fails on
-#   its skill_id, and a changed node count renders every node again.
-# - The edge section is kept while the graph's edge-write count is unchanged.
+# graph starts with nothing and a dropped graph frees its text. One rule
+# serves both sections: text is kept while every value it was rendered from
+# is the same object as then. Identity, not equality: True == 1 and
+# 0.0 == -0.0, but they render differently.
+# - Node records are matched by their position in id order, field by field
+#   in one flat list, so a shifted position fails on its skill_id, and a
+#   changed node count renders every node again.
+# - The edge section is kept while the edge map holds equal keys in the same
+#   order, each with the very weight object it was rendered from.
 # The document reaches the file in pieces of at most _CHUNK records, so it is
 # never held as one string, nor as one encoded copy, next to the kept text.
 _BOOL_TEXT = {False: "false", True: "true"}
@@ -373,13 +371,13 @@ _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
 # the literal text around the five sections, in key order
 _SNAPSHOT = (_object_template(_TOP_LEVEL_FIELDS, 0) + "\n").split("%s")
 _META = _object_template(_META_FIELDS, 2).lstrip()  # opens after its key
-_node_attrs = attrgetter(*_NODE_TYPES)
 _WIDTH = len(_NODE_TYPES)
 _CHUNK = 256
 # per graph: its node field values in id order (_WIDTH per node, flat), its
-# node records, its edge-write count and its edge section, as last saved
+# node records, its edge keys and weights in map order and its edge section,
+# as last saved; no key list matches the None of a graph never saved
 _LAST_SAVES: WeakKeyDictionary = WeakKeyDictionary()
-_NOTHING_SAVED = ([], [], -1, [])
+_NOTHING_SAVED = ([], [], None, [], [])
 
 
 def _past_bound(what: str) -> SkillNetError:
@@ -430,8 +428,8 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
     with ``indent=2, sort_keys=True`` and a final newline.
 
     A repeat save of the same graph renders again only the node records
-    whose field values changed, and the edge section only when an edge was
-    written since (see the comment above). A counter above
+    whose field values changed, and the edge section only when an edge key
+    or weight changed (see the comment above). A counter above
     ``MAX_STORED_INT``, which ``load_graph`` would refuse, is a SkillNetError
     before any file is touched.
     """
@@ -450,18 +448,20 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
         f'      {counts[pair]!r}\n    ]'
         for pair in sorted(counts)]
 
-    kept_fields, kept_nodes, kept_writes, kept_edges = _LAST_SAVES.get(graph, _NOTHING_SAVED)
+    kept_fields, kept_nodes, kept_keys, kept_weights, kept_edges = _LAST_SAVES.get(
+        graph, _NOTHING_SAVED)
     nodes = graph.nodes
     order = sorted(nodes)
-    fields = list(chain.from_iterable(map(_node_attrs, map(nodes.__getitem__, order))))
+    fields = list(chain.from_iterable(map(node_values, map(nodes.__getitem__, order))))
     if len(fields) == len(kept_fields):
         node_records = kept_nodes.copy()
         for i in {i // _WIDTH for i in compress(count(), map(is_not, fields, kept_fields))}:
             node_records[i] = _node_text(nodes[order[i]])
     else:
         node_records = list(map(_node_text, map(nodes.__getitem__, order)))
-    writes = graph._edge_writes
-    edges = kept_edges if writes == kept_writes else _edge_section(graph)
+    keys, values = list(graph.edges()), list(graph.edges().values())
+    same = keys == kept_keys and all(map(is_, values, kept_weights))
+    edges = kept_edges if same else _edge_section(graph)
 
     sections = (_section(pair_records), edges, [_META % meta],
                 _section(node_records), [str(SNAPSHOT_VERSION)])
@@ -470,7 +470,7 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
         pieces += section
         pieces.append(after)
     _atomic_write(path, *pieces)
-    _LAST_SAVES[graph] = (fields, node_records, writes, edges)
+    _LAST_SAVES[graph] = (fields, node_records, keys, values, edges)
 
 
 def read_text(path: str | Path, unreadable: type[SkillNetError] = ParseError) -> str:

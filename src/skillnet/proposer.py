@@ -80,6 +80,10 @@ class SkillProposal:
             raise SchemaViolation("when_to_apply must be a string")
         if self.category is not None and not isinstance(self.category, str):
             raise SchemaViolation("category must be a string")
+        try:  # a lone surrogate, which JSON can spell, is no UTF-8 text
+            f"{self.title}{self.principle}{self.when_to_apply}{self.category}".encode()
+        except UnicodeEncodeError:
+            raise SchemaViolation("skill text must encode as UTF-8") from None
         if self.neighbor_assignment is not None and (
                 not isinstance(self.neighbor_assignment, list)
                 or not all(isinstance(n, str) for n in self.neighbor_assignment)):

@@ -27,7 +27,7 @@ from .model import GENERAL_CATEGORY, SkillGraph, SkillNode
 from .persistence import TrajectoryRecord
 # never called here; bench/tracing.py still wraps these two names in this module
 from .policy_math import group_advantages, grpo_objective  # noqa: F401
-from .proposer import Proposer, ProposerRequest, SkillProposal
+from .proposer import MAX_TITLE_LENGTH, Proposer, ProposerRequest, SkillProposal
 from .retrieval import RetrievalParams, RetrievalResult, TaskQuery, retrieve
 
 MAX_CHAIN_LENGTH = 6
@@ -304,7 +304,7 @@ class SimProposer(Proposer):
         if (self.concept_map.concepts_of(first["skill_id"])
                 != self.concept_map.concepts_of(second["skill_id"])):
             return []
-        title = f"{first['title']} & {second['title']}"[:80]
+        title = f"{first['title']} & {second['title']}"[:MAX_TITLE_LENGTH]
         return [SkillProposal(
             skill_id="proposal_0",
             title=title,

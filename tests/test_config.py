@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -160,3 +161,47 @@ class TestTypesAndRanges:
         assert config.evolution.split_band == (0.0, 1.0)
         assert config.proposer.endpoint is None
         assert config.simulation.types[0].chain_max == 4  # dataclass default
+
+
+def sim_type(**fields) -> dict:
+    return {"name": "x", "canonical": ["a", "b", "c", "d"], **fields}
+
+
+def seed_skill(skill_id: str = "s", category: str = "x") -> dict:
+    return {"skill_id": skill_id, "title": "T", "category": category}
+
+
+# each refusal of TaskTypeSpec.validate and SimConfig.validate; a section
+# that names its types also names its starter skills, since the default
+# ones belong to the default types
+SIM_REFUSALS = [
+    ({"types": [sim_type(name="")]}, "bad task type name ''"),
+    ({"types": [sim_type(name="general")]}, "bad task type name 'general'"),
+    ({"types": [sim_type(canonical=[])]}, "type x: empty concept sequence"),
+    ({"types": [sim_type(chain_min=0)]},
+     "type x: chain bounds must satisfy 1 <= min <= max <= 6"),
+    ({"types": [sim_type(chain_min=3, chain_max=2)]}, "type x: chain bounds"),
+    ({"types": [sim_type(canonical=list("abcdefg"), chain_max=7)]}, "type x: chain bounds"),
+    ({"types": [sim_type(weight=0)]}, "type x: weight must be positive"),
+    ({"types": []}, "simulation needs at least one task type"),
+    ({"types": [sim_type(canonical=["a", "b"])]}, "type x: chain_max exceeds concept count"),
+    ({"types": [sim_type(), sim_type()]}, "duplicate task type names"),
+    ({"types": [sim_type()], "initial_skills": [seed_skill(), seed_skill()]},
+     "duplicate initial skill ids"),
+    ({"types": [sim_type()], "initial_skills": [seed_skill(category="y")]},
+     "skill s: unknown category 'y'"),
+    ({"steps": -1}, "steps/tasks_per_step/group_size out of range"),
+    ({"tasks_per_step": 0}, "steps/tasks_per_step/group_size out of range"),
+    ({"group_size": 0}, "steps/tasks_per_step/group_size out of range"),
+    ({"validation_frequency": 0}, "validation_frequency must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("simulation, message", SIM_REFUSALS)
+def test_simulation_section_refusals(tmp_path, simulation, message):
+    if "types" in simulation:
+        simulation = {"initial_skills": [], **simulation}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"simulation": simulation}))
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}"):
+        load_app_config(path)

@@ -572,6 +572,21 @@ def test_repeat_saves_follow_levels_above_256(tmp_path):
     assert graph.nodes["s259"].level == 260
 
 
+def test_a_weight_stored_past_set_weight_shows_in_the_next_save(tmp_path):
+    """The writer keeps its edge section from the weights it rendered, not
+    from any count the graph keeps, so even a weight stored straight into
+    the edge map is saved as it now is: a new value, and then -0.0 for 0.0,
+    equal but written differently."""
+    graph = random_graph(random.Random(7), n=10)
+    key = min(graph.edges())
+    path = tmp_path / "g.json"
+    assert_saves_as_the_oracle(graph, path)
+    for weight in (0.125, 0.0, -0.0):
+        graph._edges[key] = weight
+        assert_saves_as_the_oracle(graph, path)
+    assert '"weight": -0.0' in path.read_text(encoding="utf-8")
+
+
 def test_a_saved_graph_that_is_dropped_is_collected(tmp_path):
     graph = random_graph(random.Random(5), n=10)
     save_graph(graph, tmp_path / "g.json")

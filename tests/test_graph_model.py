@@ -647,9 +647,34 @@ class TestHealth:
                 health.mean_success) == (0, 0, {}, 0.0)
 
 
-def test_edges_are_written_only_where_the_edge_write_count_moves():
-    """Only _store, remove_edge and set_weight write SkillGraph._edges, each
-    bumping _edge_writes, which save_graph reads to keep its edge section;
+@pytest.mark.parametrize("write, error, message", [
+    (lambda g: g.add_skill(make_node("a")), DuplicateId, "duplicate skill id 'a'"),
+    (lambda g: g.update_stats([("zz", 1, 0)]), UnknownSkill, "unknown skill id 'zz'"),
+    (lambda g: g.remove_node("zz"), UnknownSkill, "unknown skill id 'zz'"),
+    (lambda g: g.remove_node("a", heir="a"), UnknownSkill,
+     "heir 'a' is not another skill of the graph"),
+    (lambda g: g.add_edge("a", "zz", "prereq", 0.5), UnknownEndpoint,
+     "unknown endpoint 'zz' of a -> zz"),
+    (lambda g: g.add_edges([("zz", "a", "prereq", 0.5)]), UnknownEndpoint,
+     "unknown endpoint 'zz' of zz -> a"),
+    (lambda g: g.add_edge("a", "b", "co_occur", 1.5), WeightOutOfRange,
+     "weight 1.5 outside [0, 1] for a -> b (co_occur)"),
+    (lambda g: g.set_weight(("a", "b", EdgeKind.PREREQ), -0.5), WeightOutOfRange,
+     "weight -0.5 outside [0, 1] for a -> b (prereq)"),
+], ids=["add_skill", "update_stats", "remove_node", "remove_node-heir", "add_edge",
+        "add_edges", "add_edge-weight", "set_weight"])
+def test_refusals_name_the_fault(write, error, message):
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+    with pytest.raises(error) as caught:
+        write(graph)
+    assert str(caught.value) == message
+
+
+def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
+    """Only _store, remove_edge and set_weight write SkillGraph._edges, so
+    ``_out``, ``_in`` and the stale-level flag follow every edge change;
     __init__ and snapshot() bind a fresh graph's map. A write counts whether
     it goes through ``._edges`` or a local name bound to it."""
     mutators = {"pop", "popitem", "clear", "update", "setdefault",
@@ -689,8 +714,3 @@ def test_edges_are_written_only_where_the_edge_write_count_moves():
     assert sorted(found) == [("model", "__init__", "bind"), ("model", "_store", "item"),
                              ("model", "remove_edge", "pop"), ("model", "set_weight", "item"),
                              ("model", "snapshot", "bind")]
-    model = ast.parse((Path(skillnet.__file__).parent / "model.py").read_text(encoding="utf-8"))
-    bumps = {func.name for func in ast.walk(model) if isinstance(func, ast.FunctionDef)
-             for node in ast.walk(func) if isinstance(node, ast.AugAssign)
-             and getattr(node.target, "attr", None) == "_edge_writes"}
-    assert bumps == {"_store", "remove_edge", "set_weight"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import io
 import json
 import os
 import random
@@ -1009,6 +1010,15 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_simulate_refuses_a_bad_simulation_section(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulation": {
+            "types": [{"name": "x", "canonical": ["a"], "weight": -1.0}]}}))
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: type x: weight must be positive\n"
+        assert not out.exists()
+
     def test_init_rejects_non_object_entry(self, tmp_path, capsys):
         skills = tmp_path / "skills.json"
         skills.write_text(json.dumps([{"skill_id": "a", "title": "A"}, "oops"]))
@@ -1115,12 +1125,123 @@ class TestCli:
             csvs.append(out.read_text())
         assert csvs[0] != csvs[1]
 
+    def test_export_dot_out_writes_what_stdout_shows(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        main(["init", "--skills", self.write_skills(tmp_path),
+              "--out", str(graph_path)])
+        capsys.readouterr()
+        assert main(["--graph", str(graph_path), "export-dot"]) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "g.dot"
+        assert main(["--graph", str(graph_path), "export-dot", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text(encoding="utf-8") == shown == \
+            export_dot(load_graph(graph_path)) + "\n"
+
+    def test_evolve_skips_a_bad_window_line(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        main(["init", "--skills", self.write_skills(tmp_path),
+              "--out", str(graph_path)])
+        window = tmp_path / "w.jsonl"
+        save_trajectories([TrajectoryRecord(
+            task_id=f"t{i}", task_type="clean", retrieved_skill_ids=["g1", "c1"],
+            success=True) for i in range(2)], window)
+        lines = window.read_text().splitlines()
+        window.write_text("\n".join([lines[0], '{"task_id": 5}', lines[1]]) + "\n")
+        capsys.readouterr()
+        assert main(["--graph", str(graph_path), "evolve", "--window", str(window)]) == 0
+        assert capsys.readouterr().err == (
+            "line 2: trajectory record field 'task_id' must be a string, "
+            "got an integer\n")
+        graph = load_graph(graph_path)
+        assert graph.checkpoint_index == 1
+        assert graph.nodes["g1"].n_use == graph.nodes["c1"].n_use == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["init", "--skills", "{skills}", "--out", "{out}"], "duplicate skill id 'a'"),
+        (["--graph", "{node}", "stats"], "invalid node: duplicate skill id 'a'"),
+        (["--graph", "{endpoint}", "stats"],
+         "invalid edge: unknown endpoint 'zz' of a -> zz"),
+        (["--graph", "{weight}", "stats"],
+         "invalid edge: weight 1.5 outside [0, 1] for a -> b (co_occur)"),
+    ], ids=["init-repeated-id", "snapshot-repeated-node", "edge-to-missing-node",
+            "weight-1.5"])
+    def test_a_refused_graph_write_names_the_fault(self, tmp_path, capsys, argv,
+                                                   message):
+        # each used to print only an id or a weight
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"])
+        data = graph_to_dict(graph)
+        files = {"skills": [{"skill_id": "a", "title": "A"}] * 2,
+                 "node": dict(data, nodes=data["nodes"] + data["nodes"][:1]),
+                 "endpoint": dict(data, edges=[{"src": "a", "dst": "zz",
+                                                "kind": "prereq", "weight": 0.5}]),
+                 "weight": dict(data, edges=[{"src": "a", "dst": "b",
+                                              "kind": "co_occur", "weight": 1.5}])}
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        argv = [arg.format(out=out, **{name: tmp_path / f"{name}.json" for name in files})
+                for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_retrieve_flags_obey_the_config_ranges(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
         main(["init", "--skills", self.write_skills(tmp_path),
               "--out", str(graph_path)])
         assert main(["--graph", str(graph_path), "retrieve",
                      "--task-type", "clean", "--depth", "-1"]) == 2
+
+
+class TestTextThatIsNoUtf8:
+    """A lone surrogate loads, since JSON can spell one as an escape, and
+    saves, as the same escape. No command may write one as UTF-8 text: that
+    is a data error with one message line, and leaves no file behind."""
+
+    @pytest.fixture
+    def graph_path(self, tmp_path):
+        graph = SkillGraph()
+        graph.add_skill(make_node("a", category="clean", title="\ud800 lone"))
+        graph.add_skill(make_node("b", category="clean"))
+        graph.init_edges()
+        path = tmp_path / "g.json"
+        save_graph(graph, path)
+        assert '"title": "\\ud800 lone"' in path.read_text(encoding="utf-8")
+        return path
+
+    @staticmethod
+    def strict_stdout(monkeypatch) -> io.TextIOWrapper:
+        """A strict UTF-8 stdout, as a terminal's is; set in the test body,
+        since capsys puts its own stream back when the test starts."""
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stream)
+        return stream
+
+    @pytest.mark.parametrize("argv", [["stats"], ["retrieve", "--task-type", "clean"]])
+    def test_escaped_output_passes(self, graph_path, capsys, monkeypatch, argv):
+        stdout = self.strict_stdout(monkeypatch)
+        assert main(["--graph", str(graph_path), *argv]) == 0
+        assert capsys.readouterr().err == ""
+        stdout.flush()
+        assert stdout.buffer.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "--task-type", "clean", "--render"],
+        ["export-dot"],
+        ["export-dot", "--out", "{out}"],
+    ], ids=["retrieve-render", "export-dot", "export-dot-out"])
+    def test_a_write_of_it_is_a_data_error(self, graph_path, capsys, monkeypatch, argv):
+        argv = [arg.format(out=graph_path.parent / "g.dot") for arg in argv]
+        stdout = self.strict_stdout(monkeypatch)
+        assert main(["--graph", str(graph_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "surrogates not allowed" in err
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        assert [p.name for p in graph_path.parent.iterdir()] == ["g.json"]
 
 
 def test_outside_json_is_decoded_in_one_place():

@@ -73,6 +73,15 @@ class TestProposalSchema:
                 "skill_id": "x", "title": "t",
                 "principle": "  ", "when_to_apply": "w"})
 
+    @pytest.mark.parametrize("field", ["title", "principle", "when_to_apply", "category"])
+    def test_text_that_is_no_utf8_rejected(self, field):
+        # JSON spells a lone surrogate as an escape; no file could hold it as UTF-8
+        obj = json.loads('{"title": "T", "principle": "P", "when_to_apply": "W", '
+                         f'"{field}": "\\ud800 lone"}}')
+        assert obj[field] == "\ud800 lone"
+        with pytest.raises(SchemaViolation, match="must encode as UTF-8"):
+            SkillProposal.from_dict(obj)
+
     def test_non_object_rejected(self):
         with pytest.raises(SchemaViolation):
             SkillProposal.from_dict(["not", "an", "object"])
@@ -212,6 +221,34 @@ def valid_skill(i: int) -> dict:
             "principle": "Look before acting", "when_to_apply": "Always"}
 
 
+class FakeSession:
+    """Stands in for ``requests.Session`` with no network: records each
+    ``post`` and answers it with ``status_code`` and a completion holding
+    ``content``, or raises ``error``."""
+
+    def __init__(self, status_code: int = 200, content: str = "[]",
+                 error: Exception | None = None):
+        self.status_code, self.content, self.error = status_code, content, error
+        self.calls: list[tuple[str, dict]] = []
+
+    def post(self, url, **kwargs):
+        self.calls.append((url, kwargs))
+        if self.error is not None:
+            raise self.error
+        payload = {"choices": [{"message": {"content": self.content}}]}
+        return type("Response", (), {"status_code": self.status_code,
+                                     "json": lambda _: payload})()
+
+
+def degraded_insert(proposer):
+    """One checkpoint whose only teacher call is an insert for one failure."""
+    from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
+
+    failure = TrajectoryRecord(task_id="t", task_type="clean",
+                               retrieved_skill_ids=[], success=False)
+    return evolve_step(SkillGraph(), [], [failure], proposer, EvolutionConfig())
+
+
 class TestHttpProposer:
     def test_parses_valid_array(self, stub_server):
         endpoint, handler = stub_server
@@ -333,6 +370,50 @@ class TestHttpProposer:
                              EvolutionConfig())
         assert report.inserted == []
         assert "insert degraded, proposer unavailable" in caplog.text
+
+    def test_non_200_status_degrades_the_checkpoint(self, caplog):
+        session = FakeSession(status_code=503)
+        proposer = HttpProposer("http://teacher.invalid", model="stub",
+                                max_retries=2, session=session)
+        with pytest.raises(ProposerUnavailable, match="HTTP 503"):
+            proposer.propose(insert_request())
+        assert len(session.calls) == 1  # a status answer is not retried
+        report = degraded_insert(proposer)
+        assert report.inserted == []
+        assert "insert degraded, proposer unavailable: proposer endpoint returned " \
+            "HTTP 503" in caplog.text
+
+    @pytest.mark.parametrize("key", ["sk-test", None], ids=["set", "unset"])
+    def test_api_key_env_becomes_a_bearer_header(self, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv("TEACHER_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TEACHER_KEY", key)
+        session = FakeSession(content=json.dumps([valid_skill(0)]))
+        proposer = HttpProposer("http://teacher.invalid/", model="stub",
+                                api_key_env="TEACHER_KEY", timeout=7.0, session=session)
+        assert [p.title for p in proposer.propose(insert_request())] == ["Teacher skill 0"]
+        ((url, kwargs),) = session.calls
+        assert url == "http://teacher.invalid/chat/completions"
+        assert kwargs["timeout"] == 7.0
+        expected = {"Content-Type": "application/json"}
+        if key is not None:
+            expected["Authorization"] = "Bearer sk-test"
+        assert kwargs["headers"] == expected
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 3])
+    def test_a_request_exception_is_tried_one_plus_max_retries_times(
+            self, caplog, max_retries):
+        session = FakeSession(error=requests.ConnectionError("refused"))
+        proposer = HttpProposer("http://teacher.invalid", model="stub",
+                                max_retries=max_retries, session=session)
+        with pytest.raises(ProposerUnavailable, match="refused"):
+            proposer.propose(insert_request())
+        assert len(session.calls) == 1 + max_retries
+        session.calls.clear()
+        assert degraded_insert(proposer).inserted == []
+        assert len(session.calls) == 1 + max_retries
+        assert "insert degraded, proposer unavailable: refused" in caplog.text
 
     @pytest.mark.parametrize("payload, reason", [
         *(({"choices": [{"message": {"content": content}}]}, "not text")
