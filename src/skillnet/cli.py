@@ -300,9 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     except ProposerError as exc:
         print(f"proposer error: {exc}", file=sys.stderr)
         return EXIT_PROPOSER
-    except (SkillNetError, KeyError, OSError, UnicodeEncodeError) as exc:
-        # UnicodeEncodeError: a lone surrogate, which JSON can spell, in output
+    except (SkillNetError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeEncodeError as exc:
+        # a lone surrogate, which JSON can spell, printed; files name their
+        # own path (persistence._atomic_write)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -477,8 +477,7 @@ def decay_and_prune(graph: SkillGraph, decay: float, floor: float) -> int:
         graph.set_weight(key, weight)
         if weight < floor:
             doomed.append(key)
-    for key in doomed:
-        graph.remove_edge(key)
+    graph.remove_edges(doomed)
     return len(doomed)
 
 

@@ -10,16 +10,18 @@ one range-checked way to change a stored weight.
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
 to another thread. The snapshot is a structural copy: every mutable object
-(node records, the adjacency and category maps and the maps holding them, the
-co-appearance counters) is fresh, while ids, titles, edge keys, kinds and
-weights are shared. Those are immutable strings, tuples, enums and floats, so
-no write on either side can reach the other. Readers write nothing, so any
-number of them may share one snapshot.
+(node records, the edge, adjacency and category maps, the category id maps,
+the co-appearance counters) is fresh, while ids, titles, edge keys, kinds,
+weights and each node's adjacency tuples are shared. Those are immutable
+strings, tuples, enums and floats, and a write replaces a node's tuple in its
+own graph's map instead of changing it, so no write on either side can reach
+the other. Readers write nothing, so any number of them may share one
+snapshot.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -135,19 +137,23 @@ class SkillGraph:
     kind, plus every co_occur edge at ``v``, at either endpoint. ``_in[v]``
     holds the keys of the dependency (prereq, enhance) edges into ``v``. So a
     dependency key sits in ``_out[src]`` and ``_in[dst]``, and a co_occur key
-    in ``_out`` of both endpoints. Each is an insertion-ordered dict of keys to
-    None, used as a set. ``_categories`` maps each category to its ids, kept
-    by ``add_skill``, ``remove_node`` and ``set_category``, the one writer of
-    a node's category after insert. Only ``_store``, ``remove_edge`` and
-    ``set_weight`` write ``_edges``, so the adjacency and the stale-level
-    flag follow every edge change.
+    in ``_out`` of both endpoints. Each is a tuple of keys in insertion order.
+    A write never changes a tuple: it binds a new one in place of the old, so
+    ``snapshot()`` shares every tuple and copies only the two maps. The batch
+    writers ``add_edges`` and ``remove_edges`` replace each touched node's
+    tuple once, so a bulk write costs the degrees it touches, not their
+    squares. ``_categories`` maps each category to its ids, kept by
+    ``add_skill``, ``remove_node`` and ``set_category``, the one writer of a
+    node's category after insert. Only ``_store``, ``add_edges``,
+    ``remove_edges`` and ``set_weight`` write ``_edges``, so the adjacency
+    and the stale-level flag follow every edge change.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[str, SkillNode] = {}
         self._edges: dict[EdgeKey, float] = {}
-        self._out: dict[str, dict[EdgeKey, None]] = {}
-        self._in: dict[str, dict[EdgeKey, None]] = {}
+        self._out: dict[str, tuple[EdgeKey, ...]] = {}
+        self._in: dict[str, tuple[EdgeKey, ...]] = {}
         self._categories: dict[str, dict[str, None]] = {}
         self.highest_active_level: int = 0
         self.checkpoint_index: int = 0
@@ -183,8 +189,7 @@ class SkillGraph:
                 f"skill {node.skill_id!r}: need 0 <= n_succ <= n_use, "
                 f"got n_succ={node.n_succ}, n_use={node.n_use}")
         self.nodes[node.skill_id] = node
-        self._out.setdefault(node.skill_id, {})
-        self._in.setdefault(node.skill_id, {})
+        self._out[node.skill_id] = self._in[node.skill_id] = ()
         self._categories.setdefault(node.category, {})[node.skill_id] = None
         self._levels_stale = True
         return node.skill_id
@@ -220,14 +225,13 @@ class SkillGraph:
         count with the same partner instead; a pair with the heir is dropped.
         An heir that is ``skill_id`` itself or not in the graph is an
         UnknownSkill, raised before anything changes. Levels go stale only
-        when a dependency edge goes with the node (``remove_edge`` marks it).
+        when a dependency edge goes with the node (``remove_edges`` marks it).
         """
         if skill_id not in self.nodes:
             raise UnknownSkill(f"unknown skill id {skill_id!r}")
         if heir is not None and (heir == skill_id or heir not in self.nodes):
             raise UnknownSkill(f"heir {heir!r} is not another skill of the graph")
-        for key in self.incident_edges(skill_id):
-            self.remove_edge(key)
+        self.remove_edges(self._out[skill_id] + self._in[skill_id])
         del self._out[skill_id]
         del self._in[skill_id]
         node = self.nodes.pop(skill_id)
@@ -271,15 +275,21 @@ class SkillGraph:
         """
         rows = list(rows)
         keys = self._new_keys(rows)
+        edges = self._edges
         try:
             for key, row in zip(keys, rows):
-                self._store(key, row[3])
+                edges[key] = float(row[3])
+            # each touched tuple is replaced once, not once per key
+            out, into = _by_node(keys)
+            for v, added in out.items():
+                self._out[v] += tuple(added)
+            for v, added in into.items():
+                self._in[v] += tuple(added)
             if not self._levels_hold():
                 self.compute_levels()
             self._levels_stale = False
         except BaseException:
-            for key in keys:
-                self.remove_edge(key)
+            self.remove_edges(keys)
             raise
 
     def _new_keys(self, rows: list[tuple[str, str, str, float]]) -> list[EdgeKey]:
@@ -324,25 +334,30 @@ class SkillGraph:
         return key
 
     def _store(self, key: EdgeKey, weight: float) -> None:
-        """Add a checked new edge to the weights and the adjacency."""
+        """Add one checked new edge to the weights and the adjacency."""
         src, dst, kind = key
         self._edges[key] = float(weight)
-        self._out[src][key] = None
+        self._out[src] += (key,)
         if kind is EdgeKind.CO_OCCUR:
-            self._out[dst][key] = None
+            self._out[dst] += (key,)
         else:
-            self._in[dst][key] = None
+            self._in[dst] += (key,)
             self._levels_stale = True
 
     def remove_edge(self, key: EdgeKey) -> None:
-        if self._edges.pop(key, None) is None:
-            return
-        src, dst, kind = key
-        del self._out[src][key]
-        if kind is EdgeKind.CO_OCCUR:
-            del self._out[dst][key]
-        else:
-            del self._in[dst][key]
+        """Remove one edge; a key not stored is a no-op."""
+        self.remove_edges((key,))
+
+    def remove_edges(self, keys: Iterable[EdgeKey]) -> None:
+        """Remove edges, each touched node's tuple rebuilt once; a key not
+        stored, or already removed earlier in ``keys``, is skipped."""
+        stored = [key for key in keys if self._edges.pop(key, None) is not None]
+        out, into = _by_node(stored)
+        for v, gone in out.items():
+            self._out[v] = _without(self._out[v], gone)
+        for v, gone in into.items():
+            self._in[v] = _without(self._in[v], gone)
+        if into:
             self._levels_stale = True
 
     def weight(self, src: str, dst: str, kind: EdgeKind | str) -> float | None:
@@ -397,20 +412,20 @@ class SkillGraph:
         skills included."""
         return self._categories.get(category, {}).keys()
 
-    def dependency_parents(self, skill_id: str) -> KeysView[EdgeKey]:
-        """Read-only view of the keys of the prereq and enhance edges into a
-        skill."""
-        return self._in[skill_id].keys()
+    def dependency_parents(self, skill_id: str) -> tuple[EdgeKey, ...]:
+        """The keys of the prereq and enhance edges into a skill, as the
+        stored tuple."""
+        return self._in[skill_id]
 
-    def forward_neighbors(self, skill_id: str) -> KeysView[EdgeKey]:
-        """Read-only view of the keys of the edges one forward hop takes from
-        a skill: its out-edges and, since co_occur is walkable both ways, every
-        co_occur edge at it. The neighbor is whichever endpoint is not
-        ``skill_id``."""
-        return self._out[skill_id].keys()
+    def forward_neighbors(self, skill_id: str) -> tuple[EdgeKey, ...]:
+        """The keys of the edges one forward hop takes from a skill, as the
+        stored tuple: its out-edges and, since co_occur is walkable both
+        ways, every co_occur edge at it. The neighbor is whichever endpoint
+        is not ``skill_id``."""
+        return self._out[skill_id]
 
     def incident_edges(self, skill_id: str) -> set[EdgeKey]:
-        return self._out.get(skill_id, {}).keys() | self._in.get(skill_id, {}).keys()
+        return {*self._out.get(skill_id, ()), *self._in.get(skill_id, ())}
 
     def neighbors(self, skill_id: str) -> set[str]:
         """Adjacent non-deprecated skills over all kinds and both directions.
@@ -519,24 +534,22 @@ class SkillGraph:
 
         co_occur (w=0.3) between every pair of task-specific skills sharing a
         category, enhance (w=0.2) from each general skill to every
-        task-specific skill, and no prereq edges at all. A node set with no
+        task-specific skill, and no prereq edges at all, as one ``add_edges``
+        batch, which also brings levels up to date. A node set with no
         qualifying pair is a valid no-op.
         """
         if self._edges:
             raise AlreadyInitialized("graph already has edges")
         generals = sorted(v for v, n in self.nodes.items() if n.is_general())
         specifics = sorted(v for v, n in self.nodes.items() if not n.is_general())
-        added = 0
-        for i, a in enumerate(specifics):
-            for b in specifics[i + 1:]:
-                if self.nodes[a].category == self.nodes[b].category:
-                    self.add_edge(a, b, EdgeKind.CO_OCCUR, COOCCUR_INIT_WEIGHT)
-                    added += 1
-        for g in generals:
-            for s in specifics:
-                self.add_edge(g, s, EdgeKind.ENHANCE, ENHANCE_INIT_WEIGHT)
-                added += 1
-        return added
+        category = {v: self.nodes[v].category for v in specifics}
+        co_occur, enhance = EdgeKind.CO_OCCUR.value, EdgeKind.ENHANCE.value
+        rows = [(a, b, co_occur, COOCCUR_INIT_WEIGHT)
+                for i, a in enumerate(specifics) for b in specifics[i + 1:]
+                if category[a] == category[b]]
+        rows += [(g, s, enhance, ENHANCE_INIT_WEIGHT) for g in generals for s in specifics]
+        self.add_edges(rows)
+        return len(rows)
 
     def is_active(self, skill_id: str) -> bool:
         node = self.nodes.get(skill_id)
@@ -573,17 +586,18 @@ class SkillGraph:
 
         Levels are brought up to date first, so no reader sharing a
         snapshot recomputes levels into it, and readers write nothing else.
-        Copies every container and every node record and shares only
-        immutable values, edge weights included (see the module docstring),
-        which costs a fraction of a deep copy and is just as isolated in both
-        directions.
+        Copies every node record and every map, and shares only immutable
+        values: edge weights and each node's adjacency tuples, which a write
+        on either side replaces rather than changes (see the module
+        docstring). That costs a fraction of a deep copy and is just as
+        isolated in both directions.
         """
         self.ensure_levels()
         clone = SkillGraph()
         clone.nodes = {v: SkillNode(*node_values(n)) for v, n in self.nodes.items()}
         clone._edges = dict(self._edges)
-        clone._out = {v: keys.copy() for v, keys in self._out.items()}
-        clone._in = {v: keys.copy() for v, keys in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
         clone._categories = {c: ids.copy() for c, ids in self._categories.items()}
         clone.highest_active_level = self.highest_active_level
         clone.checkpoint_index = self.checkpoint_index
@@ -594,3 +608,30 @@ class SkillGraph:
     def __repr__(self) -> str:
         return (f"SkillGraph(nodes={len(self.nodes)}, edges={len(self._edges)}, "
                 f"L={self.highest_active_level}, checkpoint={self.checkpoint_index})")
+
+
+def _by_node(keys: Iterable[EdgeKey]) -> tuple[dict[str, list[EdgeKey]],
+                                               dict[str, list[EdgeKey]]]:
+    """Edge keys grouped, in order, under the nodes whose ``_out`` and whose
+    ``_in`` tuple holds them (see ``SkillGraph``)."""
+    out: defaultdict[str, list[EdgeKey]] = defaultdict(list)
+    into: defaultdict[str, list[EdgeKey]] = defaultdict(list)
+    for key in keys:
+        src, dst, kind = key
+        out[src].append(key)
+        if kind is EdgeKind.CO_OCCUR:
+            out[dst].append(key)
+        else:
+            into[dst].append(key)
+    return out, into
+
+
+def _without(keys: tuple[EdgeKey, ...], gone: list[EdgeKey]) -> tuple[EdgeKey, ...]:
+    """``keys`` in order, less ``gone``: distinct keys that ``keys`` holds."""
+    if len(gone) == len(keys):
+        return ()
+    if len(gone) == 1:
+        i = keys.index(gone[0])
+        return keys[:i] + keys[i + 1:]
+    dropped = set(gone)
+    return tuple(key for key in keys if key not in dropped)

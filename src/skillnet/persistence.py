@@ -13,6 +13,7 @@ across checkpoints.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -315,7 +316,9 @@ def _atomic_write(path: str | Path, *pieces: str) -> None:
     in its directory, piece by piece, so the text is never one string.
 
     A failed write leaves no temporary file behind and raises an OSError
-    that names ``path``, not the temporary name.
+    that names ``path``, not the temporary name. Text that does not encode
+    as UTF-8 (a lone surrogate, which JSON can spell) is such a failure too,
+    an OSError with ``errno.EILSEQ``.
     """
     path = Path(path)
     tmp = None
@@ -333,6 +336,8 @@ def _atomic_write(path: str | Path, *pieces: str) -> None:
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, f"cannot write {path}: {exc.strerror}") from exc
+        if isinstance(exc, UnicodeEncodeError):
+            raise OSError(errno.EILSEQ, f"cannot write {path}: {exc}") from exc
         raise
 
 

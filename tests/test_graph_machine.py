@@ -4,10 +4,14 @@ A Hypothesis state machine interleaves every structural writer with the live
 writes retrieval reads as they are (weights, deprecation, the active level,
 usage counts), co-appearance counting, a merge that moves a skill to another
 category, a whole ``simulate.checkpoint`` against a hostile teacher, snapshots,
-a repeat save of the same graph and a save→load round trip. After every step:
+writes to the last snapshot, a repeat save of the same graph and a save→load
+round trip. After every step:
 
-- the adjacency and category index equal what ``edges()`` and ``nodes``
-  derive;
+- the adjacency, in order, and the category index equal what ``edges()``
+  and ``nodes`` derive;
+- the last snapshot's dict and adjacency are as recorded when it was taken
+  (or last written), and a write to the snapshot leaves the writer graph as
+  it was;
 - the graph invariants hold: an acyclic dependency subgraph, weights in
   [0, 1], levels equal to the longest dependency path, ``co_counts`` naming
   two distinct live skills;
@@ -78,26 +82,34 @@ def assert_matches_oracle(graph: SkillGraph) -> None:
 
 
 def index_of(graph: SkillGraph) -> tuple[dict, dict, dict]:
-    """The graph's adjacency and category index, as plain sets."""
-    return ({v: set(keys) for v, keys in graph._out.items()},
-            {v: set(keys) for v, keys in graph._in.items()},
+    """The graph's adjacency, as tuples, and its category index, as sets."""
+    return ({v: tuple(keys) for v, keys in graph._out.items()},
+            {v: tuple(keys) for v, keys in graph._in.items()},
             {c: set(ids) for c, ids in graph._categories.items()})
 
 
 def derived_index(graph: SkillGraph) -> tuple[dict, dict, dict]:
     """What the index must hold, derived from ``edges()`` and ``nodes``: a
     dependency key in ``_out`` of its source and ``_in`` of its target, a
-    co_occur key in ``_out`` of both endpoints."""
-    out: dict[str, set] = {v: set() for v in graph.nodes}
-    into: dict[str, set] = {v: set() for v in graph.nodes}
+    co_occur key in ``_out`` of both endpoints, each node's keys in the
+    order of ``edges()``, which is insertion order."""
+    out: dict[str, list] = {v: [] for v in graph.nodes}
+    into: dict[str, list] = {v: [] for v in graph.nodes}
     for key in graph.edges():
         src, dst, kind = key
-        out[src].add(key)
-        (out if kind is EdgeKind.CO_OCCUR else into)[dst].add(key)
+        out[src].append(key)
+        (out if kind is EdgeKind.CO_OCCUR else into)[dst].append(key)
+    out = {v: tuple(keys) for v, keys in out.items()}
+    into = {v: tuple(keys) for v, keys in into.items()}
     categories: dict[str, set] = {}
     for v, node in graph.nodes.items():
         categories.setdefault(node.category, set()).add(v)
     return out, into, categories
+
+
+def contents(graph: SkillGraph) -> tuple:
+    """A graph's dict and its adjacency maps (their tuples never change)."""
+    return graph_to_dict(graph), dict(graph._out), dict(graph._in)
 
 
 def assert_saves_as_the_oracle(graph: SkillGraph, path: Path) -> None:
@@ -165,6 +177,7 @@ class GraphMachine(RuleBasedStateMachine):
         super().__init__()
         self.graph = SkillGraph()
         self.snap: SkillGraph | None = None
+        self.snap_record: tuple | None = None
         self.added = 0
         self.tmp = tempfile.TemporaryDirectory()
 
@@ -314,6 +327,32 @@ class GraphMachine(RuleBasedStateMachine):
     @rule()
     def snapshot(self):
         self.snap = self.graph.snapshot()
+        self.snap_record = contents(self.snap)
+
+    @precondition(lambda self: self.snap is not None and self.snap.nodes)
+    @rule(data=st.data(), write=st.sampled_from(
+              ["add_edge", "remove_edge", "remove_node", "set_weight"]),
+          kind=st.sampled_from(EdgeKind), weight=WEIGHTS)
+    def write_snapshot(self, data, write, kind, weight):
+        """A write to the snapshot leaves the writer graph as it was."""
+        snap, before = self.snap, contents(self.graph)
+        ids, edges = sorted(snap.nodes), sorted(snap.edges())
+        if write == "add_edge":
+            src, dst = (data.draw(st.sampled_from(ids), label=end) for end in ("src", "dst"))
+            try:
+                snap.add_edge(src, dst, kind, weight)
+            except CycleWouldForm:
+                pass
+        elif write == "remove_node":
+            snap.remove_node(data.draw(st.sampled_from(ids), label="victim"))
+        elif edges:
+            key = data.draw(st.sampled_from(edges), label="key")
+            if write == "remove_edge":
+                snap.remove_edge(key)
+            else:
+                snap.set_weight(key, weight)
+        assert contents(self.graph) == before
+        self.snap_record = contents(snap)
 
     @rule()
     def save_again(self):
@@ -327,6 +366,13 @@ class GraphMachine(RuleBasedStateMachine):
         loaded = load_graph(path)
         assert graph_to_dict(loaded) == graph_to_dict(self.graph)
         self.graph = loaded
+
+    @invariant()
+    def snapshot_is_unchanged(self):
+        """No write to the writer graph, the hostile checkpoint included,
+        reaches the last snapshot."""
+        if self.snap is not None:
+            assert contents(self.snap) == self.snap_record
 
     @invariant()
     def invariants_hold(self):
@@ -394,12 +440,18 @@ class TestIndexUpkeep:
         assert_matches_oracle(graph)
 
     def test_snapshot_copies_the_index(self):
+        """The maps and the category id maps are fresh; each node's adjacency
+        tuple is shared, since no write changes a tuple."""
         graph = small_graph()
         snapshot = graph.snapshot()
         assert index_of(snapshot) == index_of(graph)
         for name in ("_out", "_in", "_categories"):
+            assert getattr(snapshot, name) is not getattr(graph, name), name
+        for k, inner in graph._categories.items():
+            assert snapshot._categories[k] is not inner, k
+        for name in ("_out", "_in"):
             for k, inner in getattr(graph, name).items():
-                assert getattr(snapshot, name)[k] is not inner, (name, k)
+                assert type(inner) is tuple and getattr(snapshot, name)[k] is inner, (name, k)
         assert_matches_oracle(snapshot)
 
     def test_views_are_read_only_views_of_stored_keys(self):

@@ -1233,12 +1233,17 @@ class TestTextThatIsNoUtf8:
         ["export-dot", "--out", "{out}"],
     ], ids=["retrieve-render", "export-dot", "export-dot-out"])
     def test_a_write_of_it_is_a_data_error(self, graph_path, capsys, monkeypatch, argv):
-        argv = [arg.format(out=graph_path.parent / "g.dot") for arg in argv]
+        """The message names what was being written: the file, or standard
+        output."""
+        out = graph_path.parent / "g.dot"
+        argv = [arg.format(out=out) for arg in argv]
         stdout = self.strict_stdout(monkeypatch)
         assert main(["--graph", str(graph_path), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "surrogates not allowed" in err
+        target = out if "--out" in argv else "standard output"
+        assert f"cannot write {target}: 'utf-8' codec can't encode" in err
         stdout.flush()
         assert stdout.buffer.getvalue() == b""
         assert [p.name for p in graph_path.parent.iterdir()] == ["g.json"]
