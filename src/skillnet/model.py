@@ -62,9 +62,10 @@ _KIND_OF = {kind.value: kind for kind in EdgeKind}
 EdgeKey = tuple[str, str, EdgeKind]
 
 
-@dataclass
+@dataclass(slots=True)
 class SkillNode:
-    """One reusable skill plus its running usage statistics."""
+    """One reusable skill plus its running usage statistics. Slotted: a node
+    takes only the fields declared here."""
 
     skill_id: str
     title: str

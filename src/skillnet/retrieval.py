@@ -6,12 +6,24 @@ sorted by (level, score, id); it is topological because every dependency edge
 climbs at least one level. The functions walk the graph's own adjacency
 (see ``SkillGraph``) and write nothing into the graph, so any number of them
 may run concurrently on one snapshot.
+
+Both expansions work a layer at a time: the backward BFS grows each layer as
+one set, and the forward beam ranks each layer's hops in one heap. Per-skill
+bookkeeping waits until the cap has chosen the skills kept. The expansion
+edges in ``traversed_edges`` are, for a beam skill, the hop that selected it
+in each layer it was selected in: its best-scoring hop, the lowest key among
+equal scores. For a BFS skill it is the prereq edge to its lowest-id child in
+the layer it was found from. Both are the edges an id-ordered, edge-at-a-time
+walk records first.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter, neg
 
 from .errors import ConfigInvalid
 from .model import (
@@ -25,6 +37,10 @@ from .model import (
 DEFAULT_K_MAX = 8
 DEFAULT_BFS_DEPTH = 2
 DEFAULT_BEAM_WIDTH = 3
+
+# a node's level, and the skill id of a (level, -score, id) row
+_level = attrgetter("level")
+_row_id = itemgetter(2)
 
 SKILL_BLOCK_HEADER = "### Skills (ordered by dependency)"
 MISTAKES_HEADER = "### Mistakes to Avoid"
@@ -88,36 +104,38 @@ def select_seeds(graph: SkillGraph, query: TaskQuery) -> set[str]:
 
 
 def _expand_backward(graph: SkillGraph, seeds: set[str],
-                     depth: int) -> tuple[set[str], set[EdgeKey]]:
+                     depth: int) -> tuple[set[str], list[set[str]]]:
     """BFS over incoming prereq edges up to `depth` hops from any seed.
 
     Recovers foundational skills the seeds depend on. Deprecated and locked
-    nodes neither appear nor relay the traversal.
+    nodes neither appear nor relay the traversal. Each layer is grown as one
+    set: the prereq parents of the layer below, less the skills already
+    visited, less the inactive ones. Returns every reached skill and the
+    layers in hop order, which ``_bfs_edge`` reads for a skill retrieval keeps.
     """
     nodes, top = graph.nodes, graph.highest_active_level
-    parents_of, enhance = graph.dependency_parents, EdgeKind.ENHANCE
-    reached: set[str] = set()
-    walked: set[EdgeKey] = set()
-    frontier = sorted(seeds)
+    parents_of, prereq = graph.dependency_parents, EdgeKind.PREREQ
     visited = set(seeds)
+    frontier = seeds
+    layers: list[set[str]] = []
     for _ in range(depth):
-        next_frontier: list[str] = []
-        for v in frontier:
-            for key in parents_of(v):
-                parent = key[0]
-                if key[2] is enhance or parent in visited:
-                    continue
-                node = nodes[parent]
-                if node.deprecated or node.level > top:
-                    continue
-                visited.add(parent)
-                reached.add(parent)
-                walked.add(key)
-                next_frontier.append(parent)
-        if not next_frontier:
+        frontier = {p for v in frontier for key in parents_of(v)
+                    if key[2] is prereq and (p := key[0]) not in visited
+                    and not (node := nodes[p]).deprecated and node.level <= top}
+        if not frontier:
             break
-        frontier = sorted(next_frontier)
-    return reached, walked
+        visited |= frontier
+        layers.append(frontier)
+    return visited - seeds, layers
+
+
+def _bfs_edge(graph: SkillGraph, skill_id: str, below: set[str]) -> EdgeKey:
+    """The edge that brought a BFS skill in: its prereq edge to the lowest-id
+    child in ``below``, the layer it was found from. That is the edge a walk
+    over the layer in id order reaches first."""
+    prereq = EdgeKind.PREREQ
+    return min(key for key in graph.forward_neighbors(skill_id)
+               if key[2] is prereq and key[1] in below)
 
 
 def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
@@ -129,16 +147,21 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
     reachable (or score-improved) children and keeps the top `beam_width`;
     improved nodes re-enter the frontier so better paths keep propagating.
     co_occur edges are walkable in both directions.
+
+    A layer's hops form one heap of (-sigma, child, key) rows. The first row
+    popped for a child carries its best score, and among equal scores the
+    lowest key, so popping until `beam_width` children qualify selects them
+    in (score desc, id asc) order, each by its best hop.
     """
     nodes, top, weights = graph.nodes, graph.highest_active_level, graph.edges()
     hops_from = graph.forward_neighbors
     kept: dict[str, float] = {}
     walked: set[EdgeKey] = set()
     sigma = {v: 1.0 for v in seeds}
-    frontier = set(seeds)
+    frontier = list(seeds)
     for _ in range(max_layers):
-        best: dict[str, tuple[float, EdgeKey]] = {}
-        for u in sorted(frontier):
+        hops: list[tuple[float, str, EdgeKey]] = []
+        for u in frontier:
             sigma_u = sigma[u]
             for key in hops_from(u):
                 v = key[1] if key[0] == u else key[0]
@@ -147,24 +170,22 @@ def _expand_forward(graph: SkillGraph, seeds: set[str], beam_width: int,
                 node = nodes[v]
                 if node.deprecated or node.level > top:
                     continue
-                score = sigma_u * weights[key]
-                cur = best.get(v)
-                if cur is None or score > cur[0] or (score == cur[0] and key < cur[1]):
-                    best[v] = (score, key)
-        candidates = [
-            (v, score, key) for v, (score, key) in best.items()
-            if v not in kept or score > kept[v]
-        ]
-        selected = heapq.nsmallest(beam_width, candidates,
-                                   key=lambda item: (-item[1], item[0]))
-        if not selected:
-            break
-        frontier = set()
-        for v, score, key in selected:
-            kept[v] = score
-            sigma[v] = score
+                hops.append((-sigma_u * weights[key], v, key))
+        heapq.heapify(hops)
+        ranked: set[str] = set()
+        frontier = []
+        while hops and len(frontier) < beam_width:
+            neg_score, v, key = heapq.heappop(hops)
+            if v in ranked:
+                continue
+            ranked.add(v)
+            if v in kept and -neg_score <= kept[v]:
+                continue
+            kept[v] = sigma[v] = -neg_score
             walked.add(key)
-            frontier.add(v)
+            frontier.append(v)
+        if not frontier:
+            break
     return kept, walked
 
 
@@ -176,19 +197,23 @@ def topo_order(graph: SkillGraph, skill_ids: set[str],
     Skills sort by (level asc, score desc, skill_id asc). That order is
     topological because every dependency edge climbs at least one level, and
     an identical graph and query always yield an identical sequence. A
-    ``limit`` >= 0 keeps only the first ``limit`` skills of that order,
-    without sorting the rest: the keys are unique, so it is the same prefix.
+    ``limit`` >= 0 keeps only the first ``limit`` skills of that order. With
+    more skills than that, every skill above the ``limit``-th smallest level
+    is dropped before the rest are ranked: none of them can be in the prefix.
     """
     graph.ensure_levels()
     scores = scores or {}
-    nodes = graph.nodes
-
-    def order_key(v: str) -> tuple[int, float, str]:
-        return (nodes[v].level, -scores.get(v, 1.0), v)
-
-    if limit >= 0:
-        return heapq.nsmallest(limit, skill_ids, key=order_key)
-    return sorted(skill_ids, key=order_key)
+    # the rows zip passes over ``ids``, which iterate in one order while unchanged
+    ids: Collection[str] = skill_ids
+    levels: Iterable[int] = map(_level, map(graph.nodes.__getitem__, ids))
+    if 0 < limit < len(ids):
+        levels = list(levels)
+        cut = heapq.nsmallest(limit, levels)[-1]
+        below = list(map(cut.__ge__, levels))
+        ids, levels = list(compress(ids, below)), list(compress(levels, below))
+    rows = zip(levels, map(neg, map(scores.get, ids, repeat(1.0))), ids)
+    ranked = heapq.nsmallest(limit, rows) if 0 <= limit < len(ids) else sorted(rows)
+    return list(map(_row_id, ranked))
 
 
 def retrieve(graph: SkillGraph, query: TaskQuery,
@@ -201,10 +226,14 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     skills are kept preferentially. traversed_edges holds the expansion edges
     whose endpoints both survived the cap, plus dependency edges between
     consecutive members of the final sequence; path reinforcement consumes it.
+    A beam skill's expansion edges are the hops that selected it, one per
+    layer it was selected in. A BFS skill's is the prereq edge to its
+    lowest-id child in the layer it was found from (``_bfs_edge``), worked
+    out only for the skills the cap keeps.
     """
     graph.ensure_levels()
     seeds = select_seeds(graph, query)
-    bfs_nodes, bfs_walked = _expand_backward(graph, seeds, depth)
+    bfs_nodes, bfs_layers = _expand_backward(graph, seeds, depth)
     beam_scores, beam_walked = _expand_forward(graph, seeds, beam_width, depth)
 
     # seeds and skills only the BFS reached score 1.0, topo_order's default
@@ -213,12 +242,17 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     kept = set(ordered)
 
     traversed: set[EdgeKey] = {
-        key for key in bfs_walked | beam_walked
-        if key[0] in kept and key[1] in kept
+        key for key in beam_walked if key[0] in kept and key[1] in kept
     }
+    for below, layer in zip([seeds, *bfs_layers], bfs_layers):
+        for v in kept.intersection(layer):
+            key = _bfs_edge(graph, v, below)
+            if key[1] in kept:
+                traversed.add(key)
+    edges = graph.edges()
     for prev, nxt in zip(ordered, ordered[1:]):
         for kind in DEPENDENCY_KINDS:
-            if graph.weight(prev, nxt, kind) is not None:
+            if (prev, nxt, kind) in edges:
                 traversed.add((prev, nxt, kind))
 
     return RetrievalResult(

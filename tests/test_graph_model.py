@@ -62,6 +62,14 @@ class TestAddSkill:
         levels = graph.compute_levels()
         assert set(levels.values()) == {0}
 
+    def test_a_node_takes_only_its_declared_fields(self):
+        # a misspelt field would otherwise be set silently and never saved
+        node = make_node("a")
+        with pytest.raises(AttributeError):
+            node.n_uses = 3
+        node.n_use = 3
+        assert not hasattr(node, "__dict__")
+
 
 class TestAddEdge:
     def test_two_cycle_rejected(self):

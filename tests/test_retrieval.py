@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,11 +22,18 @@ from skillnet import (
     select_seeds,
     topo_order,
 )
-from skillnet.errors import ConfigInvalid
+from skillnet.errors import ConfigInvalid, CycleWouldForm
 from skillnet.model import DEPENDENCY_KINDS
-from skillnet.retrieval import DEFAULT_BFS_DEPTH, _expand_backward, _expand_forward
+from skillnet.retrieval import (
+    DEFAULT_BFS_DEPTH,
+    RetrievalResult,
+    _expand_backward,
+    _expand_forward,
+)
 
+from bench.library import CATEGORIES, answer, digest, generate_library
 from conftest import add_nodes, make_node, oracle_best_path_products, random_graph
+from retrieval_oracle import retrieve as oracle_retrieve
 
 
 def chain_graph() -> SkillGraph:
@@ -427,6 +436,154 @@ class TestRetrieve:
         reference = retrieve(graph, TaskQuery("", task_type), **params)
         result = retrieve(graph, TaskQuery(description, task_type), **params)
         assert result == reference
+
+
+ORACLE_K_MAX = (-1, 0, 1, 8)
+PREREQ, ENHANCE, CO_OCCUR = EdgeKind.PREREQ, EdgeKind.ENHANCE, EdgeKind.CO_OCCUR
+
+
+def tie_graph(skills: dict[str, str], edges: list[tuple[str, str, EdgeKind, float]],
+              top: int = 10) -> SkillGraph:
+    """Skills given as id -> category, edges added in the order listed."""
+    graph = SkillGraph()
+    for skill_id, category in skills.items():
+        graph.add_skill(make_node(skill_id, category=category))
+    for src, dst, kind, weight in edges:
+        graph.add_edge(src, dst, kind, weight)
+    graph.compute_levels()
+    graph.highest_active_level = top
+    return graph
+
+
+def matches_oracle(graph: SkillGraph, beam_width: int = 3) -> RetrievalResult:
+    """Retrieve for "clean" at every k_max in ORACLE_K_MAX, check each whole
+    result against the edge-at-a-time oracle, and return the uncapped one."""
+    query = TaskQuery("", "clean")
+    for k_max in ORACLE_K_MAX:
+        result = retrieve(graph, query, beam_width=beam_width, k_max=k_max)
+        assert result == oracle_retrieve(graph, query, beam_width=beam_width,
+                                         k_max=k_max), k_max
+    return retrieve(graph, query, beam_width=beam_width, k_max=-1)
+
+
+class TestTieRules:
+    """Where several walks reach one skill, the expansion edge recorded is the
+    one the oracle's id-ordered, edge-at-a-time walk takes first. Level-0
+    filler seeds keep the edge under test from joining two consecutive skills
+    of the answer, whose dependency edges are traversed anyway."""
+
+    def test_bfs_parent_of_two_children_walks_the_lower_id_child(self):
+        graph = tie_graph(
+            {"x1": "clean", "x2": "clean", "y": "clean", "p": "heat",
+             "q1": "heat", "q2": "heat", "g": "heat", "h": "clean"},
+            [("p", "x2", PREREQ, 0.5), ("p", "x1", PREREQ, 0.5),
+             ("q2", "y", PREREQ, 0.5), ("q1", "y", PREREQ, 0.5),
+             ("g", "q2", PREREQ, 0.5), ("g", "q1", PREREQ, 0.5)])
+        result = matches_oracle(graph)
+        # layer 1 from the seeds, layer 2 from q1 and q2
+        assert {("p", "x1", PREREQ), ("g", "q1", PREREQ)} <= result.traversed_edges
+        assert not {("p", "x2", PREREQ), ("g", "q2", PREREQ)} & result.traversed_edges
+
+    def test_enhance_edge_into_a_seed_is_never_walked(self):
+        graph = tie_graph(
+            {"a": "heat", "b": "clean", "e": "heat", "s": "clean"},
+            [("a", "s", ENHANCE, 0.9), ("a", "s", PREREQ, 0.5), ("e", "s", ENHANCE, 0.9)])
+        result = matches_oracle(graph)
+        assert result.bfs_count == 1 and "e" not in result.ordered_skills
+        assert ("a", "s", PREREQ) in result.traversed_edges
+        assert ("a", "s", ENHANCE) not in result.traversed_edges
+
+    def test_equal_hops_from_two_seeds_keep_the_lower_key(self):
+        graph = tie_graph(
+            {"s1": "clean", "s2": "clean", "s3": "clean", "v": "heat"},
+            [("s2", "v", PREREQ, 0.5), ("s1", "v", PREREQ, 0.5)])
+        result = matches_oracle(graph)
+        assert result.scores["v"] == 0.5
+        assert ("s1", "v", PREREQ) in result.traversed_edges
+        assert ("s2", "v", PREREQ) not in result.traversed_edges
+
+    def test_equal_scores_in_a_layer_select_the_lower_id_first(self):
+        children = ["x_d", "x_b", "x_c", "x_a"]
+        graph = tie_graph({"s": "clean", **dict.fromkeys(children, "heat")},
+                          [("s", v, CO_OCCUR, 0.5) for v in children])
+        for beam_width in range(5):
+            result = matches_oracle(graph, beam_width)
+            assert sorted(result.ordered_skills) == ["s", *sorted(children)[:beam_width]]
+
+    def test_beam_skill_selected_again_with_a_higher_score(self):
+        graph = tie_graph(
+            {"s": "clean", "b": "heat", "v": "heat"},
+            [("s", "b", CO_OCCUR, 0.9), ("b", "v", CO_OCCUR, 0.9), ("s", "v", CO_OCCUR, 0.4)])
+        result = matches_oracle(graph, beam_width=2)
+        assert result.scores["v"] == pytest.approx(0.81)
+        # both hops that selected v count, the layer-1 one and the better one
+        assert result.traversed_edges == {
+            ("b", "s", CO_OCCUR), ("s", "v", CO_OCCUR), ("b", "v", CO_OCCUR)}
+
+    def test_deprecated_and_locked_skills_neither_appear_nor_relay(self):
+        graph = tie_graph(
+            {"s": "clean", "d": "heat", "dd": "heat", "lock": "heat", "past": "heat",
+             "dep": "heat", "beyond": "heat"},
+            [("dd", "d", PREREQ, 0.5), ("d", "s", PREREQ, 0.5),
+             ("s", "lock", PREREQ, 0.9), ("lock", "past", CO_OCCUR, 0.9),
+             ("s", "dep", CO_OCCUR, 0.9), ("dep", "beyond", CO_OCCUR, 0.9)],
+            top=2)
+        graph.nodes["d"].deprecated = graph.nodes["dep"].deprecated = True
+        # a locked skill sits above every active one, so only the beam meets it
+        assert (graph.nodes["s"].level, graph.nodes["lock"].level) == (2, 3)
+        result = matches_oracle(graph)
+        assert result.ordered_skills == ["s"]
+        assert (result.bfs_count, result.beam_count) == (0, 0)
+
+    @given(data=st.data(), n=st.integers(1, 10), depth=st.integers(0, 3),
+           beam_width=st.integers(0, 4), k_max=st.sampled_from([-1, 0, 1, 2, 8]),
+           top=st.integers(0, 3))
+    def test_whole_result_equals_the_oracle_when_ties_are_the_rule(
+            self, data, n, depth, beam_width, k_max, top):
+        graph = SkillGraph()
+        ids = [f"n{i}" for i in range(n)]
+        for skill_id in ids:
+            graph.add_skill(make_node(
+                skill_id, category=data.draw(st.sampled_from(["general", "clean", "heat"])),
+                deprecated=data.draw(st.booleans())))
+        edges = data.draw(st.lists(st.tuples(
+            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(list(EdgeKind)),
+            st.sampled_from([0.0, 0.5, 1.0])), max_size=3 * n))
+        for src, dst, kind, weight in edges:
+            try:  # a self-loop or a cycle is refused; a repeat is a no-op
+                graph.add_edge(src, dst, kind, weight)
+            except CycleWouldForm:
+                pass
+        graph.compute_levels()
+        graph.highest_active_level = top
+        params = dict(depth=depth, beam_width=beam_width, k_max=k_max)
+        for task_type in ("clean", "heat"):
+            query = TaskQuery("", task_type)
+            assert retrieve(graph, query, **params) == oracle_retrieve(graph, query, **params)
+
+
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+
+
+class TestBenchScaleAnswers:
+    """The answers pinned in ``bench/expected.json`` for the benchmark's own
+    libraries: the first five categories on every 2k variant with usage
+    statistics, and all twenty on the 8k library of held-out variant 15."""
+
+    @pytest.mark.parametrize("variant", range(16))
+    def test_checkpoint_2k_answers(self, variant):
+        graph = generate_library(2000, variant, with_stats=True).snapshot()
+        pins = EXPECTED["checkpoint_2k"][str(variant)]
+        for category in CATEGORIES[:5]:
+            result = retrieve(graph, TaskQuery("warm-up", category))
+            assert digest(answer(result)) == pins[f"answer/{category}"], category
+
+    def test_retrieve_8k_answers(self):
+        graph = generate_library(8000, 15).snapshot()
+        pins = EXPECTED["retrieve_8k"]["15"]
+        for category in CATEGORIES:
+            result = retrieve(graph, TaskQuery("q", category))
+            assert digest(answer(result)) == pins[f"answer/{category}"], category
 
 
 class TestRenderSkillBlock:
