@@ -29,7 +29,7 @@ from .persistence import (
     read_text,
     save_graph,
     _atomic_write,
-    _check_types,
+    _checked,
 )
 from .retrieval import RetrievalParams, TaskQuery, render_skill_block, retrieve
 
@@ -42,6 +42,7 @@ EXIT_PROPOSER = 3
 
 # an ``init`` skills entry: every field a string, checked, never coerced
 _SKILL_TYPES = dict.fromkeys(SKILL_TEXT_FIELDS, str)
+_SKILL_REQUIRED = ("skill_id", "title")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path to a sectioned config JSON")
     common.add_argument("--strict", action="store_true",
                         default=argparse.SUPPRESS,
-                        help="reject unknown fields instead of warning")
+                        help="reject unknown fields of a snapshot, trajectory "
+                             "JSONL or skills list and unknown config sections "
+                             "instead of warning (config section keys are "
+                             "always checked; teacher replies never)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="rng seed for simulation commands (default 42)")
 
@@ -144,10 +148,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
         raise ParseError("skills file must be a JSON array of skill records")
     graph = SkillGraph()
     for i, obj in enumerate(records):
-        if not isinstance(obj, dict) or not {"skill_id", "title"} <= set(obj):
-            raise ParseError(f"skills entry {i} must be an object with "
-                             f"skill_id and title")
-        _check_types(obj, _SKILL_TYPES, f"skills entry {i}")
+        _checked(obj, _SKILL_TYPES, f"skills entry {i}", args.strict, _SKILL_REQUIRED)
         graph.add_skill(SkillNode(
             skill_id=obj["skill_id"],
             title=obj["title"],
@@ -156,7 +157,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
             category=obj.get("category", GENERAL_CATEGORY),
         ))
     added = graph.init_edges()
-    graph.compute_levels()
     save_graph(graph, args.out)
     print(f"initialized graph with {len(graph.nodes)} skills and "
           f"{added} structural edges -> {args.out}")
@@ -189,7 +189,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph, strict=args.strict) if args.graph else None
-    outcome = ingest_trajectories(args.input, graph=graph)
+    outcome = ingest_trajectories(args.input, graph=graph, strict=args.strict)
     for lineno, message in outcome.errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
     print(f"{len(outcome.records)} valid record(s), "
@@ -206,7 +206,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     # a failed write must never leave the window evolved on disk: refuse a
     # bad output before evolving, and write the snapshot last
     _check_writable(args.out or args.graph, args.report)
-    outcome = ingest_trajectories(args.window, graph=graph)
+    outcome = ingest_trajectories(args.window, graph=graph, strict=args.strict)
     for lineno, message in outcome.errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
     if app.proposer.endpoint:

@@ -3,7 +3,11 @@
 This module holds the one reader of outside JSON: every file the package
 reads goes through ``read_text``, and every JSON document or line through
 ``decode_json``, where bad syntax, nesting too deep and an integer too long
-all become a ParseError.
+all become a ParseError. Every object a snapshot, trajectory or skills file
+holds is then checked by ``_checked``: exact JSON types, required fields,
+and unknown fields refused under ``strict`` or ignored with a warning. The
+node and edge records ``save_graph`` writes are checked in bulk instead
+(``_exact_records``), and fall back to it on any mismatch.
 
 Snapshots are single JSON documents written atomically (temp file then
 rename) with canonical ordering, so saving the same graph twice produces
@@ -18,6 +22,7 @@ import json
 import logging
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
@@ -39,51 +44,69 @@ logger = logging.getLogger(__name__)
 
 SNAPSHOT_VERSION = 1
 
-_TOP_LEVEL_FIELDS = {"version", "meta", "nodes", "edges", "co_counts"}
-_META_FIELDS = {"checkpoint_index", "highest_active_level", "next_dynamic_id"}
-# the JSON type of each stored value, checked, never coerced. Every SkillNode
-# field is stored and required; success_rate is derived.
-_META_TYPES = dict.fromkeys(_META_FIELDS, int)
+# the JSON type of each field of each object a snapshot, trajectory or skills
+# file holds, checked by _checked, never coerced. Every SkillNode field is
+# stored and required; success_rate is derived. The version is any value
+# here, and compared with SNAPSHOT_VERSION after.
+_TOP_LEVEL_TYPES = {"version": object, "meta": dict, "nodes": list, "edges": list,
+                    "co_counts": list}
+_META_TYPES = dict.fromkeys(("checkpoint_index", "highest_active_level",
+                             "next_dynamic_id"), int)
 _NODE_TYPES = get_type_hints(SkillNode)
-_NODE_FIELDS = set(_NODE_TYPES) | {"success_rate"}
+_NODE_RECORD_TYPES = {**_NODE_TYPES, "success_rate": float}
 _EDGE_TYPES = {"src": str, "dst": str, "kind": str, "weight": float}
-_EDGE_FIELDS = set(_EDGE_TYPES)
 # fast path for the bulk of a snapshot: one tuple of values in field order and
-# one comparison of their types; _check_types explains a mismatch. A node as
+# one comparison of their types; _checked explains a mismatch. A node as
 # save_graph writes it also holds success_rate, a float.
 _node_values = itemgetter(*_NODE_TYPES)
 _edge_values = itemgetter(*_EDGE_TYPES)
-_NODE_SIGNATURE = tuple(_NODE_TYPES.values())
 _EDGE_SIGNATURE = tuple(_EDGE_TYPES.values())
-_node_record = itemgetter(*_NODE_TYPES, "success_rate")
-_NODE_RECORD_SIGNATURE = (*_NODE_SIGNATURE, float)
+_node_record = itemgetter(*_NODE_RECORD_TYPES)
+_NODE_RECORD_SIGNATURE = tuple(_NODE_RECORD_TYPES.values())
 # the largest counter a snapshot may hold (a signed 64-bit integer): the
 # counters only grow, and past about 4300 digits save_graph cannot write them
 MAX_STORED_INT = 2**63 - 1
-_RECORD_REQUIRED = {"task_id", "task_type", "retrieved_skill_ids", "success"}
+_RECORD_REQUIRED = ("task_id", "task_type", "retrieved_skill_ids", "success")
 _RECORD_TYPES = {"task_id": str, "task_type": str, "retrieved_skill_ids": list,
                  "traversed_edges": list, "steps": list, "success": bool,
                  "checkpoint_index": int}
+_STEP_TYPES = {"action": str, "observation": str}
 _EDGE_KIND_VALUES = {kind.value for kind in EdgeKind}
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
                bool: "true or false", list: "an array", dict: "an object",
                type(None): "null"}
 
 
-def _check_types(obj: dict, types: dict[str, type], where: str) -> None:
-    """Raise ParseError unless each present field has exactly its type.
+def _checked(obj: Any, types: dict[str, type], where: str, strict: bool,
+             required: Iterable[str] = ()) -> dict:
+    """``obj``, a JSON object read from a file, once its fields are checked.
 
-    Exact types, so ``true`` is no count and ``"false"`` no flag; a float
-    field also takes an integer. Missing fields are the caller's concern.
+    A ParseError naming ``where``, first to last: ``obj`` is no object; it
+    has a field ``types`` does not name, under ``strict`` (otherwise that is
+    logged and ignored); a field has not exactly its type, so ``true`` is no
+    count and ``"false"`` no flag (a float field also takes an integer, an
+    ``object`` field any value); a ``required`` field is missing.
     """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    unknown = obj.keys() - types.keys()
+    if unknown:
+        message = f"unknown {where} field(s): {', '.join(sorted(unknown))}"
+        if strict:
+            raise ParseError(message)
+        logger.warning("%s (ignored)", message)
     for name, kind in types.items():
-        if name not in obj:
+        if name not in obj or kind is object:
             continue
         found = type(obj[name])
         if found is not kind and not (kind is float and found is int):
             raise ParseError(
                 f"{where} field {name!r} must be {_JSON_NAMES[kind]}, "
                 f"got {_JSON_NAMES.get(found, found.__name__)}")
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise ParseError(f"{where} missing field(s): {', '.join(sorted(missing))}")
+    return obj
 
 
 @dataclass
@@ -102,14 +125,8 @@ class TrajectoryRecord:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj: Any) -> "TrajectoryRecord":
-        if not isinstance(obj, dict):
-            raise ParseError("trajectory record must be a JSON object")
-        _check_types(obj, _RECORD_TYPES, "trajectory record")
-        missing = _RECORD_REQUIRED - obj.keys()
-        if missing:
-            raise ParseError(f"trajectory record missing field(s): "
-                             f"{', '.join(sorted(missing))}")
+    def from_dict(cls, obj: Any, strict: bool = False) -> "TrajectoryRecord":
+        obj = _checked(obj, _RECORD_TYPES, "trajectory record", strict, _RECORD_REQUIRED)
         ids = obj["retrieved_skill_ids"]
         edges = obj.get("traversed_edges", [])
         steps = obj.get("steps", [])
@@ -126,9 +143,7 @@ class TrajectoryRecord:
         if unknown:
             raise ParseError(f"traversed_edges has unknown kind {', '.join(unknown)}")
         for step in steps:
-            if type(step) is not dict:
-                raise ParseError("steps entries must be objects")
-            _check_types(step, {"action": str, "observation": str}, "step")
+            _checked(step, _STEP_TYPES, "step", strict)
         return cls(
             task_id=obj["task_id"],
             task_type=obj["task_type"],
@@ -178,16 +193,6 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
     }
 
 
-def _check_fields(obj: dict, known: set[str], where: str, strict: bool) -> None:
-    unknown = set(obj) - known
-    if not unknown:
-        return
-    message = f"unknown {where} field(s): {', '.join(sorted(unknown))}"
-    if strict:
-        raise ParseError(message)
-    logger.warning("%s (ignored)", message)
-
-
 def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     """Rebuild a graph from a snapshot dict, revalidating every invariant.
 
@@ -196,23 +201,13 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     grow (meta values, ``n_use`` and co_counts counts) must be at most
     ``MAX_STORED_INT``.
     """
-    if not isinstance(data, dict):
-        raise ParseError("snapshot must be a JSON object")
-    _check_fields(data, _TOP_LEVEL_FIELDS, "top-level", strict)
+    data = _checked(data, _TOP_LEVEL_TYPES, "snapshot", strict)
     version = data.get("version")
-    if version != SNAPSHOT_VERSION:
+    if type(version) is not int or version != SNAPSHOT_VERSION:
         raise VersionMismatch(f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
 
-    for key in ("nodes", "edges", "co_counts"):
-        if not isinstance(data.get(key, []), list):
-            raise ParseError(f"{key} must be an array")
-
     graph = SkillGraph()
-    meta = data.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ParseError("meta must be an object")
-    _check_fields(meta, _META_FIELDS, "meta", strict)
-    _check_types(meta, _META_TYPES, "meta")
+    meta = _checked(data.get("meta", {}), _META_TYPES, "meta", strict)
     for name, least in (("checkpoint_index", 0), ("highest_active_level", 0),
                         ("next_dynamic_id", 1)):
         value = meta.get(name, least)  # the least value is also the default
@@ -284,31 +279,12 @@ def _exact_records(objs: list, values: itemgetter, signature: tuple) -> list[tup
 
 def _node_row(obj: Any, strict: bool) -> tuple:
     """A node entry's SkillNode field values, their JSON types checked."""
-    if not isinstance(obj, dict):
-        raise ParseError("node entry must be an object")
-    _check_fields(obj, _NODE_FIELDS, "node", strict)
-    missing = _NODE_TYPES.keys() - obj.keys()
-    if missing:
-        raise ParseError(
-            f"node entry missing field(s): {', '.join(sorted(missing))}")
-    values = _node_values(obj)
-    if tuple(map(type, values)) != _NODE_SIGNATURE:
-        _check_types(obj, _NODE_TYPES, "node")
-    return values
+    return _node_values(_checked(obj, _NODE_RECORD_TYPES, "node", strict, _NODE_TYPES))
 
 
 def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
     """An edge entry's (src, dst, kind, weight), its JSON types checked."""
-    if not isinstance(obj, dict):
-        raise ParseError("edge entry must be an object")
-    _check_fields(obj, _EDGE_FIELDS, "edge", strict)
-    try:
-        values = _edge_values(obj)
-    except KeyError as exc:
-        raise ParseError(f"edge entry missing field {exc}") from None
-    if tuple(map(type, values)) != _EDGE_SIGNATURE:
-        _check_types(obj, _EDGE_TYPES, "edge")  # passes an integer weight
-    return values
+    return _edge_values(_checked(obj, _EDGE_TYPES, "edge", strict, _EDGE_TYPES))
 
 
 def _atomic_write(path: str | Path, *pieces: str) -> None:
@@ -341,7 +317,7 @@ def _atomic_write(path: str | Path, *pieces: str) -> None:
         raise
 
 
-def _object_template(names: set[str], indent: int) -> str:
+def _object_template(names: Iterable[str], indent: int) -> str:
     """One record as ``json.dumps(indent=2, sort_keys=True)`` lays it out
     at ``indent``, with a ``%s`` per value."""
     pad = " " * indent
@@ -374,8 +350,8 @@ def _object_template(names: set[str], indent: int) -> str:
 _BOOL_TEXT = {False: "false", True: "true"}
 _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
 # the literal text around the five sections, in key order
-_SNAPSHOT = (_object_template(_TOP_LEVEL_FIELDS, 0) + "\n").split("%s")
-_META = _object_template(_META_FIELDS, 2).lstrip()  # opens after its key
+_SNAPSHOT = (_object_template(_TOP_LEVEL_TYPES, 0) + "\n").split("%s")
+_META = _object_template(_META_TYPES, 2).lstrip()  # opens after its key
 _WIDTH = len(_NODE_TYPES)
 _CHUNK = 256
 # per graph: its node field values in id order (_WIDTH per node, flat), its
@@ -440,7 +416,7 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
     """
     graph.ensure_levels()
     meta = (graph.checkpoint_index, graph.highest_active_level, graph.next_dynamic_id)
-    for name, value in zip(sorted(_META_FIELDS), meta):
+    for name, value in zip(sorted(_META_TYPES), meta):
         if value > MAX_STORED_INT:
             raise _past_bound(f"meta {name}")
     counts = graph.co_counts
@@ -515,14 +491,15 @@ def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
 # trajectories
 
 
-def ingest_trajectories(path: str | Path,
-                        graph: SkillGraph | None = None) -> IngestResult:
+def ingest_trajectories(path: str | Path, graph: SkillGraph | None = None,
+                        strict: bool = False) -> IngestResult:
     """Read a trajectory JSONL file, collecting per-line diagnostics.
 
     Malformed lines are reported with their line numbers and skipped; valid
-    records come back in file order. Records naming skill ids absent from
-    the supplied graph are accepted with a warning, since the graph may have
-    evolved since the episode ran.
+    records come back in file order. An unknown field makes a line malformed
+    under ``strict``, and is ignored with a warning otherwise. Records naming
+    skill ids absent from the supplied graph are accepted with a warning,
+    since the graph may have evolved since the episode ran.
     """
     records: list[TrajectoryRecord] = []
     errors: list[tuple[int, str]] = []
@@ -533,7 +510,8 @@ def ingest_trajectories(path: str | Path,
         if not line.strip():
             continue
         try:
-            record = TrajectoryRecord.from_dict(decode_json(line, path, one_line=True))
+            record = TrajectoryRecord.from_dict(decode_json(line, path, one_line=True),
+                                               strict)
         except ParseError as exc:
             errors.append((lineno, str(exc)))
             continue

@@ -516,7 +516,6 @@ def build_initial_graph(config: SimConfig) -> tuple[SkillGraph, ConceptMap]:
         for concept in spec.concepts:
             concept_map.bind(concept, spec.skill_id)
     graph.init_edges()
-    graph.compute_levels()
     return graph, concept_map
 
 

@@ -99,11 +99,13 @@ class TestSnapshotRoundTrip:
 
     def test_version_mismatch(self, tmp_path, rng):
         data = graph_to_dict(random_graph(rng, n=2))
-        data["version"] = 99
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(VersionMismatch):
-            load_graph(path)
+        # neither the string "1" nor true (== 1 in Python) is version 1
+        for version in (99, "1", True):
+            data["version"] = version
+            path.write_text(json.dumps(data))
+            with pytest.raises(VersionMismatch):
+                load_graph(path)
 
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1247,6 +1249,73 @@ class TestTextThatIsNoUtf8:
         stdout.flush()
         assert stdout.buffer.getvalue() == b""
         assert [p.name for p in graph_path.parent.iterdir()] == ["g.json"]
+
+
+def snapshot_document() -> dict:
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+    return graph_to_dict(graph)
+
+
+# each kind of input file: a good document of one record, and the CLI call
+# that reads it with ``{path}`` for the file
+INPUT_FILES = {
+    "snapshot": (snapshot_document, ["--graph", "{path}", "stats"]),
+    "trajectory": (lambda: {"task_id": "t", "task_type": "clean",
+                            "retrieved_skill_ids": ["a"], "success": True,
+                            "steps": [{"action": "look", "observation": "mug"}]},
+                   ["ingest", "--input", "{path}"]),
+    "skills": (lambda: [{"skill_id": "c1", "title": "Wipe", "category": "clean"}],
+               ["init", "--skills", "{path}", "--out", "{out}"]),
+}
+# each reader of a JSON object from a file: its input file, its name in
+# messages, the path to its object in the document, a field and a value of
+# the wrong type for it, and a required field (None where it has none)
+OBJECT_READERS = {
+    "snapshot": ("snapshot", "snapshot", [], "nodes", {}, None),
+    "meta": ("snapshot", "meta", ["meta"], "checkpoint_index", "3", None),
+    "node": ("snapshot", "node", ["nodes", 0], "title", None, "principle"),
+    "edge": ("snapshot", "edge", ["edges", 0], "weight", True, "kind"),
+    "record": ("trajectory", "trajectory record", [], "success", "false", "success"),
+    "step": ("trajectory", "step", ["steps", 0], "action", 3, None),
+    "skills": ("skills", "skills entry 0", [0], "title", None, "title"),
+}
+
+
+@pytest.mark.parametrize("reader, case", [
+    (reader, case) for reader, spec in OBJECT_READERS.items()
+    for case in ("strict", "lenient", "mistyped", "missing")
+    if case != "missing" or spec[5]])
+def test_every_reader_checks_its_objects_alike(tmp_path, capsys, caplog, reader, case):
+    """One checker for every object of a snapshot, trajectory or skills
+    file: an unknown field is a data error under --strict and a warning that
+    names it otherwise; a mistyped or missing field is named."""
+    kind, where, at, name, value, required = OBJECT_READERS[reader]
+    make_document, argv = INPUT_FILES[kind]
+    document = obj = make_document()
+    for key in at:
+        obj = obj[key]
+    if case in ("strict", "lenient"):
+        obj["surprise"] = 1
+    elif case == "mistyped":
+        obj[name] = value
+    else:
+        del obj[required]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document) + "\n")
+    argv = [arg.format(path=path, out=tmp_path / "g.json") for arg in argv]
+    with caplog.at_level("WARNING"):
+        code = main(argv + ["--strict"] * (case == "strict"))
+    err = capsys.readouterr().err
+    if case == "lenient":
+        assert (code, err) == (0, "")
+        assert f"unknown {where} field(s): surprise (ignored)" in caplog.messages
+        return
+    assert code == 2
+    assert {"strict": f"unknown {where} field(s): surprise\n",
+            "mistyped": f"{where} field {name!r} must be ",
+            "missing": f"{where} missing field(s): {required}\n"}[case] in err
 
 
 def test_outside_json_is_decoded_in_one_place():
