@@ -188,25 +188,23 @@ def scan_insert_trigger(failures: list[TrajectoryRecord], graph: SkillGraph,
 
 
 def _inherit_edge(graph: SkillGraph, key: EdgeKey, weight: float, old: str,
-                  new: str) -> bool:
+                  new: str) -> None:
     """Re-point one endpoint of an inherited edge, keeping the higher weight
     on collisions and dropping edges that would close a dependency cycle."""
     src, dst, kind = key
     src = new if src == old else src
     dst = new if dst == old else dst
     if src == dst:
-        return False
+        return
     existing = graph.weight(src, dst, kind)
     if existing is not None:
         graph.set_weight(edge_key(src, dst, kind), max(existing, weight))
-        return False
+        return
     try:
         graph.add_edge(src, dst, kind, weight)
-        return True
     except CycleWouldForm:
         logger.info("dropping inherited edge %s->%s (%s): would form a cycle",
                     src, dst, kind.value)
-        return False
 
 
 def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],

@@ -345,10 +345,6 @@ class SkillGraph:
             self._in[dst] += (key,)
             self._levels_stale = True
 
-    def remove_edge(self, key: EdgeKey) -> None:
-        """Remove one edge; a key not stored is a no-op."""
-        self.remove_edges((key,))
-
     def remove_edges(self, keys: Iterable[EdgeKey]) -> None:
         """Remove edges, each touched node's tuple rebuilt once; a key not
         stored, or already removed earlier in ``keys``, is skipped."""
@@ -378,11 +374,6 @@ class SkillGraph:
         """Read-only live view of every edge key and its weight; keys sort
         by (src, dst, kind value), the snapshot order."""
         return MappingProxyType(self._edges)
-
-    def edge_count(self, kind: EdgeKind | None = None) -> int:
-        if kind is None:
-            return len(self._edges)
-        return sum(1 for key in self._edges if key[2] is kind)
 
     def has_any_edge(self, a: str, b: str) -> bool:
         """True if any edge of any kind connects a and b in either direction."""
@@ -499,7 +490,7 @@ class SkillGraph:
         if self._levels_stale:
             self.compute_levels()
 
-    def update_stats(self, batch: list[tuple[str, int, int]]) -> dict[str, float]:
+    def update_stats(self, batch: list[tuple[str, int, int]]) -> None:
         """Fold a batch of (skill_id, uses, successes) counts into the statistics.
 
         A skill gains one use each time it is retrieved into a prompt and one
@@ -507,9 +498,7 @@ class SkillGraph:
         ``(skill_id, True, succeeded)`` is one observation, and n such
         entries fold like one ``(skill_id, n, wins)``. Counts must be ints
         with 0 <= successes <= uses; the whole batch is validated before any
-        counter moves, so a bad entry leaves the graph untouched. Returns
-        each touched skill's success rate after the whole batch, in the order
-        the skills first appear in it.
+        counter moves, so a bad entry leaves the graph untouched.
         """
         nodes = self.nodes
         for skill_id, uses, successes in batch:
@@ -520,12 +509,10 @@ class SkillGraph:
                 raise SuccessWithoutUse(
                     f"skill {skill_id!r}: need int counts 0 <= successes <= uses, "
                     f"got successes={successes!r}, uses={uses!r}")
-        touched: dict[str, SkillNode] = {}
         for skill_id, uses, successes in batch:
-            node = touched[skill_id] = nodes[skill_id]
+            node = nodes[skill_id]
             node.n_use += uses
             node.n_succ += successes
-        return {skill_id: node.success_rate() for skill_id, node in touched.items()}
 
     # ------------------------------------------------------------------
     # structural initialization and active set

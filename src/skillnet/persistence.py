@@ -77,24 +77,41 @@ _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
                type(None): "null"}
 
 
+@dataclass
+class _Ignored:
+    """The unknown fields a reader not under ``strict`` skips: each field of
+    each kind of object is logged once, after ``at`` (such as ``"line 3: "``)."""
+
+    at: str = ""
+    seen: dict[str, set[str]] = field(default_factory=dict)
+
+    def log(self, where: str, unknown: set[str]) -> None:
+        seen = self.seen.setdefault(where, set())
+        new = sorted(unknown - seen)
+        if new:
+            seen.update(new)
+            logger.warning("%sunknown %s field(s): %s (ignored)",
+                           self.at, where, ", ".join(new))
+
+
 def _checked(obj: Any, types: dict[str, type], where: str, strict: bool,
-             required: Iterable[str] = ()) -> dict:
+             required: Iterable[str] = (), ignored: _Ignored | None = None) -> dict:
     """``obj``, a JSON object read from a file, once its fields are checked.
 
     A ParseError naming ``where``, first to last: ``obj`` is no object; it
     has a field ``types`` does not name, under ``strict`` (otherwise that is
-    logged and ignored); a field has not exactly its type, so ``true`` is no
-    count and ``"false"`` no flag (a float field also takes an integer, an
-    ``object`` field any value); a ``required`` field is missing.
+    logged through ``ignored`` and skipped); a field has not exactly its
+    type, so ``true`` is no count and ``"false"`` no flag (a float field
+    also takes an integer, an ``object`` field any value); a ``required``
+    field is missing.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be a JSON object")
     unknown = obj.keys() - types.keys()
+    if unknown and strict:
+        raise ParseError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
     if unknown:
-        message = f"unknown {where} field(s): {', '.join(sorted(unknown))}"
-        if strict:
-            raise ParseError(message)
-        logger.warning("%s (ignored)", message)
+        (ignored or _Ignored()).log(where, unknown)
     for name, kind in types.items():
         if name not in obj or kind is object:
             continue
@@ -125,8 +142,10 @@ class TrajectoryRecord:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj: Any, strict: bool = False) -> "TrajectoryRecord":
-        obj = _checked(obj, _RECORD_TYPES, "trajectory record", strict, _RECORD_REQUIRED)
+    def from_dict(cls, obj: Any, strict: bool = False,
+                  ignored: _Ignored | None = None) -> "TrajectoryRecord":
+        obj = _checked(obj, _RECORD_TYPES, "trajectory record", strict, _RECORD_REQUIRED,
+                       ignored)
         ids = obj["retrieved_skill_ids"]
         edges = obj.get("traversed_edges", [])
         steps = obj.get("steps", [])
@@ -143,7 +162,7 @@ class TrajectoryRecord:
         if unknown:
             raise ParseError(f"traversed_edges has unknown kind {', '.join(unknown)}")
         for step in steps:
-            _checked(step, _STEP_TYPES, "step", strict)
+            _checked(step, _STEP_TYPES, "step", strict, (), ignored)
         return cls(
             task_id=obj["task_id"],
             task_type=obj["task_type"],
@@ -199,15 +218,16 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     Stored success rates are informational, derived from the raw counts.
     Stored levels are checked, and recomputed when off. The counters that
     grow (meta values, ``n_use`` and co_counts counts) must be at most
-    ``MAX_STORED_INT``.
+    ``MAX_STORED_INT``. Each unknown field is logged once per section.
     """
-    data = _checked(data, _TOP_LEVEL_TYPES, "snapshot", strict)
+    ignored = _Ignored()
+    data = _checked(data, _TOP_LEVEL_TYPES, "snapshot", strict, (), ignored)
     version = data.get("version")
     if type(version) is not int or version != SNAPSHOT_VERSION:
         raise VersionMismatch(f"snapshot version {version!r}, expected {SNAPSHOT_VERSION}")
 
     graph = SkillGraph()
-    meta = _checked(data.get("meta", {}), _META_TYPES, "meta", strict)
+    meta = _checked(data.get("meta", {}), _META_TYPES, "meta", strict, (), ignored)
     for name, least in (("checkpoint_index", 0), ("highest_active_level", 0),
                         ("next_dynamic_id", 1)):
         value = meta.get(name, least)  # the least value is also the default
@@ -222,7 +242,7 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     # the checked path is lazy, so a record's fault and an earlier node's
     # insert error come in file order
     rows = ([values[:-1] for values in records] if records is not None
-            else (_node_row(obj, strict) for obj in node_objs))
+            else (_node_row(obj, strict, ignored) for obj in node_objs))
     for values in rows:
         node = SkillNode(*values)
         if node.n_use > MAX_STORED_INT:
@@ -234,7 +254,7 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
 
     edge_objs = data.get("edges", [])
     rows = (_exact_records(edge_objs, _edge_values, _EDGE_SIGNATURE)
-            or [_edge_row(obj, strict) for obj in edge_objs])
+            or [_edge_row(obj, strict, ignored) for obj in edge_objs])
     try:
         graph.add_edges(rows)  # also checks the levels
     except ValueError as exc:
@@ -277,14 +297,16 @@ def _exact_records(objs: list, values: itemgetter, signature: tuple) -> list[tup
     return None
 
 
-def _node_row(obj: Any, strict: bool) -> tuple:
+def _node_row(obj: Any, strict: bool, ignored: _Ignored | None = None) -> tuple:
     """A node entry's SkillNode field values, their JSON types checked."""
-    return _node_values(_checked(obj, _NODE_RECORD_TYPES, "node", strict, _NODE_TYPES))
+    return _node_values(_checked(obj, _NODE_RECORD_TYPES, "node", strict, _NODE_TYPES,
+                                 ignored))
 
 
-def _edge_row(obj: Any, strict: bool) -> tuple[str, str, str, float]:
+def _edge_row(obj: Any, strict: bool,
+              ignored: _Ignored | None = None) -> tuple[str, str, str, float]:
     """An edge entry's (src, dst, kind, weight), its JSON types checked."""
-    return _edge_values(_checked(obj, _EDGE_TYPES, "edge", strict, _EDGE_TYPES))
+    return _edge_values(_checked(obj, _EDGE_TYPES, "edge", strict, _EDGE_TYPES, ignored))
 
 
 def _atomic_write(path: str | Path, *pieces: str) -> None:
@@ -497,9 +519,10 @@ def ingest_trajectories(path: str | Path, graph: SkillGraph | None = None,
 
     Malformed lines are reported with their line numbers and skipped; valid
     records come back in file order. An unknown field makes a line malformed
-    under ``strict``, and is ignored with a warning otherwise. Records naming
-    skill ids absent from the supplied graph are accepted with a warning,
-    since the graph may have evolved since the episode ran.
+    under ``strict``, and is ignored with a warning naming the line
+    otherwise. Records naming skill ids absent from the supplied graph are
+    accepted with a warning, since the graph may have evolved since the
+    episode ran.
     """
     records: list[TrajectoryRecord] = []
     errors: list[tuple[int, str]] = []
@@ -511,7 +534,7 @@ def ingest_trajectories(path: str | Path, graph: SkillGraph | None = None,
             continue
         try:
             record = TrajectoryRecord.from_dict(decode_json(line, path, one_line=True),
-                                               strict)
+                                               strict, _Ignored(f"line {lineno}: "))
         except ParseError as exc:
             errors.append((lineno, str(exc)))
             continue

@@ -10,7 +10,6 @@ graph ids.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -139,26 +138,6 @@ class ProposerRequest:
             raise SchemaViolation("split request needs skill")
 
 
-def request_digest(request: ProposerRequest) -> str:
-    """Stable content hash of a request, for keying scripted fixtures."""
-    payload = {
-        "kind": request.kind,
-        "failures": [
-            [f.task, f.task_type, [(s.get("action", ""), s.get("observation", ""))
-                                   for s in f.steps]]
-            for f in request.failure_summaries
-        ],
-        "skill_pair": request.skill_pair,
-        "skill": request.skill,
-        "failure_contexts": list(request.failure_contexts),
-        "existing_titles": list(request.existing_titles),
-        "dyn_ids": list(request.dyn_ids),
-        "max_items": request.max_items,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 class Proposer:
     """Interface: turn a request into proposals, which evolution validates."""
 
@@ -169,20 +148,16 @@ class Proposer:
 class ScriptedProposer(Proposer):
     """Deterministic fixture-backed proposer.
 
-    Fixtures are keyed first by (kind, request digest), then by kind alone
-    as a fallback; a missing key yields no proposals. Same request, same
-    answer, byte for byte.
+    Fixtures are keyed by kind (``"insert"``, ``"merge"``, ``"split"``); a
+    kind with no fixture yields no proposals. Every request of one kind gets
+    the same answer, cut to its ``max_items``.
     """
 
-    def __init__(self, fixtures: dict[Any, list[SkillProposal]] | None = None):
+    def __init__(self, fixtures: dict[str, list[SkillProposal]] | None = None):
         self.fixtures = dict(fixtures or {})
 
     def propose(self, request: ProposerRequest) -> list[SkillProposal]:
-        key = (request.kind, request_digest(request))
-        proposals = self.fixtures.get(key)
-        if proposals is None:
-            proposals = self.fixtures.get(request.kind, [])
-        return list(proposals[:request.max_items])
+        return list(self.fixtures.get(request.kind, [])[:request.max_items])
 
 
 # ----------------------------------------------------------------------

@@ -562,7 +562,7 @@ class TestDeprecate:
         graph.add_skill(make_node("ok", category="clean"))
         graph.add_edge("bad", "ok", EdgeKind.CO_OCCUR, 0.3)
         deprecate_scan(graph, EvolutionConfig())
-        assert graph.edge_count() == 1
+        assert len(graph.edges()) == 1
         assert graph.neighbors("ok") == set()
 
     def test_permanence(self):
@@ -633,7 +633,7 @@ class TestDiscover:
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"], category="clean")
         added = discover_cooccur(graph, [success_record(["a", "b"])], 2)
-        assert added == 0 and graph.edge_count() == 0
+        assert added == 0 and len(graph.edges()) == 0
 
     def test_threshold_crossing_adds_edge(self):
         graph = SkillGraph()
@@ -767,7 +767,7 @@ class TestDecayPrune:
         add_nodes(graph, ["a", "b"], category="clean")
         graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.05)
         assert decay_and_prune(graph, 0.99, 0.05) == 1
-        assert graph.edge_count() == 0
+        assert len(graph.edges()) == 0
         assert "a" in graph.nodes and "b" in graph.nodes
 
     def test_full_weight_survives(self):

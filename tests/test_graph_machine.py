@@ -229,10 +229,10 @@ class GraphMachine(RuleBasedStateMachine):
         else:
             self.graph.add_edges([(src, dst, kind.value, weight)])
 
-    @precondition(lambda self: self.graph.edge_count() > 0)
+    @precondition(lambda self: self.graph.edges())
     @rule(data=st.data())
     def remove_edge(self, data):
-        self.graph.remove_edge(data.draw(st.sampled_from(sorted(self.graph.edges()))))
+        self.graph.remove_edges([data.draw(st.sampled_from(sorted(self.graph.edges())))])
 
     @precondition(lambda self: self.graph.nodes)
     @rule(data=st.data(), with_heir=st.booleans())
@@ -268,7 +268,7 @@ class GraphMachine(RuleBasedStateMachine):
 
     # -- live writes: retrieval reads what these change as it is -----------
 
-    @precondition(lambda self: self.graph.edge_count() > 0)
+    @precondition(lambda self: self.graph.edges())
     @rule(data=st.data(), weight=WEIGHTS)
     def set_weight(self, data, weight):
         self.graph.set_weight(data.draw(st.sampled_from(sorted(self.graph.edges()))), weight)
@@ -348,7 +348,7 @@ class GraphMachine(RuleBasedStateMachine):
         elif edges:
             key = data.draw(st.sampled_from(edges), label="key")
             if write == "remove_edge":
-                snap.remove_edge(key)
+                snap.remove_edges([key])
             else:
                 snap.set_weight(key, weight)
         assert contents(self.graph) == before
@@ -409,7 +409,7 @@ class TestIndexUpkeep:
         lambda g: g.remove_node("b", heir="a"),
         lambda g: g.add_edge("a", "c", EdgeKind.ENHANCE, 0.2),
         lambda g: g.add_edges([("c", "a", "co_occur", 0.4)]),
-        lambda g: g.remove_edge(("a", "b", EdgeKind.PREREQ)),
+        lambda g: g.remove_edges([("a", "b", EdgeKind.PREREQ)]),
         lambda g: g.set_category("a", "beta"),
     ], ids=["add_skill", "remove_node", "remove_node_heir", "add_edge", "add_edges",
             "remove_edge", "set_category"])
@@ -424,7 +424,7 @@ class TestIndexUpkeep:
     @pytest.mark.parametrize("write", [
         lambda g: g.add_edge("a", "b", EdgeKind.PREREQ, 0.9),   # already there
         lambda g: g.add_edges([]),
-        lambda g: g.remove_edge(("a", "c", EdgeKind.PREREQ)),   # not there
+        lambda g: g.remove_edges([("a", "c", EdgeKind.PREREQ)]),   # not there
         lambda g: g.set_weight(("a", "b", EdgeKind.PREREQ), 1.0),
         lambda g: setattr(g.nodes["b"], "deprecated", True),
         lambda g: setattr(g, "highest_active_level", 0),
@@ -549,7 +549,7 @@ def _add_edge(graph, data):
 
 def _remove_edge(graph, data):
     if graph.edges():
-        graph.remove_edge(data.draw(st.sampled_from(sorted(graph.edges())), label="key"))
+        graph.remove_edges([data.draw(st.sampled_from(sorted(graph.edges())), label="key")])
 
 
 def _remove_node(graph, data):

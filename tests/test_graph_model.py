@@ -84,7 +84,7 @@ class TestAddEdge:
         add_nodes(graph, ["a", "b"])
         graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.3)
         graph.add_edge("b", "a", EdgeKind.CO_OCCUR, 0.3)
-        assert graph.edge_count() == 1
+        assert len(graph.edges()) == 1
         assert graph.weight("b", "a", EdgeKind.CO_OCCUR) == 0.3
 
     def test_three_node_enhance_chain_cycle_rejected(self):
@@ -132,7 +132,7 @@ class TestAddEdge:
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         key = graph.add_edge("a", "b", EdgeKind.PREREQ, 0.9)
         assert graph.edges()[key] == 0.5
-        assert graph.edge_count() == 1
+        assert len(graph.edges()) == 1
 
     def test_returns_the_canonical_key(self):
         graph = SkillGraph()
@@ -284,7 +284,7 @@ class TestAdjacencyTuples:
             doomed.append(("n000", "zz", EdgeKind.PREREQ))           # not stored
             one_by_one = copy.deepcopy(graph)
             for key in doomed:
-                one_by_one.remove_edge(key)
+                one_by_one.remove_edges([key])
             graph.remove_edges(doomed)
             assert list(graph.edges().items()) == list(one_by_one.edges().items())
             assert graph._out == one_by_one._out and graph._in == one_by_one._in
@@ -308,7 +308,7 @@ class TestAdjacencyTuples:
         assert len(graph.forward_neighbors("hub")) == 50_000
         graph.remove_node("hub")
         removed = time.perf_counter()
-        assert graph.edge_count() == 0
+        assert len(graph.edges()) == 0
         assert all(graph._out[v] == graph._in[v] == () for v in leaves)
         assert loaded - start < 1.0 and removed - loaded < 1.0, \
             (loaded - start, removed - loaded)
@@ -360,20 +360,20 @@ class TestUpdateStats:
         graph = SkillGraph()
         graph.add_skill(make_node("a", n_use=10, n_succ=4))
         batch = [("a", True, True)] * 3 + [("a", True, False)] * 2
-        rates = graph.update_stats(batch)
-        assert rates["a"] == pytest.approx(7 / 15)
+        graph.update_stats(batch)
+        assert graph.nodes["a"].success_rate() == pytest.approx(7 / 15)
 
     def test_empty_batch_identity(self):
         graph = SkillGraph()
         graph.add_skill(make_node("a", n_use=3, n_succ=1))
-        assert graph.update_stats([]) == {}
-        assert graph.nodes["a"].n_use == 3
+        graph.update_stats([])
+        assert (graph.nodes["a"].n_use, graph.nodes["a"].n_succ) == (3, 1)
 
     def test_single_use_single_success(self):
         graph = SkillGraph()
         add_nodes(graph, ["a"])
-        rates = graph.update_stats([("a", True, True)])
-        assert rates["a"] == 1.0
+        graph.update_stats([("a", True, True)])
+        assert graph.nodes["a"].success_rate() == 1.0
 
     def test_unknown_skill(self):
         graph = SkillGraph()
@@ -411,15 +411,16 @@ class TestUpdateStats:
             graph.add_skill(node)
         assert not graph.nodes
 
-    def test_repeated_ids_return_final_rates_in_first_seen_order(self):
+    def test_repeated_ids_fold_into_final_rates(self):
         graph = SkillGraph()
         graph.add_skill(make_node("a", n_use=2, n_succ=1))
-        add_nodes(graph, ["b", "c"])
+        add_nodes(graph, ["b", "c", "d"])
         batch = [("b", True, True), ("a", True, False), ("b", True, False),
                  ("c", True, True), ("a", True, True), ("b", True, True)]
-        rates = graph.update_stats(batch)
-        assert list(rates) == ["b", "a", "c"]
-        assert rates == {"b": 2 / 3, "a": 2 / 4, "c": 1.0}
+        graph.update_stats(batch)
+        assert {v: node.success_rate() for v, node in graph.nodes.items()} == {
+            "a": 2 / 4, "b": 2 / 3, "c": 1.0, "d": 0.0}
+        assert graph.nodes["d"].n_use == 0
 
     @given(entries=st.lists(st.tuples(st.sampled_from("abcd"), st.booleans()),
                             max_size=30))
@@ -433,9 +434,10 @@ class TestUpdateStats:
             uses_wins = totals.setdefault(skill_id, [0, 0])
             uses_wins[0] += 1
             uses_wins[1] += won
-        rates = one_by_one.update_stats([(v, True, won) for v, won in entries])
-        counted_rates = counted.update_stats([(v, n, w) for v, (n, w) in totals.items()])
-        assert list(rates.items()) == list(counted_rates.items())
+        one_by_one.update_stats([(v, True, won) for v, won in entries])
+        counted.update_stats([(v, n, w) for v, (n, w) in totals.items()])
+        assert ([node.success_rate() for node in one_by_one.nodes.values()]
+                == [node.success_rate() for node in counted.nodes.values()])
         assert graph_to_dict(one_by_one) == graph_to_dict(counted)
         assert all(type(node.n_use) is int and type(node.n_succ) is int
                    for node in counted.nodes.values())

@@ -540,7 +540,7 @@ class TestTrajectories:
         path.write_text(json.dumps(data))
         loaded = load_graph(path)
         assert loaded.weight("a", "b", EdgeKind.CO_OCCUR) is not None
-        assert loaded.edge_count() == 1
+        assert len(loaded.edges()) == 1
 
 
 DOT_EDGE = re.compile(r'^\s{2}"[^"]+" -> "[^"]+" \[[^\]]*\];$')
@@ -642,9 +642,7 @@ class TestCli:
                      "--out", str(graph_path)])
         assert code == 0
         graph = load_graph(graph_path)
-        assert graph.edge_count(EdgeKind.CO_OCCUR) == 1
-        assert graph.edge_count(EdgeKind.ENHANCE) == 2
-        assert graph.edge_count(EdgeKind.PREREQ) == 0
+        assert graph.health().edges == {"prereq": 0, "enhance": 2, "co_occur": 1}
 
     def test_retrieve_json_output(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
@@ -1290,7 +1288,8 @@ OBJECT_READERS = {
 def test_every_reader_checks_its_objects_alike(tmp_path, capsys, caplog, reader, case):
     """One checker for every object of a snapshot, trajectory or skills
     file: an unknown field is a data error under --strict and a warning that
-    names it otherwise; a mistyped or missing field is named."""
+    names it (and a trajectory's line) otherwise; a mistyped or missing field
+    is named."""
     kind, where, at, name, value, required = OBJECT_READERS[reader]
     make_document, argv = INPUT_FILES[kind]
     document = obj = make_document()
@@ -1310,12 +1309,46 @@ def test_every_reader_checks_its_objects_alike(tmp_path, capsys, caplog, reader,
     err = capsys.readouterr().err
     if case == "lenient":
         assert (code, err) == (0, "")
-        assert f"unknown {where} field(s): surprise (ignored)" in caplog.messages
+        line = "line 1: " * (kind == "trajectory")
+        assert f"{line}unknown {where} field(s): surprise (ignored)" in caplog.messages
         return
     assert code == 2
     assert {"strict": f"unknown {where} field(s): surprise\n",
             "mistyped": f"{where} field {name!r} must be ",
             "missing": f"{where} missing field(s): {required}\n"}[case] in err
+
+
+def test_an_ignored_trajectory_field_is_logged_with_its_line(tmp_path, caplog):
+    record = dict(INPUT_FILES["trajectory"][0](), sucess=True)
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+    with caplog.at_level("WARNING"):
+        assert len(ingest_trajectories(path).records) == 2
+    assert caplog.messages == [
+        f"line {n}: unknown trajectory record field(s): sucess (ignored)" for n in (1, 2)]
+    assert ingest_trajectories(path, strict=True).errors == [
+        (n, "unknown trajectory record field(s): sucess") for n in (1, 2)]
+
+
+def test_an_ignored_snapshot_field_is_logged_once_per_section(caplog):
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b", "c", "d"])
+    graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+    graph.add_edge("c", "d", EdgeKind.ENHANCE, 0.5)
+    data = graph_to_dict(graph)
+    for node in data["nodes"]:
+        node["foo"] = 1
+    data["nodes"][2]["bar"] = 1
+    for edge in data["edges"]:
+        edge["foo"] = 1
+    with caplog.at_level("WARNING"):
+        loaded = graph_from_dict(data)
+    assert graph_to_dict(loaded) == graph_to_dict(graph)
+    assert caplog.messages == ["unknown node field(s): foo (ignored)",
+                               "unknown node field(s): bar (ignored)",
+                               "unknown edge field(s): foo (ignored)"]
+    with pytest.raises(ParseError, match=r"^unknown node field\(s\): foo$"):
+        graph_from_dict(data, strict=True)
 
 
 def test_outside_json_is_decoded_in_one_place():

@@ -108,7 +108,7 @@ def test_writer_covers_empty_and_populated_sections():
     assert saved_text(empty) == oracle_text(empty)
     assert '"nodes": []' in saved_text(empty)
     graph = random_graph(random.Random(3), n=40)
-    assert graph.co_counts and graph.edge_count()
+    assert graph.co_counts and len(graph.edges())
     assert saved_text(graph) == oracle_text(graph)
 
 
@@ -175,14 +175,14 @@ def per_edge_load(data: dict) -> SkillGraph:
     graph = graph_from_dict({**data, "edges": []})
     for obj in data["edges"]:
         src, dst, kind, weight = obj["src"], obj["dst"], obj["kind"], obj["weight"]
-        edges_before = graph.edge_count()
+        edges_before = len(graph.edges())
         try:
             graph.add_edge(src, dst, EdgeKind(kind), float(weight))
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad edge entry: {exc}") from exc
         except SkillNetError as exc:
             raise ParseError(f"invalid edge: {exc}") from exc
-        if graph.edge_count() == edges_before:
+        if len(graph.edges()) == edges_before:
             raise ParseError(f"duplicate edge {src} -> {dst} ({kind})")
     graph.compute_levels()
     return graph
