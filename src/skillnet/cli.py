@@ -30,6 +30,7 @@ from .persistence import (
     save_graph,
     _atomic_write,
     _checked,
+    _Ignored,
 )
 from .retrieval import RetrievalParams, TaskQuery, render_skill_block, retrieve
 
@@ -147,8 +148,10 @@ def _cmd_init(args: argparse.Namespace) -> int:
     if not isinstance(records, list):
         raise ParseError("skills file must be a JSON array of skill records")
     graph = SkillGraph()
+    ignored = _Ignored()  # an unknown field is logged once, at its first entry
     for i, obj in enumerate(records):
-        _checked(obj, _SKILL_TYPES, f"skills entry {i}", args.strict, _SKILL_REQUIRED)
+        _checked(obj, _SKILL_TYPES, f"skills entry {i}", args.strict, _SKILL_REQUIRED,
+                 ignored)
         graph.add_skill(SkillNode(
             skill_id=obj["skill_id"],
             title=obj["title"],

@@ -80,13 +80,15 @@ _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
 @dataclass
 class _Ignored:
     """The unknown fields a reader not under ``strict`` skips: each field of
-    each kind of object is logged once, after ``at`` (such as ``"line 3: "``)."""
+    each kind of object, known by its field table, is logged once, naming
+    the first object that holds it (``where``), after ``at`` (such as
+    ``"line 3: "``)."""
 
     at: str = ""
-    seen: dict[str, set[str]] = field(default_factory=dict)
+    seen: dict[tuple[str, ...], set[str]] = field(default_factory=dict)
 
-    def log(self, where: str, unknown: set[str]) -> None:
-        seen = self.seen.setdefault(where, set())
+    def log(self, types: dict[str, type], where: str, unknown: set[str]) -> None:
+        seen = self.seen.setdefault(tuple(types), set())
         new = sorted(unknown - seen)
         if new:
             seen.update(new)
@@ -111,7 +113,7 @@ def _checked(obj: Any, types: dict[str, type], where: str, strict: bool,
     if unknown and strict:
         raise ParseError(f"unknown {where} field(s): {', '.join(sorted(unknown))}")
     if unknown:
-        (ignored or _Ignored()).log(where, unknown)
+        (ignored or _Ignored()).log(types, where, unknown)
     for name, kind in types.items():
         if name not in obj or kind is object:
             continue

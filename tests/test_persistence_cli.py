@@ -1351,6 +1351,23 @@ def test_an_ignored_snapshot_field_is_logged_once_per_section(caplog):
         graph_from_dict(data, strict=True)
 
 
+def test_an_ignored_skills_field_is_logged_once_per_file(tmp_path, capsys, caplog):
+    """Each unknown field of an ``init`` skills file is logged once, naming
+    the first entry that holds it, however many entries hold it."""
+    entries = [{"skill_id": f"c{i}", "title": "Wipe", "catgory": "clean"} for i in range(3)]
+    entries[2]["extra"] = 1
+    path = tmp_path / "skills.json"
+    path.write_text(json.dumps(entries))
+    argv = ["init", "--skills", str(path), "--out", str(tmp_path / "g.json")]
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert caplog.messages == ["unknown skills entry 0 field(s): catgory (ignored)",
+                               "unknown skills entry 2 field(s): extra (ignored)"]
+    capsys.readouterr()
+    assert main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err == "error: unknown skills entry 0 field(s): catgory\n"
+
+
 def test_outside_json_is_decoded_in_one_place():
     """json.loads and json.load run only in persistence.decode_json, which
     turns every failure into a ParseError. The teacher's reply, decoded in

@@ -6,6 +6,7 @@ import heapq
 import json
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -22,10 +23,11 @@ from skillnet import (
     select_seeds,
     topo_order,
 )
-from skillnet.errors import ConfigInvalid, CycleWouldForm
+from skillnet.errors import ConfigInvalid, CycleWouldForm, DuplicateEdge
 from skillnet.model import DEPENDENCY_KINDS
 from skillnet.retrieval import (
     DEFAULT_BFS_DEPTH,
+    SORTED_SEED_LAYER_SEEDS,
     RetrievalResult,
     _expand_backward,
     _expand_forward,
@@ -33,7 +35,14 @@ from skillnet.retrieval import (
 
 from bench.library import CATEGORIES, answer, digest, generate_library
 from conftest import add_nodes, make_node, oracle_best_path_products, random_graph
+from retrieval_oracle import layered_expand_forward, layered_retrieve
 from retrieval_oracle import retrieve as oracle_retrieve
+
+
+def levels_of(graph: SkillGraph, skill_ids) -> dict[str, int]:
+    """The skills mapped to their up-to-date levels: ``topo_order``'s input."""
+    graph.ensure_levels()
+    return {v: graph.nodes[v].level for v in skill_ids}
 
 
 def chain_graph() -> SkillGraph:
@@ -82,12 +91,12 @@ class TestSelectSeeds:
 class TestBackwardBfs:
     def test_depth_zero_empty(self):
         graph = chain_graph()
-        assert _expand_backward(graph, {"seed"}, 0)[0] == set()
+        assert _expand_backward(graph, {"seed"}, 0)[0] == {}
 
     def test_depth_limits(self):
         graph = chain_graph()
-        assert _expand_backward(graph, {"seed"}, 1)[0] == {"p1"}
-        assert _expand_backward(graph, {"seed"}, 2)[0] == {"p1", "p2"}
+        assert _expand_backward(graph, {"seed"}, 1)[0] == {"p1": 1}
+        assert _expand_backward(graph, {"seed"}, 2)[0] == {"p1": 1, "p2": 0}
 
     def test_enhance_parents_not_followed(self):
         graph = SkillGraph()
@@ -95,12 +104,12 @@ class TestBackwardBfs:
         graph.add_edge("e", "seed", EdgeKind.ENHANCE, 0.2)
         graph.compute_levels()
         graph.highest_active_level = 10
-        assert _expand_backward(graph, {"seed"}, 2)[0] == set()
+        assert _expand_backward(graph, {"seed"}, 2)[0] == {}
 
     def test_deprecated_parent_excluded_and_blocks(self):
         graph = chain_graph()
         graph.nodes["p1"].deprecated = True
-        assert _expand_backward(graph, {"seed"}, 3)[0] == set()
+        assert _expand_backward(graph, {"seed"}, 3)[0] == {}
 
 
 class TestForwardBeam:
@@ -252,13 +261,13 @@ class TestTopoOrder:
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         graph.add_edge("b", "c", EdgeKind.PREREQ, 0.5)
         graph.compute_levels()
-        assert topo_order(graph, {"c", "a", "b"}) == ["a", "b", "c"]
+        assert topo_order(graph, levels_of(graph, {"c", "a", "b"})) == ["a", "b", "c"]
 
     def test_equal_level_ties_break_by_id(self):
         graph = SkillGraph()
         add_nodes(graph, ["beta", "alpha"])
         graph.compute_levels()
-        assert topo_order(graph, {"beta", "alpha"}) == ["alpha", "beta"]
+        assert topo_order(graph, levels_of(graph, {"beta", "alpha"})) == ["alpha", "beta"]
 
     def test_diamond_tie_break(self):
         graph = SkillGraph()
@@ -268,7 +277,7 @@ class TestTopoOrder:
         graph.add_edge("b", "d", EdgeKind.PREREQ, 0.5)
         graph.add_edge("c", "d", EdgeKind.PREREQ, 0.5)
         graph.compute_levels()
-        order = topo_order(graph, {"a", "b", "c", "d"})
+        order = topo_order(graph, levels_of(graph, {"a", "b", "c", "d"}))
         assert order[0] == "a" and order[-1] == "d"
         assert order.index("b") < order.index("c")
         # membership in the set of valid topological orders
@@ -280,17 +289,8 @@ class TestTopoOrder:
         graph = SkillGraph()
         add_nodes(graph, ["aa", "zz"])
         graph.compute_levels()
-        assert topo_order(graph, {"aa", "zz"}, {"aa": 0.2, "zz": 0.9}) == ["zz", "aa"]
-
-    def test_stale_levels_are_brought_up_to_date(self):
-        graph = SkillGraph()
-        add_nodes(graph, ["a", "b"])
-        graph.compute_levels()
-        graph.add_edge("b", "a", EdgeKind.PREREQ, 0.5)
-        # a still reads level 0, which would rank it before its parent b
-        assert graph.nodes["a"].level == 0
-        assert topo_order(graph, {"a", "b"}) == ["b", "a"]
-        assert graph.nodes["a"].level == 1
+        assert topo_order(graph, levels_of(graph, {"aa", "zz"}),
+                          {"aa": 0.2, "zz": 0.9}) == ["zz", "aa"]
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_equals_kahn_pass(self, seed, data):
@@ -299,7 +299,8 @@ class TestTopoOrder:
         members = data.draw(st.sets(st.sampled_from(ids)))
         scores = data.draw(st.dictionaries(
             st.sampled_from(ids), st.sampled_from([0.0, 0.09, 0.3, 0.5, 1.0])))
-        assert topo_order(graph, members, scores) == kahn_topo_order(graph, members, scores)
+        assert topo_order(graph, levels_of(graph, members), scores) == \
+            kahn_topo_order(graph, members, scores)
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_limit_keeps_the_prefix_of_the_full_order(self, seed, data):
@@ -309,16 +310,17 @@ class TestTopoOrder:
         scores = data.draw(st.dictionaries(
             st.sampled_from(ids), st.sampled_from([0.0, 0.09, 0.3, 0.5, 1.0])))
         full = sorted(members, key=lambda v: (graph.nodes[v].level, -scores.get(v, 1.0), v))
-        assert topo_order(graph, members, scores, -1) == full
+        levels = levels_of(graph, members)
+        assert topo_order(graph, levels, scores, -1) == full
         for limit in (0, 1, 2, len(members) + 1):
-            assert topo_order(graph, members, scores, limit) == full[:limit], limit
+            assert topo_order(graph, levels, scores, limit) == full[:limit], limit
 
 
 class TestStageContract:
     """``retrieve`` looks its four stages up as module globals and hands
-    ``topo_order`` the whole candidate set as its second positional argument:
-    the benchmark's tracer wraps exactly those names and counts that set as
-    ``retrieval.candidates``."""
+    ``topo_order`` every candidate, mapped to its level, as its second
+    positional argument: the benchmark's tracer wraps exactly those names and
+    counts that argument as ``retrieval.candidates``."""
 
     STAGES = ("select_seeds", "_expand_backward", "_expand_forward", "topo_order")
 
@@ -351,7 +353,7 @@ class TestStageContract:
         bfs_nodes = calls["_expand_backward"][0][2][0]
         beam_scores = calls["_expand_forward"][0][2][0]
         args, kwargs, ordered = calls["topo_order"][0]
-        assert args[1] == seeds | bfs_nodes | set(beam_scores)
+        assert args[1] == levels_of(graph, seeds | bfs_nodes.keys() | beam_scores.keys())
         assert (len(seeds), len(bfs_nodes), len(beam_scores)) == (4, 2, 3)
         assert ordered == result.ordered_skills
         assert result.capped == (len(args[1]) > len(ordered))
@@ -370,6 +372,17 @@ class TestRetrieve:
         graph.compute_levels()
         graph.highest_active_level = levels
         return graph
+
+    def test_stale_levels_are_brought_up_to_date(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b"], category="clean")
+        graph.compute_levels()
+        graph.add_edge("b", "a", EdgeKind.PREREQ, 0.5)
+        graph.highest_active_level = 1
+        # a still reads level 0, which would rank it before its parent b
+        assert graph.nodes["a"].level == 0
+        assert retrieve(graph, TaskQuery("", "clean")).ordered_skills == ["b", "a"]
+        assert graph.nodes["a"].level == 1
 
     def test_cap_respected_with_defaults(self):
         graph = self.build_layered()
@@ -563,6 +576,77 @@ class TestTieRules:
 
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+
+
+# weights drawn from a few values, so equal scores are the norm
+TIED_WEIGHTS = ((0.5, 0.25), (0.3, 0.6, 0.9), (0.0, 1.0), (0.2, 0.4, 0.8))
+
+
+@st.composite
+def tied_graphs(draw) -> SkillGraph:
+    """3 to 14 skills in three categories, some deprecated and some locked,
+    with two to five edges a skill, of every kind, between any two of them. A dependency edge runs
+    from the lower to the higher index, so none closes a cycle, and a
+    co_occur edge is stored at whichever endpoint has the lower id."""
+    n = draw(st.integers(3, 14))
+    ids = [f"n{i:02d}" for i in range(n)]
+    graph = SkillGraph()
+    for v in ids:
+        graph.add_skill(make_node(v, category=draw(st.sampled_from(["general", "a", "b"]))))
+        graph.nodes[v].deprecated = draw(st.integers(0, 4)) == 0
+    values = draw(st.sampled_from(TIED_WEIGHTS))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for (i, j), kind, weight in draw(st.lists(st.tuples(
+            pairs, st.sampled_from(list(EdgeKind)), st.sampled_from(values)),
+            min_size=2 * n, max_size=5 * n)):
+        if kind in DEPENDENCY_KINDS:
+            i, j = min(i, j), max(i, j)
+        try:
+            graph.add_edge(ids[i], ids[j], kind, weight)
+        except DuplicateEdge:
+            pass
+    graph.compute_levels()
+    graph.highest_active_level = draw(st.integers(0, 3))
+    return graph
+
+
+class TestAgainstLayeredOracle:
+    """The beam's first layer, sorted or heap-ordered, and the rank step
+    that takes the levels the BFS read, against the layer-at-a-time code
+    they replaced, kept verbatim in ``retrieval_oracle``. Each property
+    draws the seed count from which the first layer is sorted, so both of
+    its paths meet every graph."""
+
+    THRESHOLDS = st.sampled_from([0, 1, 4, SORTED_SEED_LAYER_SEEDS])
+
+    @given(graph=tied_graphs(), data=st.data())
+    def test_forward_beam_keeps_and_walks_what_the_heap_did(self, graph, data):
+        seeds = data.draw(st.sets(st.sampled_from(sorted(graph.nodes)), min_size=1))
+        # a negative width, which config validation refuses, keeps nothing
+        width, depth = data.draw(st.integers(-1, 5)), data.draw(st.integers(0, 3))
+        with patch.object(retrieval, "SORTED_SEED_LAYER_SEEDS", data.draw(self.THRESHOLDS)):
+            kept, walked = _expand_forward(graph, seeds, width, depth)
+        expected_kept, expected_walked = layered_expand_forward(graph, seeds, width, depth)
+        assert kept == expected_kept
+        assert walked == expected_walked
+        # identical floats, signed zeros included
+        assert repr(sorted(kept.items())) == repr(sorted(expected_kept.items()))
+
+    @given(graph=tied_graphs(), data=st.data())
+    def test_results_equal_the_layered_pipeline(self, graph, data):
+        query = TaskQuery("t", data.draw(st.sampled_from(["a", "b", "c"])))
+        depth, width = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 5))
+        k_max = data.draw(st.sampled_from([-1, 0, 1, 8]))
+        with patch.object(retrieval, "SORTED_SEED_LAYER_SEEDS", data.draw(self.THRESHOLDS)):
+            result = retrieve(graph, query, depth, width, k_max)
+        assert result == layered_retrieve(graph, query, depth, width, k_max)
+
+    @pytest.mark.parametrize("variant", [3, 15])
+    def test_2k_results_equal_the_layered_pipeline(self, variant):
+        graph = generate_library(2000, variant, with_stats=True)
+        for category in CATEGORIES:
+            query = TaskQuery("q", category)
+            assert retrieve(graph, query) == layered_retrieve(graph, query), category
 
 
 class TestBenchScaleAnswers:
