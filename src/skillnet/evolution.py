@@ -312,13 +312,11 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
             continue
         unified = proposals[0]
         survivor, removed = graph.nodes[a], graph.nodes[b]
-        survivor.title = unified.title
-        survivor.principle = unified.principle
-        survivor.when_to_apply = unified.when_to_apply
-        if unified.category:
-            graph.set_category(a, unified.category)
-        survivor.n_use += removed.n_use
-        survivor.n_succ += removed.n_succ
+        category = {"category": unified.category} if unified.category else {}
+        graph.replace_skill(a, title=unified.title, principle=unified.principle,
+                            when_to_apply=unified.when_to_apply,
+                            n_use=survivor.n_use + removed.n_use,
+                            n_succ=survivor.n_succ + removed.n_succ, **category)
         _rehome(graph, b, lambda _: a, heir=a)
         consumed.update((a, b))
         merges.append((a, [b]))
@@ -388,7 +386,7 @@ def deprecate_scan(graph: SkillGraph, cfg: EvolutionConfig) -> list[str]:
             continue
         if node.n_use >= cfg.deprecate_min_uses and \
                 node.success_rate() < cfg.deprecate_threshold:
-            node.deprecated = True
+            graph.replace_skill(skill_id, deprecated=True)
             flagged.append(skill_id)
     return flagged
 

@@ -9,14 +9,15 @@ one range-checked way to change a stored weight.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
-to another thread. The snapshot is a structural copy: every mutable object
-(node records, the edge, adjacency and category maps, the category id maps,
-the co-appearance counters) is fresh, while ids, titles, edge keys, kinds,
-weights and each node's adjacency tuples are shared. Those are immutable
-strings, tuples, enums and floats, and a write replaces a node's tuple in its
-own graph's map instead of changing it, so no write on either side can reach
-the other. Readers write nothing, so any number of them may share one
-snapshot.
+to another thread. The snapshot is a structural copy: every map (the node,
+edge, adjacency and category maps, the category id maps, the co-appearance
+counters) is fresh, while the node records, edge keys, weights and each
+node's adjacency tuples are shared. A stored value is never changed in
+place: a write binds a new record, tuple or weight in its own graph's map
+instead, so no write on either side can reach the other. Node records are
+values by that rule alone (``SkillNode`` itself is writable, so a record can
+be filled in before ``add_skill``); ``replace_skill`` is how a stored skill
+changes. Readers write nothing, so any number of them may share one snapshot.
 """
 
 from __future__ import annotations
@@ -140,12 +141,14 @@ class SkillGraph:
     dependency key sits in ``_out[src]`` and ``_in[dst]``, and a co_occur key
     in ``_out`` of both endpoints. Each is a tuple of keys in insertion order.
     A write never changes a tuple: it binds a new one in place of the old, so
-    ``snapshot()`` shares every tuple and copies only the two maps. The batch
-    writers ``add_edges`` and ``remove_edges`` replace each touched node's
-    tuple once, so a bulk write costs the degrees it touches, not their
-    squares. ``_categories`` maps each category to its ids, kept by
-    ``add_skill``, ``remove_node`` and ``set_category``, the one writer of a
-    node's category after insert. Only ``_store``, ``add_edges``,
+    ``snapshot()`` shares every tuple and copies only the two maps. Node
+    records follow the same rule: ``replace_skill`` binds a changed copy,
+    and no code writes a stored record's fields. The batch writers
+    ``add_edges`` and ``remove_edges`` replace each touched node's tuple
+    once, so a bulk write costs the degrees it touches, not their squares.
+    ``_categories`` maps each category to its ids, kept by ``add_skill``,
+    ``remove_node`` and ``replace_skill``, the one writer of a node's
+    category after insert. Only ``_store``, ``add_edges``,
     ``remove_edges`` and ``set_weight`` write ``_edges``, so the adjacency
     and the stale-level flag follow every edge change.
     """
@@ -195,13 +198,31 @@ class SkillGraph:
         self._levels_stale = True
         return node.skill_id
 
+    def replace_skill(self, skill_id: str, **changes: object) -> SkillNode:
+        """Bind a new record for a skill: a copy of its record with the fields
+        ``changes`` names set, returned. The one writer of a stored record's
+        fields; the old record is never changed, so a snapshot or a save
+        that holds it keeps it as it was. The id cannot change: a
+        ``skill_id`` keyword is the TypeError of any repeated argument.
+        Naming ``category`` also moves the skill to the end of that category
+        in the index. The values are stored unchecked; ``add_skill`` and
+        ``update_stats`` check theirs.
+        """
+        node = self.nodes.get(skill_id)
+        if node is None:
+            raise UnknownSkill(f"unknown skill id {skill_id!r}")
+        new = SkillNode(*node_values(node))
+        for name, value in changes.items():
+            setattr(new, name, value)  # on the copy, before it is stored
+        if "category" in changes:
+            self._unlist(node)
+            self._categories.setdefault(new.category, {})[skill_id] = None
+        self.nodes[skill_id] = new
+        return new
+
     def set_category(self, skill_id: str, category: str) -> None:
-        """Move a skill to another category: the one writer of ``category``
-        after insert, since the category index lists skills by it."""
-        node = self.nodes[skill_id]
-        self._unlist(node)
-        node.category = category
-        self._categories.setdefault(category, {})[skill_id] = None
+        """Move a skill to another category (see ``replace_skill``)."""
+        self.replace_skill(skill_id, category=category)
 
     def _unlist(self, node: SkillNode) -> None:
         """Take a skill out of the category index."""
@@ -444,7 +465,9 @@ class SkillGraph:
         """Recompute topological levels over the dependency subgraph.
 
         level(v) = 0 for nodes without prereq/enhance parents, otherwise
-        1 + max over dependency parents; co_occur edges are ignored.
+        1 + max over dependency parents; co_occur edges are ignored. A
+        skill's record is replaced only where its level changes, or is not
+        an exact int (``True == 1``, but ``_levels_hold`` refuses a bool).
         """
         # edge keys carry (src, dst, kind), so the pass never reads an edge
         indegree = dict.fromkeys(self.nodes, 0)
@@ -467,8 +490,11 @@ class SkillGraph:
                         ready.append(dst)
         if processed != len(self.nodes):
             raise CycleDetected("dependency subgraph is cyclic")
+        nodes = self.nodes
         for v, lvl in levels.items():
-            self.nodes[v].level = lvl
+            old = nodes[v].level
+            if old != lvl or type(old) is not int:
+                self.replace_skill(v, level=lvl)
         self._levels_stale = False
         return levels
 
@@ -498,7 +524,8 @@ class SkillGraph:
         ``(skill_id, True, succeeded)`` is one observation, and n such
         entries fold like one ``(skill_id, n, wins)``. Counts must be ints
         with 0 <= successes <= uses; the whole batch is validated before any
-        counter moves, so a bad entry leaves the graph untouched.
+        counter moves, so a bad entry leaves the graph untouched. The batch
+        is then summed per skill, and each skill it names gets one new record.
         """
         nodes = self.nodes
         for skill_id, uses, successes in batch:
@@ -509,10 +536,14 @@ class SkillGraph:
                 raise SuccessWithoutUse(
                     f"skill {skill_id!r}: need int counts 0 <= successes <= uses, "
                     f"got successes={successes!r}, uses={uses!r}")
+        totals: dict[str, tuple[int, int]] = {}
         for skill_id, uses, successes in batch:
+            n_use, n_succ = totals.get(skill_id) or (0, 0)
+            totals[skill_id] = (n_use + uses, n_succ + successes)
+        for skill_id, (uses, successes) in totals.items():
             node = nodes[skill_id]
-            node.n_use += uses
-            node.n_succ += successes
+            self.replace_skill(skill_id, n_use=node.n_use + uses,
+                               n_succ=node.n_succ + successes)
 
     # ------------------------------------------------------------------
     # structural initialization and active set
@@ -574,15 +605,15 @@ class SkillGraph:
 
         Levels are brought up to date first, so no reader sharing a
         snapshot recomputes levels into it, and readers write nothing else.
-        Copies every node record and every map, and shares only immutable
-        values: edge weights and each node's adjacency tuples, which a write
-        on either side replaces rather than changes (see the module
-        docstring). That costs a fraction of a deep copy and is just as
-        isolated in both directions.
+        Copies every map and shares the values in them: node records, edge
+        weights and each node's adjacency tuples, which a write on either
+        side replaces rather than changes (see the module docstring). That
+        costs a fraction of a deep copy and is just as isolated in both
+        directions.
         """
         self.ensure_levels()
         clone = SkillGraph()
-        clone.nodes = {v: SkillNode(*node_values(n)) for v, n in self.nodes.items()}
+        clone.nodes = dict(self.nodes)
         clone._edges = dict(self._edges)
         clone._out = dict(self._out)
         clone._in = dict(self._in)

@@ -24,9 +24,8 @@ import os
 import tempfile
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
-from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
-from operator import is_, is_not, itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Any, get_type_hints
 from weakref import WeakKeyDictionary
@@ -364,9 +363,10 @@ def _object_template(names: Iterable[str], indent: int) -> str:
 # serves both sections: text is kept while every value it was rendered from
 # is the same object as then. Identity, not equality: True == 1 and
 # 0.0 == -0.0, but they render differently.
-# - Node records are matched by their position in id order, field by field
-#   in one flat list, so a shifted position fails on its skill_id, and a
-#   changed node count renders every node again.
+# - A node's text is kept while its id maps to the very record it was
+#   rendered from. No stored record is written in place (SkillGraph binds a
+#   new one instead), so an insert, a merge or a split renders only the new
+#   and the replaced records.
 # - The edge section is kept while the edge map holds equal keys in the same
 #   order, each with the very weight object it was rendered from.
 # The document reaches the file in pieces of at most _CHUNK records, so it is
@@ -376,13 +376,12 @@ _KIND_TEXT = {kind: encode_basestring_ascii(kind.value) for kind in EdgeKind}
 # the literal text around the five sections, in key order
 _SNAPSHOT = (_object_template(_TOP_LEVEL_TYPES, 0) + "\n").split("%s")
 _META = _object_template(_META_TYPES, 2).lstrip()  # opens after its key
-_WIDTH = len(_NODE_TYPES)
 _CHUNK = 256
-# per graph: its node field values in id order (_WIDTH per node, flat), its
-# node records, its edge keys and weights in map order and its edge section,
-# as last saved; no key list matches the None of a graph never saved
+# per graph: its node records and their texts, each by id, its edge keys and
+# weights in map order and its edge section, as last saved; no key list
+# matches the None of a graph never saved
 _LAST_SAVES: WeakKeyDictionary = WeakKeyDictionary()
-_NOTHING_SAVED = ([], [], None, [], [])
+_NOTHING_SAVED = ({}, {}, None, [], [])
 
 
 def _past_bound(what: str) -> SkillNetError:
@@ -433,8 +432,8 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
     with ``indent=2, sort_keys=True`` and a final newline.
 
     A repeat save of the same graph renders again only the node records
-    whose field values changed, and the edge section only when an edge key
-    or weight changed (see the comment above). A counter above
+    that are new or were replaced, and the edge section only when an edge
+    key or weight changed (see the comment above). A counter above
     ``MAX_STORED_INT``, which ``load_graph`` would refuse, is a SkillNetError
     before any file is touched.
     """
@@ -453,17 +452,12 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
         f'      {counts[pair]!r}\n    ]'
         for pair in sorted(counts)]
 
-    kept_fields, kept_nodes, kept_keys, kept_weights, kept_edges = _LAST_SAVES.get(
+    kept_nodes, kept_text, kept_keys, kept_weights, kept_edges = _LAST_SAVES.get(
         graph, _NOTHING_SAVED)
     nodes = graph.nodes
     order = sorted(nodes)
-    fields = list(chain.from_iterable(map(node_values, map(nodes.__getitem__, order))))
-    if len(fields) == len(kept_fields):
-        node_records = kept_nodes.copy()
-        for i in {i // _WIDTH for i in compress(count(), map(is_not, fields, kept_fields))}:
-            node_records[i] = _node_text(nodes[order[i]])
-    else:
-        node_records = list(map(_node_text, map(nodes.__getitem__, order)))
+    node_records = [kept_text[v] if kept_nodes.get(v) is node else _node_text(node)
+                    for v, node in zip(order, map(nodes.__getitem__, order))]
     keys, values = list(graph.edges()), list(graph.edges().values())
     same = keys == kept_keys and all(map(is_, values, kept_weights))
     edges = kept_edges if same else _edge_section(graph)
@@ -475,7 +469,8 @@ def save_graph(graph: SkillGraph, path: str | Path) -> None:
         pieces += section
         pieces.append(after)
     _atomic_write(path, *pieces)
-    _LAST_SAVES[graph] = (fields, node_records, keys, values, edges)
+    _LAST_SAVES[graph] = (dict(nodes), dict(zip(order, node_records)), keys, values,
+                          edges)
 
 
 def read_text(path: str | Path, unreadable: type[SkillNetError] = ParseError) -> str:

@@ -43,15 +43,17 @@ from hypothesis.stateful import (
 
 from skillnet import (
     EdgeKind, EvolutionConfig, SkillGraph, TaskQuery, TrajectoryRecord, graph_to_dict,
-    load_graph, retrieve, save_graph,
+    load_graph, persistence, retrieve, save_graph,
 )
 from skillnet.curriculum import CurriculumParams
 from skillnet.errors import (
     CycleDetected, CycleWouldForm, ProposerParseError, ProposerUnavailable, UnknownSkill,
 )
-from skillnet.evolution import discover_cooccur, merge_scan
+from skillnet.evolution import discover_cooccur, merge_scan, split_scan
 from skillnet.model import DEPENDENCY_KINDS
-from skillnet.proposer import MAX_TITLE_LENGTH, Proposer, SkillProposal
+from skillnet.proposer import (
+    MAX_TITLE_LENGTH, Proposer, ScriptedProposer, SkillProposal,
+)
 from skillnet.simulate import checkpoint
 
 from conftest import (
@@ -276,7 +278,7 @@ class GraphMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.graph.nodes)
     @rule(data=st.data(), deprecated=st.booleans())
     def set_deprecated(self, data, deprecated):
-        self.graph.nodes[self.pick(data, "skill")].deprecated = deprecated
+        self.graph.replace_skill(self.pick(data, "skill"), deprecated=deprecated)
 
     @rule(level=st.integers(0, 3))
     def set_active_level(self, level):
@@ -331,7 +333,8 @@ class GraphMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.snap is not None and self.snap.nodes)
     @rule(data=st.data(), write=st.sampled_from(
-              ["add_edge", "remove_edge", "remove_node", "set_weight"]),
+              ["add_edge", "remove_edge", "remove_node", "set_weight", "update_stats",
+               "replace_skill"]),
           kind=st.sampled_from(EdgeKind), weight=WEIGHTS)
     def write_snapshot(self, data, write, kind, weight):
         """A write to the snapshot leaves the writer graph as it was."""
@@ -345,6 +348,11 @@ class GraphMachine(RuleBasedStateMachine):
                 pass
         elif write == "remove_node":
             snap.remove_node(data.draw(st.sampled_from(ids), label="victim"))
+        elif write == "update_stats":
+            snap.update_stats([(data.draw(st.sampled_from(ids), label="skill"), 1, 1)])
+        elif write == "replace_skill":
+            snap.replace_skill(data.draw(st.sampled_from(ids), label="skill"),
+                               title="Renamed", deprecated=True)
         elif edges:
             key = data.draw(st.sampled_from(edges), label="key")
             if write == "remove_edge":
@@ -411,8 +419,9 @@ class TestIndexUpkeep:
         lambda g: g.add_edges([("c", "a", "co_occur", 0.4)]),
         lambda g: g.remove_edges([("a", "b", EdgeKind.PREREQ)]),
         lambda g: g.set_category("a", "beta"),
+        lambda g: g.replace_skill("c", category="alpha", title="Moved"),
     ], ids=["add_skill", "remove_node", "remove_node_heir", "add_edge", "add_edges",
-            "remove_edge", "set_category"])
+            "remove_edge", "set_category", "replace_skill_category"])
     def test_structural_writes_keep_the_index(self, write):
         graph = small_graph()
         before = index_of(graph)
@@ -426,7 +435,7 @@ class TestIndexUpkeep:
         lambda g: g.add_edges([]),
         lambda g: g.remove_edges([("a", "c", EdgeKind.PREREQ)]),   # not there
         lambda g: g.set_weight(("a", "b", EdgeKind.PREREQ), 1.0),
-        lambda g: setattr(g.nodes["b"], "deprecated", True),
+        lambda g: g.replace_skill("b", deprecated=True),
         lambda g: setattr(g, "highest_active_level", 0),
         lambda g: g.compute_levels(),
         lambda g: g.update_stats([("a", True, True)]),
@@ -565,21 +574,24 @@ def _set_category(graph, data):
 
 
 def _title(graph, data):
-    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
+    skill = data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")
     # an equal title as a new string object, or another title
-    node.title = data.draw(st.sampled_from([node.title.encode().decode(), "Renamed"]))
+    title = graph.nodes[skill].title
+    graph.replace_skill(skill, title=data.draw(st.sampled_from([title.encode().decode(),
+                                                                "Renamed"])))
 
 
 def _created_step(graph, data):
     # equal but not the same: 3.0 == 3, and it is written as 3.0
-    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
-    node.created_step = data.draw(st.sampled_from([float(node.created_step),
-                                                   int(node.created_step)]))
+    skill = data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")
+    step = graph.nodes[skill].created_step
+    graph.replace_skill(skill, created_step=data.draw(st.sampled_from([float(step),
+                                                                       int(step)])))
 
 
 def _deprecated(graph, data):
-    node = graph.nodes[data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")]
-    node.deprecated = data.draw(st.booleans(), label="deprecated")
+    skill = data.draw(st.sampled_from(sorted(graph.nodes)), label="skill")
+    graph.replace_skill(skill, deprecated=data.draw(st.booleans(), label="deprecated"))
 
 
 WRITES = [_stats, _weight, _add_edge, _remove_edge, _remove_node, _set_category,
@@ -622,6 +634,44 @@ def test_repeat_saves_follow_levels_above_256(tmp_path):
     graph.compute_levels()  # the same levels again, as new objects above 256
     assert_saves_as_the_oracle(graph, path)
     assert graph.nodes["s259"].level == 260
+
+
+def test_a_repeat_save_renders_only_new_and_replaced_records(tmp_path, monkeypatch):
+    """After an insert, a merge or a split, a repeat save renders the text of
+    the records that are new or were replaced, and reuses the rest."""
+    graph = random_graph(random.Random(11), n=20, deprecated_rate=0.0)
+    path = tmp_path / "g.json"
+    save_graph(graph, path)
+    rendered: list[str] = []
+    render = persistence._node_text
+    monkeypatch.setattr(persistence, "_node_text",
+                        lambda node: rendered.append(node.skill_id) or render(node))
+
+    def save_after(write) -> set[str]:
+        before = dict(graph.nodes)
+        write()
+        graph.ensure_levels()
+        rendered.clear()
+        assert_saves_as_the_oracle(graph, path)
+        return {v for v, node in graph.nodes.items() if before.get(v) is not node}
+
+    assert save_after(lambda: graph.add_skill(make_node("zz_new", "alpha"))) == {"zz_new"}
+    assert rendered == ["zz_new"]
+    a, b = sorted(graph.nodes)[:2]
+    replaced = save_after(lambda: merge_scan(graph, OneMergeTeacher((a, b), "beta"),
+                                             EvolutionConfig(merge_jaccard=0.0)))
+    assert a in replaced and b not in graph.nodes and len(replaced) < len(graph.nodes)
+    assert rendered == sorted(replaced)
+    parent = sorted(graph.nodes)[2]
+    assert save_after(lambda: graph.update_stats([(parent, 10**6, 0)])) == {parent}
+    assert rendered == [parent]
+    halves = [SkillProposal(skill_id="p", title=f"Half {i}", principle="Do it.",
+                            when_to_apply="Always.") for i in range(2)]
+    replaced = save_after(lambda: split_scan(
+        graph, ScriptedProposer({"split": halves}), [],
+        EvolutionConfig(split_band=(0.0, 1.0), split_min_uses=10**6)))
+    assert parent not in graph.nodes and len(replaced) < len(graph.nodes)
+    assert rendered == sorted(replaced)
 
 
 def test_a_weight_stored_past_set_weight_shows_in_the_next_save(tmp_path):

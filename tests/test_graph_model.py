@@ -6,6 +6,7 @@ import ast
 import copy
 import random
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ import skillnet
 from skillnet import (
     EdgeKind, SkillGraph, TaskQuery, graph_to_dict, load_graph, retrieve, save_graph,
 )
-from skillnet.model import edge_key, pair_key
+from skillnet.evolution import EvolutionConfig, deprecate_scan, merge_scan
+from skillnet.model import SkillNode, edge_key, pair_key
+from skillnet.proposer import Proposer, SkillProposal
 from skillnet.errors import (
     AlreadyInitialized,
     CycleWouldForm,
@@ -457,6 +460,42 @@ class TestUpdateStats:
         assert make_node("a").success_rate() == 0.0
 
 
+class MergeOnlyTeacher(Proposer):
+    """Unifies the pair (a, b) and declines every other request."""
+
+    def propose(self, request):
+        if request.kind != "merge" or [s["skill_id"] for s in request.skill_pair] != ["a", "b"]:
+            return []
+        return [SkillProposal(skill_id="", title="A and B", principle="Both at once.",
+                              when_to_apply="Either applies.")]
+
+
+def record_graph() -> SkillGraph:
+    """a -> b (prereq) in alpha; c in beta, used 30 times with 1 win; d general."""
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"], category="alpha")
+    add_nodes(graph, ["c"], category="beta")
+    add_nodes(graph, ["d"])
+    graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+    graph.update_stats([("c", 30, 1)])
+    graph.compute_levels()
+    return graph
+
+
+# each writer of node records, and the ids whose records it replaces or removes
+RECORD_WRITES = {
+    "update_stats": (lambda g: g.update_stats([("a", 2, 1), ("a", True, False)]), {"a"}),
+    "compute_levels": (lambda g: (g.add_edge("c", "a", EdgeKind.PREREQ, 0.5),
+                                  g.compute_levels()), {"a", "b"}),
+    "set_category": (lambda g: g.set_category("d", "beta"), {"d"}),
+    "merge_scan": (lambda g: merge_scan(g, MergeOnlyTeacher(),
+                                        EvolutionConfig(merge_jaccard=0.0)), {"a", "b"}),
+    "deprecate_scan": (lambda g: deprecate_scan(g, EvolutionConfig()), {"c"}),
+    "remove_node": (lambda g: g.remove_node("d"), {"d"}),
+    "replace_skill": (lambda g: g.replace_skill("b", title="Renamed"), {"b"}),
+}
+
+
 class TestGraphInvariants:
     def test_random_mutation_sequences_keep_invariants(self, rng):
         """DAG, level law, weight bounds, and counter monotonicity hold
@@ -557,16 +596,17 @@ class TestGraphInvariants:
         assert [snapshot.nodes[v].level for v in ("a", "b")] == [0, 1]
 
     def test_snapshot_copies_every_container(self, rng):
-        """Every mutable container is fresh; a node's adjacency is an
-        immutable tuple, shared."""
+        """Every mutable container is fresh; a node's record and its
+        adjacency tuples, which no write changes, are shared."""
         graph = random_graph(rng, n=12)
         snapshot = graph.snapshot()
         assert vars(snapshot).keys() == vars(graph).keys()
         for name, value in vars(graph).items():
             if isinstance(value, (dict, set, list)):
                 assert getattr(snapshot, name) is not value, name
+        assert snapshot.nodes is not graph.nodes
         for v in graph.nodes:
-            assert snapshot.nodes[v] is not graph.nodes[v]
+            assert snapshot.nodes[v] is graph.nodes[v]
             assert type(graph._out[v]) is type(graph._in[v]) is tuple
             assert snapshot._out[v] is graph._out[v]
             assert snapshot._in[v] is graph._in[v]
@@ -577,10 +617,10 @@ class TestGraphInvariants:
         before = graph_to_dict(graph)
         out_before, in_before = dict(graph._out), dict(graph._in)
         snapshot = graph.snapshot()
-        for node in snapshot.nodes.values():
-            node.n_use += 1
-            node.title = "changed"
-            node.deprecated = True
+        for v in snapshot.nodes:
+            snapshot.update_stats([(v, 1, 0)])
+            snapshot.set_category(v, "moved")
+            snapshot.replace_skill(v, title="changed", deprecated=True)
         for key in list(snapshot.edges()):
             snapshot.set_weight(key, 1.0)
         snapshot.co_counts[("n000", "n001")] = 99
@@ -590,6 +630,24 @@ class TestGraphInvariants:
         snapshot.checkpoint_index += 1
         assert graph_to_dict(graph) == before
         assert graph._out == out_before and graph._in == in_before
+
+    @pytest.mark.parametrize("side", ["graph", "snapshot"])
+    @pytest.mark.parametrize("write", RECORD_WRITES)
+    def test_a_record_write_reaches_one_side_and_shares_the_rest(self, write, side):
+        """Each writer of records, on either side of a snapshot, leaves the
+        other side as it was and keeps every record it did not replace or
+        remove shared between the two."""
+        graph = record_graph()
+        snapshot = graph.snapshot()
+        written, other = (graph, snapshot) if side == "graph" else (snapshot, graph)
+        before = graph_to_dict(other)
+        change, touched = RECORD_WRITES[write]
+        change(written)
+        written.ensure_levels()
+        assert graph_to_dict(other) == before
+        assert graph_to_dict(written) != before
+        shared = {v for v, node in written.nodes.items() if other.nodes.get(v) is node}
+        assert shared == set(other.nodes) - touched
 
     def test_level_law_every_dependency_edge_descends(self, rng):
         graph = SkillGraph()
@@ -740,8 +798,12 @@ class TestHealth:
      "weight 1.5 outside [0, 1] for a -> b (co_occur)"),
     (lambda g: g.set_weight(("a", "b", EdgeKind.PREREQ), -0.5), WeightOutOfRange,
      "weight -0.5 outside [0, 1] for a -> b (prereq)"),
+    (lambda g: g.replace_skill("zz", title="T"), UnknownSkill, "unknown skill id 'zz'"),
+    (lambda g: g.replace_skill("a", skill_id="b"), TypeError,
+     "SkillGraph.replace_skill() got multiple values for argument 'skill_id'"),
 ], ids=["add_skill", "update_stats", "remove_node", "remove_node-heir", "add_edge",
-        "add_edges", "add_edge-weight", "set_weight"])
+        "add_edges", "add_edge-weight", "set_weight", "replace_skill",
+        "replace_skill-id"])
 def test_refusals_name_the_fault(write, error, message):
     graph = SkillGraph()
     add_nodes(graph, ["a", "b"])
@@ -837,3 +899,40 @@ def test_adjacency_is_written_only_by_its_writers_and_never_in_place():
                     and node.func.value.value.attr in {"_out", "_in"}):
                 calls.append((path.stem, node.lineno, node.func.attr))
     assert calls == []
+
+
+NODE_FIELDS = {f.name for f in fields(SkillNode)}
+
+
+def test_skill_records_are_replaced_and_never_written_in_place():
+    """No function in ``src/skillnet`` assigns or augments an attribute named
+    after a ``SkillNode`` field, nor sets one through ``setattr`` by name:
+    a stored record changes only by ``replace_skill`` binding a new one,
+    which is what lets ``snapshot()`` share every record and ``save_graph``
+    tell an unchanged record by identity. The one such name written is the
+    ``deprecated`` list of an EvolutionReport. Only these bind
+    ``nodes[...]``; ``__init__`` and ``snapshot()`` bind a fresh graph's map."""
+    writes = []
+    for path in sorted(Path(skillnet.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = [t for target in node.targets for t in
+                               (target.elts if isinstance(target, ast.Tuple) else [target])]
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "setattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)
+                      and node.args[1].value in NODE_FIELDS):
+                    writes.append((path.stem, func.name, ast.unparse(node)))
+                writes += [(path.stem, func.name, ast.unparse(target)) for target in targets
+                           if isinstance(target, ast.Attribute) and target.attr in NODE_FIELDS]
+    assert writes == [("evolution", "evolve_step", "report.deprecated")]
+    assert map_writes({"nodes"}) == [
+        ("model", "__init__", "bind"), ("model", "add_skill", "item"),
+        ("model", "remove_node", "pop"), ("model", "replace_skill", "item"),
+        ("model", "snapshot", "bind")]

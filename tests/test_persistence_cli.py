@@ -261,7 +261,7 @@ class TestSnapshotRoundTrip:
             save_graph(graph, path)
         before = path.read_bytes()
         if counter == "n_use":
-            graph.nodes["a"].n_use = MAX_STORED_INT + 1
+            graph.replace_skill("a", n_use=MAX_STORED_INT + 1)
         elif counter == "co_counts":
             graph.co_counts[("a", "b")] = MAX_STORED_INT + 1
         else:

@@ -38,6 +38,8 @@ from skillnet.errors import (
 )
 from skillnet.model import is_blank, pair_key
 
+from bench.run import EXPECTED
+from bench.workloads import CYCLES_PER_LIBRARY, PUBLISHES, Checkpoint2k, Retrieve8k
 from conftest import add_nodes, random_graph
 
 # ----------------------------------------------------------------------
@@ -389,3 +391,34 @@ def test_bulk_load_matches_the_row_by_row_load(data):
     and records the fast path passes over: the same graph, in the same
     order, or the same error."""
     assert load_outcome(graph_from_dict, data) == load_outcome(row_by_row_load, data)
+
+
+# ----------------------------------------------------------------------
+# the benchmark's own writes, at its scale
+
+
+class TestBenchScaleWrites:
+    """The outputs ``bench/expected.json`` pins for held-out variant 15: the
+    snapshot file of each of five publishes on the 8k library, and the
+    report and snapshot file of each of the eight checkpoint cycles on the
+    2k library. A workload raises DigestMismatch at the first output that
+    differs from its pin."""
+
+    PINS = json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+    def test_retrieve_8k_publishes(self, tmp_path):
+        pins = self.PINS["retrieve_8k"]["15"]
+        workload = Retrieve8k(15, tmp_path, pins)
+        workload.setup()
+        for _ in range(PUBLISHES):
+            workload.publish()
+        for k in range(PUBLISHES):
+            assert workload.seen[f"publish/{k}"] == pins[f"publish/{k}"]
+
+    def test_checkpoint_2k_cycles(self, tmp_path):
+        pins = self.PINS["checkpoint_2k"]["15"]
+        workload = Checkpoint2k(15, tmp_path, pins)
+        workload.setup()
+        for cycle in range(CYCLES_PER_LIBRARY):
+            workload.op(cycle)
+            assert workload.seen[f"cycle/{cycle}"] == pins[f"cycle/{cycle}"]
