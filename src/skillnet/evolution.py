@@ -13,6 +13,13 @@ hand a removed skill's edges on through one path (``_rehome``).
 ``SkillGraph.remove_node`` carries its co-appearance counts over to an heir,
 and no operation reads a level, so none recomputes them.
 
+Merge candidates are the one result kept between checkpoints: each graph's
+last scan is held weakly in ``_LAST_SCANS``, and the next scan at the same
+threshold re-examines only the skills whose adjacency tuples were rebound
+or whose deprecated flag flipped since, with the neighbors of a flipped one.
+That relies on the graph's copy-on-write rule: every adjacency change binds
+a new tuple (see ``SkillGraph``).
+
 The caller owns exclusivity: evolution mutates the graph in place, so readers
 should hold a snapshot taken before or after the step, never during.
 """
@@ -22,7 +29,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from itertools import chain, compress
+from operator import is_not
+from typing import Any, Callable, Iterator
+from weakref import WeakKeyDictionary
 
 from .errors import (
     ConfigInvalid, CycleWouldForm, ProposerError, ProposerParseError, SchemaViolation,
@@ -258,27 +268,118 @@ def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
     return pairs
 
 
+def _rebound(now: dict, then: dict) -> Iterator[str]:
+    """The keys of ``now`` whose value is not the very object ``then`` holds
+    under them (None for a key it lacks)."""
+    return compress(now, map(is_not, now.values(), map(then.get, now)))
+
+
+def _reprobe(graph: SkillGraph, last: tuple, outs: dict[str, tuple[EdgeKey, ...]],
+             ins: dict[str, tuple[EdgeKey, ...]], live: set[str],
+             threshold: float) -> tuple[dict[str, tuple[str, ...]], set[tuple[str, str]]] | None:
+    """The live neighborhoods and the candidate pairs of ``graph``, from those
+    of its last scan (``last``, see ``_LAST_SCANS``) and its adjacency tuples
+    and live skills now; None when the probe would walk more neighbors than
+    all neighborhoods hold.
+
+    A neighborhood is a function of the skill's two tuples and the deprecated
+    flags of the skills they name, so it can have changed only where a tuple
+    was rebound (an added skill counts), at a skill that was live last time
+    and is not now or the reverse, and at a neighbor of such a flipped
+    skill. A skill that was its neighbor before the flip and is not now lost
+    that edge, which rebound its tuple too. Pairs touching such a dirty
+    skill, or a removed one, are dropped, and each dirty live skill ``d`` is
+    probed: by the prefix filter of ``_prefix_pairs``, a pair that reaches
+    the threshold shares one of any ``|N(d)| - ceil(t|N(d)|) + 2`` ids of
+    ``N(d)``, so the probe walks the neighborhoods of that many of d's
+    neighbors, the smallest first. Each partner found there that passes the
+    length filter is checked with the quotient ``jaccard`` takes, of the same
+    two integers.
+    """
+    _, last_outs, last_ins, last_neighborhoods, last_pairs = last
+    gone = last_outs.keys() - outs.keys()
+    flipped = (live ^ last_neighborhoods.keys()) - gone
+    dirty = flipped.union(_rebound(outs, last_outs), _rebound(ins, last_ins))
+    for v in flipped:
+        dirty.update(end for key in outs[v] + ins[v] for end in key[:2])
+    touched = dirty | gone
+    neighborhoods = dict(last_neighborhoods)
+    for v in touched:
+        neighborhoods.pop(v, None)
+    fresh = {d: graph.neighbors(d) for d in dirty & live}
+    neighborhoods.update(zip(fresh, map(tuple, fresh.values())))
+    prefixes = {}
+    for d, mine in fresh.items():
+        size = len(mine)
+        prefixes[d] = sorted(mine, key=lambda w: len(neighborhoods[w]))[
+            :max(0, size - math.ceil(threshold * size) + 2)]
+    walked = sum(len(neighborhoods[w]) for prefix in prefixes.values() for w in prefix)
+    if walked > sum(map(len, neighborhoods.values())):
+        return None
+    pairs = {pair for pair in last_pairs
+             if pair[0] not in touched and pair[1] not in touched}
+    for d, prefix in prefixes.items():
+        mine = fresh[d]
+        size = len(mine)
+        for u in set(chain.from_iterable(map(neighborhoods.__getitem__, prefix))):
+            theirs = neighborhoods[u]
+            other = len(theirs)
+            if u != d and (other / size if other < size else size / other) >= threshold:
+                common = len(mine.intersection(theirs))
+                if common / (size + other - common) >= threshold:
+                    pairs.add((d, u) if d < u else (u, d))
+    return neighborhoods, pairs
+
+
+# A repeat merge scan of the same graph starts from its last one, kept in
+# _LAST_SCANS. Per graph it holds the threshold; each skill's
+# forward_neighbors and dependency_parents tuples, as they were read; each
+# live skill's neighborhood, as a tuple (a fraction of a set's memory); and
+# the candidate pairs found. Graphs are held weakly, so a snapshot() clone, a
+# deep copy or a loaded graph starts cold, and a dropped graph frees its
+# memo. Tuples are told apart by identity: no stored adjacency tuple is
+# changed in place (a write binds a new one), so the very tuple read last
+# time still holds the same keys. Deprecated flags are read afresh from the
+# records at every scan, so a record written in place still shows its flip.
+_LAST_SCANS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str]]:
     """Live pairs (a < b) whose all-kind, both-way neighborhoods have
     ``jaccard >= threshold``, sorted.
 
-    For a positive threshold the pairs compared come from an inverted
-    neighbor index with the prefix and length filters of Bayardo et al.
-    (WWW 2007; see ``_prefix_pairs``), which drop only pairs that cannot
-    reach the threshold: the rounded ``jaccard`` never exceeds the rounded
-    size ratio, so the length filter needs no margin. Every remaining pair
-    is checked with ``jaccard``, so the result is exactly that of comparing
-    all pairs, in the same order. A threshold of 0 admits every pair, empty
-    neighborhoods included, so it compares all pairs.
+    A threshold of 0 admits every pair, empty neighborhoods included, so it
+    compares all pairs. For a positive threshold, the first scan of a graph,
+    or one at a threshold other than its last, compares the pairs that an
+    inverted neighbor index proposes with the prefix and length filters of
+    Bayardo et al. (WWW 2007; see ``_prefix_pairs``), which drop only pairs
+    that cannot reach the threshold: the rounded ``jaccard`` never exceeds
+    the rounded size ratio, so the length filter needs no margin. Every
+    proposed pair is checked with ``jaccard``. A repeat scan at the same
+    threshold re-examines only the skills whose neighborhood may have
+    changed since the last one (see ``_reprobe``); it runs the prefix scan
+    again when their probe would walk more neighbors than all neighborhoods
+    hold. Either way the result is exactly that of comparing all pairs, in
+    the same order.
     """
-    live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
-    neighborhoods = {v: graph.neighbors(v) for v in live}
-    if threshold > 0:
-        pairs = sorted(_prefix_pairs(live, neighborhoods, threshold))
-    else:
-        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
-    return [(a, b) for a, b in pairs
-            if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold]
+    live = {v for v, n in graph.nodes.items() if not n.deprecated}
+    if not threshold > 0:
+        ordered = sorted(live)
+        neighborhoods = {v: graph.neighbors(v) for v in ordered}
+        return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]
+                if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold]
+    outs, ins = map(dict, graph.adjacency())
+    last = _LAST_SCANS.get(graph)
+    found = None
+    if last is not None and last[0] == threshold:
+        found = _reprobe(graph, last, outs, ins, live, threshold)
+    if found is None:
+        neighborhoods = {v: graph.neighbors(v) for v in live}
+        pairs = {(a, b) for a, b in _prefix_pairs(sorted(live), neighborhoods, threshold)
+                 if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold}
+        found = dict(zip(neighborhoods, map(tuple, neighborhoods.values()))), pairs
+    _LAST_SCANS[graph] = (threshold, outs, ins, *found)
+    return sorted(found[1])
 
 
 def merge_scan(graph: SkillGraph, proposer: Proposer,
@@ -289,7 +390,9 @@ def merge_scan(graph: SkillGraph, proposer: Proposer,
     index proposes the pairs that pass its prefix filter (their rarest
     neighbors meet) and length filter (their neighborhood sizes allow the
     threshold), and ``jaccard`` checks each, so they are exactly the pairs
-    an all-pairs scan finds, in the same sorted order. A pair is skipped
+    an all-pairs scan finds, in the same sorted order. A repeat scan of the
+    same graph keeps the last scan's pairs among skills whose neighborhoods
+    cannot have changed, and probes only the others. A pair is skipped
     when either member was consumed earlier in the pass. The survivor keeps
     the lexicographically smaller id, takes the teacher's unified wording,
     inherits the union of both edge sets (higher weight wins on

@@ -437,6 +437,12 @@ class SkillGraph:
         is not ``skill_id``."""
         return self._out[skill_id]
 
+    def adjacency(self) -> tuple[Mapping[str, tuple[EdgeKey, ...]],
+                                 Mapping[str, tuple[EdgeKey, ...]]]:
+        """Read-only live views of every skill's ``forward_neighbors`` and
+        ``dependency_parents`` tuple, by id."""
+        return MappingProxyType(self._out), MappingProxyType(self._in)
+
     def incident_edges(self, skill_id: str) -> set[EdgeKey]:
         return {*self._out.get(skill_id, ()), *self._in.get(skill_id, ())}
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -31,7 +33,9 @@ from skillnet import (
     split_scan,
 )
 from skillnet import evolution, graph_to_dict, load_graph, save_graph
-from skillnet.errors import ConfigInvalid, ProposerUnavailable
+from skillnet.errors import (
+    ConfigInvalid, CycleDetected, CycleWouldForm, DuplicateEdge, ProposerUnavailable,
+)
 from skillnet.evolution import merge_candidates
 from skillnet.model import edge_key, pair_key
 from skillnet.proposer import Proposer
@@ -374,7 +378,91 @@ def planted_library(rng: random.Random, n: int = 300) -> SkillGraph:
     return graph
 
 
+def random_write(graph: SkillGraph, rng: random.Random, threshold: float) -> None:
+    """One write of a kind ``rng`` picks, through the public API: an edge
+    insert or a batch of them, an edge removal, a skill added or removed
+    (with or without an heir), a deprecated flag flipped either way, a
+    category moved, or a merge scan at ``threshold``."""
+    ids = sorted(graph.nodes)
+    write = rng.choice(["add_edge", "add_edges", "remove_edges", "add_skill", "remove_node",
+                        "flip", "move", "merge_scan"])
+    if write == "add_skill" or len(ids) < 2:
+        graph.add_skill(make_node(graph.new_dynamic_id(), rng.choice(["clean", "heat"]),
+                                  deprecated=rng.random() < 0.25))
+    elif write == "add_edge":
+        try:
+            graph.add_edge(*rng.sample(ids, 2), rng.choice(list(EdgeKind)), 0.5)
+        except CycleWouldForm:
+            pass
+    elif write == "add_edges":
+        try:
+            graph.add_edges([(*rng.sample(ids, 2), rng.choice(list(EdgeKind)).value, 0.5)
+                             for _ in range(rng.randint(1, 4))])
+        except (DuplicateEdge, CycleDetected):
+            pass  # the batch is refused whole
+    elif write == "remove_edges":
+        keys = sorted(graph.edges())
+        graph.remove_edges(rng.sample(keys, min(len(keys), rng.randint(1, 3))))
+    elif write == "remove_node":
+        gone = rng.choice(ids)
+        graph.remove_node(gone, heir=rng.choice([None] + [v for v in ids if v != gone]))
+    elif write == "flip":
+        skill_id = rng.choice(ids)
+        graph.replace_skill(skill_id, deprecated=not graph.nodes[skill_id].deprecated)
+    elif write == "move":
+        graph.replace_skill(rng.choice(ids), category=rng.choice(["general", "clean"]))
+    else:
+        merge_scan(graph, MergeTeacher(), EvolutionConfig(merge_jaccard=threshold))
+
+
 class TestMergeCandidatesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=neighborhood_graphs(), threshold=thresholds, rng=st.randoms(),
+           batches=st.lists(st.tuples(st.integers(1, 5), st.none() | thresholds),
+                            min_size=1, max_size=6))
+    def test_repeat_scans_of_one_graph_equal_the_all_pairs_scan(self, graph, threshold,
+                                                                 rng, batches):
+        merge_candidates(graph, threshold)
+        for writes, new_threshold in batches:
+            for _ in range(writes):
+                random_write(graph, rng, threshold)
+            threshold = threshold if new_threshold is None else new_threshold
+            assert merge_candidates(graph, threshold) == \
+                reference_candidates(graph, threshold)
+
+    def test_a_dropped_graph_frees_its_memo(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(evolution, "_LAST_SCANS", memo)
+        graph = planted_library(random.Random(3), n=60)
+        merge_candidates(graph, 0.85)
+        assert list(memo) == [graph]
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+        assert len(memo) == 0
+
+    @pytest.mark.parametrize("clone", [SkillGraph.snapshot, copy.deepcopy],
+                             ids=["snapshot", "deepcopy"])
+    def test_a_copy_starts_cold_while_the_original_evolves(self, clone):
+        rng = random.Random(11)
+        graph = planted_library(rng, n=90)
+        merge_candidates(graph, 0.85)
+        for _ in range(10):
+            random_write(graph, rng, 0.85)
+        copied = clone(graph)
+        assert copied not in evolution._LAST_SCANS
+        # both share every adjacency tuple, so only the graph tells them apart
+        assert all(copied.forward_neighbors(v) is graph.forward_neighbors(v)
+                   for v in graph.nodes)
+        for _ in range(4):
+            for _ in range(10):
+                random_write(graph, rng, 0.85)
+            for g in (copied, graph):
+                assert merge_candidates(g, 0.85) == reference_candidates(g, 0.85)
+            for _ in range(5):
+                random_write(copied, rng, 0.85)
+
     @settings(max_examples=300, deadline=None)
     @given(graph=neighborhood_graphs(), threshold=thresholds)
     def test_candidates_equal_the_all_pairs_scan(self, graph, threshold):
@@ -393,14 +481,19 @@ class TestMergeCandidatesOracle:
 
     @pytest.mark.parametrize("threshold, kept", [
         (6 / 7, True), (math.nextafter(6 / 7, 1.0), False), (0.85, True)])
-    def test_length_filter_boundary(self, threshold, kept):
-        # N(a) = n0..n5 inside N(b) = n0..n6: J(a, b) is the size ratio 6/7
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_length_filter_boundary(self, threshold, kept, repeat, monkeypatch):
+        # N(a) = n0..n5 inside N(b) = n0..n6: J(a, b) is the size ratio 6/7;
+        # a repeat scan re-probes only b and n6, the ends of the last edge
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"] + [f"n{i}" for i in range(7)])
-        for i in range(7):
-            if i < 6:
-                graph.add_edge("a", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
+        for i in range(6):
+            graph.add_edge("a", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
             graph.add_edge("b", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
+        if repeat:
+            merge_candidates(graph, threshold)
+            monkeypatch.setattr(evolution, "_prefix_pairs", None)  # no full scan
+        graph.add_edge("b", "n6", EdgeKind.CO_OCCUR, 0.5)
         candidates = merge_candidates(graph, threshold)
         assert (("a", "b") in candidates) is kept
         assert candidates == reference_candidates(graph, threshold)
@@ -442,17 +535,49 @@ class TestMergeCandidatesOracle:
         assert merge_candidates(graph, 0.0) == [("a", "b"), ("a", "c"), ("b", "c")]
 
     def test_checkpoint_equals_a_run_on_the_reference_candidates(self, monkeypatch):
+        # consecutive checkpoints on one graph, so every scan after the first
+        # starts from the last one; before each, a new twin of a live skill
+        # gives that scan a merge to find
+        def run(graph: SkillGraph, scan) -> tuple[list[dict], list]:
+            scans = []
+
+            def recorded(graph, threshold):
+                scans.append(scan(graph, threshold))
+                return scans[-1]
+
+            monkeypatch.setattr(evolution, "merge_candidates", recorded)
+            reports = []
+            for step in range(4):
+                ids = sorted(graph.nodes)
+                if step:
+                    original = next(v for v in ids[40 * step:] if not graph.nodes[v].deprecated)
+                    twin = graph.new_dynamic_id()
+                    graph.add_skill(make_node(twin, graph.nodes[original].category))
+                    for neighbor in sorted(graph.neighbors(original)):
+                        graph.add_edge(twin, neighbor, EdgeKind.CO_OCCUR, 0.3)
+                wins = [success_record(ids[i:i + 4]) for i in range(10 * step, 40 + 10 * step, 4)]
+                losses = [failure(f"t{step}.{i}") for i in range(3)]
+                reports.append(evolve_step(graph, wins, losses, MergeTeacher(),
+                                           EvolutionConfig()).to_dict())
+            return reports, scans
+
         graph = planted_library(random.Random(20260418))
         reference = copy.deepcopy(graph)
-        wins = [success_record(sorted(graph.nodes)[i:i + 4]) for i in range(0, 40, 4)]
-        losses = [failure(f"t{i}") for i in range(3)]
-        report = evolve_step(graph, wins, losses, MergeTeacher(), EvolutionConfig())
-        monkeypatch.setattr(evolution, "merge_candidates", reference_candidates)
-        expected = evolve_step(reference, copy.deepcopy(wins), copy.deepcopy(losses),
-                               MergeTeacher(), EvolutionConfig())
-        assert len(report.merged) >= 5
-        assert report.to_dict() == expected.to_dict()
+        reprobes = []
+        real_reprobe = evolution._reprobe
+
+        def spy(*args):
+            reprobes.append(real_reprobe(*args))
+            return reprobes[-1]
+
+        monkeypatch.setattr(evolution, "_reprobe", spy)
+        reports, scans = run(graph, merge_candidates)
+        assert (reports, scans) == run(reference, reference_candidates)
         assert graph_to_dict(graph) == graph_to_dict(reference)
+        assert len(reports[0]["merged"]) >= 5
+        assert all(report["merged"] for report in reports[1:])
+        # the first repeat scan has too much to re-probe and scans in full
+        assert [found is not None for found in reprobes] == [False, True, True]
 
 
 class TestSplit:

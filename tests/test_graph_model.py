@@ -875,8 +875,10 @@ def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
 
 def test_adjacency_is_written_only_by_its_writers_and_never_in_place():
     """Only these bind or assign ``_out[...]`` and ``_in[...]``: each write
-    binds a new tuple, which is what lets ``snapshot()`` share them. No code
-    calls a mutating method on an element of either map."""
+    binds a new tuple, which is what lets ``snapshot()`` share them and
+    ``evolution.merge_candidates`` tell a skill whose adjacency changed since
+    its last scan by identity. No code calls a mutating method on an element
+    of either map."""
     assert map_writes({"_out", "_in"}) == [
         ("model", "__init__", "bind"), ("model", "__init__", "bind"),
         ("model", "_store", "item"), ("model", "_store", "item"),
@@ -909,7 +911,9 @@ def test_skill_records_are_replaced_and_never_written_in_place():
     after a ``SkillNode`` field, nor sets one through ``setattr`` by name:
     a stored record changes only by ``replace_skill`` binding a new one,
     which is what lets ``snapshot()`` share every record and ``save_graph``
-    tell an unchanged record by identity. The one such name written is the
+    tell an unchanged record by identity. ``evolution.merge_candidates``
+    reads each record's ``deprecated`` flag afresh at every scan, so it sees
+    a flip even without this rule. The one such name written is the
     ``deprecated`` list of an EvolutionReport. Only these bind
     ``nodes[...]``; ``__init__`` and ``snapshot()`` bind a fresh graph's map."""
     writes = []
