@@ -14,11 +14,13 @@ hand a removed skill's edges on through one path (``_rehome``).
 and no operation reads a level, so none recomputes them.
 
 Merge candidates are the one result kept between checkpoints: each graph's
-last scan is held weakly in ``_LAST_SCANS``, and the next scan at the same
-threshold re-examines only the skills whose adjacency tuples were rebound
-or whose deprecated flag flipped since, with the neighbors of a flipped one.
-That relies on the graph's copy-on-write rule: every adjacency change binds
-a new tuple (see ``SkillGraph``).
+last scan is held weakly in ``_LAST_SCANS``, and a scan probes only the
+skills whose adjacency tuples were rebound or whose deprecated flag flipped
+since, with the neighbors of a flipped one, through their neighbors'
+neighborhoods. There is no inverted index and no full-scan fallback: a
+graph's first scan, or one at a new threshold, starts from an empty memo,
+so it probes every live skill. That relies on the graph's copy-on-write
+rule: every adjacency change binds a new tuple (see ``SkillGraph``).
 
 The caller owns exclusivity: evolution mutates the graph in place, so readers
 should hold a snapshot taken before or after the step, never during.
@@ -31,7 +33,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain, compress
 from operator import is_not
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Collection, Iterator
 from weakref import WeakKeyDictionary
 
 from .errors import (
@@ -105,11 +107,14 @@ class EvolutionReport:
         return asdict(self)
 
 
-def jaccard(a: set[str], b: set[str]) -> float:
-    """Jaccard similarity with J(empty, empty) defined as 0."""
+def jaccard(a: set[str], b: Collection[str]) -> float:
+    """Jaccard similarity of a set and a collection of distinct ids, with
+    J(empty, empty) defined as 0. The quotient divides the same two integers
+    as ``len(a & b) / len(a | b)``."""
     if not a and not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    common = len(a.intersection(b))
+    return common / (len(a) + len(b) - common)
 
 
 def summarize_failures(failures: list[TrajectoryRecord]) -> list[FailureSummary]:
@@ -230,117 +235,22 @@ def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
         _inherit_edge(graph, key, weights[key], old, target_of(neighbor))
 
 
-def _prefix_pairs(live: list[str], neighborhoods: dict[str, set[str]],
-                  threshold: float) -> set[tuple[str, str]]:
-    """Pairs (u, v), u before v in ``live``, whose neighborhood prefixes
-    share an id and whose sizes pass the length filter: a superset of the
-    pairs with Jaccard >= ``threshold`` > 0. ``live`` is sorted, and
-    ``neighborhoods`` maps each of its ids to its live neighbors, both ways,
-    as ``SkillGraph.neighbors`` does.
-
-    Prefix filter: J(x, y) >= t needs |x & y| >= t|x|, so once each
-    neighborhood is sorted by one global rank (rarest id first, ties by id),
-    two such sets share an id within their first |x| - ceil(t|x|) + 1 ids;
-    one more id of margin covers float rounding of t|x| and of the Jaccard
-    quotient. Length filter: the pair is kept only if
-    min(|x|, |y|) / max(|x|, |y|) >= t as a float. ``jaccard`` returns the
-    rounded i/u with i <= min and u >= max, and rounded division is
-    monotone, so it cannot reach t when min/max does not. Empty
-    neighborhoods post nothing and are never candidates.
-    """
-    # as neighborhoods are symmetric, an id's frequency across them is the
-    # size of its own; a stable sort of the sorted ids by it ranks by
-    # (frequency, id)
-    size_of = {v: len(neighborhoods[v]) for v in live}
-    rank = dict(zip(sorted(live, key=size_of.__getitem__), range(len(live))))
-    index: dict[str, list[str]] = {}
-    pairs: set[tuple[str, str]] = set()
-    for v in live:
-        ordered = sorted(neighborhoods[v], key=rank.__getitem__)
-        size = len(ordered)
-        for w in ordered[:max(0, size - math.ceil(threshold * size) + 2)]:
-            postings = index.setdefault(w, [])
-            for u in postings:
-                other = size_of[u]
-                if (other / size if other < size else size / other) >= threshold:
-                    pairs.add((u, v))
-            postings.append(v)
-    return pairs
-
-
 def _rebound(now: dict, then: dict) -> Iterator[str]:
     """The keys of ``now`` whose value is not the very object ``then`` holds
     under them (None for a key it lacks)."""
     return compress(now, map(is_not, now.values(), map(then.get, now)))
 
 
-def _reprobe(graph: SkillGraph, last: tuple, outs: dict[str, tuple[EdgeKey, ...]],
-             ins: dict[str, tuple[EdgeKey, ...]], live: set[str],
-             threshold: float) -> tuple[dict[str, tuple[str, ...]], set[tuple[str, str]]] | None:
-    """The live neighborhoods and the candidate pairs of ``graph``, from those
-    of its last scan (``last``, see ``_LAST_SCANS``) and its adjacency tuples
-    and live skills now; None when the probe would walk more neighbors than
-    all neighborhoods hold.
-
-    A neighborhood is a function of the skill's two tuples and the deprecated
-    flags of the skills they name, so it can have changed only where a tuple
-    was rebound (an added skill counts), at a skill that was live last time
-    and is not now or the reverse, and at a neighbor of such a flipped
-    skill. A skill that was its neighbor before the flip and is not now lost
-    that edge, which rebound its tuple too. Pairs touching such a dirty
-    skill, or a removed one, are dropped, and each dirty live skill ``d`` is
-    probed: by the prefix filter of ``_prefix_pairs``, a pair that reaches
-    the threshold shares one of any ``|N(d)| - ceil(t|N(d)|) + 2`` ids of
-    ``N(d)``, so the probe walks the neighborhoods of that many of d's
-    neighbors, the smallest first. Each partner found there that passes the
-    length filter is checked with the quotient ``jaccard`` takes, of the same
-    two integers.
-    """
-    _, last_outs, last_ins, last_neighborhoods, last_pairs = last
-    gone = last_outs.keys() - outs.keys()
-    flipped = (live ^ last_neighborhoods.keys()) - gone
-    dirty = flipped.union(_rebound(outs, last_outs), _rebound(ins, last_ins))
-    for v in flipped:
-        dirty.update(end for key in outs[v] + ins[v] for end in key[:2])
-    touched = dirty | gone
-    neighborhoods = dict(last_neighborhoods)
-    for v in touched:
-        neighborhoods.pop(v, None)
-    fresh = {d: graph.neighbors(d) for d in dirty & live}
-    neighborhoods.update(zip(fresh, map(tuple, fresh.values())))
-    prefixes = {}
-    for d, mine in fresh.items():
-        size = len(mine)
-        prefixes[d] = sorted(mine, key=lambda w: len(neighborhoods[w]))[
-            :max(0, size - math.ceil(threshold * size) + 2)]
-    walked = sum(len(neighborhoods[w]) for prefix in prefixes.values() for w in prefix)
-    if walked > sum(map(len, neighborhoods.values())):
-        return None
-    pairs = {pair for pair in last_pairs
-             if pair[0] not in touched and pair[1] not in touched}
-    for d, prefix in prefixes.items():
-        mine = fresh[d]
-        size = len(mine)
-        for u in set(chain.from_iterable(map(neighborhoods.__getitem__, prefix))):
-            theirs = neighborhoods[u]
-            other = len(theirs)
-            if u != d and (other / size if other < size else size / other) >= threshold:
-                common = len(mine.intersection(theirs))
-                if common / (size + other - common) >= threshold:
-                    pairs.add((d, u) if d < u else (u, d))
-    return neighborhoods, pairs
-
-
-# A repeat merge scan of the same graph starts from its last one, kept in
-# _LAST_SCANS. Per graph it holds the threshold; each skill's
-# forward_neighbors and dependency_parents tuples, as they were read; each
-# live skill's neighborhood, as a tuple (a fraction of a set's memory); and
-# the candidate pairs found. Graphs are held weakly, so a snapshot() clone, a
-# deep copy or a loaded graph starts cold, and a dropped graph frees its
-# memo. Tuples are told apart by identity: no stored adjacency tuple is
-# changed in place (a write binds a new one), so the very tuple read last
-# time still holds the same keys. Deprecated flags are read afresh from the
-# records at every scan, so a record written in place still shows its flip.
+# Each graph's last merge scan, kept in _LAST_SCANS. Per graph it holds the
+# threshold; each skill's forward_neighbors and dependency_parents tuples, as
+# they were read; each live skill's neighborhood, as a tuple (a fraction of a
+# set's memory); and the candidate pairs found. Graphs are held weakly, so a
+# snapshot() clone, a deep copy or a loaded graph starts from an empty memo,
+# and a dropped graph frees its memo. Tuples are told apart by identity: no
+# stored adjacency tuple is changed in place (a write binds a new one), so the
+# very tuple read last time still holds the same keys. Deprecated flags are
+# read afresh from the records at every scan, so a record written in place
+# still shows its flip.
 _LAST_SCANS: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -349,18 +259,27 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     ``jaccard >= threshold``, sorted.
 
     A threshold of 0 admits every pair, empty neighborhoods included, so it
-    compares all pairs. For a positive threshold, the first scan of a graph,
-    or one at a threshold other than its last, compares the pairs that an
-    inverted neighbor index proposes with the prefix and length filters of
-    Bayardo et al. (WWW 2007; see ``_prefix_pairs``), which drop only pairs
-    that cannot reach the threshold: the rounded ``jaccard`` never exceeds
-    the rounded size ratio, so the length filter needs no margin. Every
-    proposed pair is checked with ``jaccard``. A repeat scan at the same
-    threshold re-examines only the skills whose neighborhood may have
-    changed since the last one (see ``_reprobe``); it runs the prefix scan
-    again when their probe would walk more neighbors than all neighborhoods
-    hold. Either way the result is exactly that of comparing all pairs, in
-    the same order.
+    compares all pairs. A positive threshold starts from the graph's last
+    scan at that threshold (see ``_LAST_SCANS``), or from an empty memo, and
+    probes the dirty skills: those whose neighborhood can have changed. A
+    neighborhood is a function of the skill's two adjacency tuples and the
+    deprecated flags of the skills they name, so a skill is dirty where a
+    tuple was rebound (an added skill counts), where it was live last time
+    and is not now or the reverse, and where it neighbors such a flipped
+    skill. A skill that was its neighbor before the flip and is not now lost
+    that edge, which rebound its tuple too. With an empty memo every live
+    skill is dirty. Pairs touching a dirty or a removed skill are dropped.
+
+    Probing a dirty live skill ``d`` finds every pair (d, u) that reaches the
+    threshold: J >= t needs ``|N(d) & N(u)| >= t|N(d)|``, so N(u) holds one
+    of any ``|N(d)| - ceil(t|N(d)|) + 1`` ids of N(d), in any order; one more
+    id covers float rounding. Neighborhoods are symmetric, so the partners
+    are the neighbors of that many of d's neighbors, the smallest
+    neighborhoods first. A partner is compared only when its size passes the
+    length filter ``min / max >= t`` (the rounded ``jaccard`` never exceeds
+    the rounded size ratio, so it needs no margin), and a pair of two dirty
+    skills only from its smaller id. The result is exactly that of comparing
+    all pairs, in the same order.
     """
     live = {v for v, n in graph.nodes.items() if not n.deprecated}
     if not threshold > 0:
@@ -370,34 +289,48 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
                 if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold]
     outs, ins = map(dict, graph.adjacency())
     last = _LAST_SCANS.get(graph)
-    found = None
-    if last is not None and last[0] == threshold:
-        found = _reprobe(graph, last, outs, ins, live, threshold)
-    if found is None:
-        neighborhoods = {v: graph.neighbors(v) for v in live}
-        pairs = {(a, b) for a, b in _prefix_pairs(sorted(live), neighborhoods, threshold)
-                 if jaccard(neighborhoods[a], neighborhoods[b]) >= threshold}
-        found = dict(zip(neighborhoods, map(tuple, neighborhoods.values()))), pairs
-    _LAST_SCANS[graph] = (threshold, outs, ins, *found)
-    return sorted(found[1])
+    if last is None or last[0] != threshold:
+        last = (threshold, {}, {}, {}, ())
+    _, last_outs, last_ins, last_neighborhoods, last_pairs = last
+    gone = last_outs.keys() - outs.keys()
+    flipped = (live ^ last_neighborhoods.keys()) - gone
+    dirty = flipped.union(_rebound(outs, last_outs), _rebound(ins, last_ins))
+    for v in flipped if last_neighborhoods else ():  # else every live skill flipped
+        dirty.update(end for key in outs[v] + ins[v] for end in key[:2])
+    touched = dirty | gone
+    neighborhoods = {v: n for v, n in last_neighborhoods.items() if v not in touched}
+    fresh = {d: graph.neighbors(d) for d in dirty & live}
+    neighborhoods.update(zip(fresh, map(tuple, fresh.values())))
+    size_of = dict(zip(neighborhoods, map(len, neighborhoods.values())))
+    pairs = {pair for pair in last_pairs if touched.isdisjoint(pair)}
+    for d, mine in fresh.items():
+        size = size_of[d]
+        prefix = sorted(mine, key=size_of.__getitem__)[
+            :max(0, size - math.ceil(threshold * size) + 2)]
+        for u in set(chain.from_iterable(map(neighborhoods.__getitem__, prefix))):
+            other = size_of[u]
+            if (u > d or u not in fresh) and \
+                    (other / size if other < size else size / other) >= threshold \
+                    and jaccard(mine, neighborhoods[u]) >= threshold:
+                pairs.add((d, u) if d < u else (u, d))
+    _LAST_SCANS[graph] = (threshold, outs, ins, neighborhoods, pairs)
+    return sorted(pairs)
 
 
 def merge_scan(graph: SkillGraph, proposer: Proposer,
                cfg: EvolutionConfig) -> list[tuple[str, list[str]]]:
     """Fold together skill pairs whose graph neighborhoods nearly coincide.
 
-    Candidate pairs are fixed up front by ``merge_candidates``: a neighbor
-    index proposes the pairs that pass its prefix filter (their rarest
-    neighbors meet) and length filter (their neighborhood sizes allow the
-    threshold), and ``jaccard`` checks each, so they are exactly the pairs
-    an all-pairs scan finds, in the same sorted order. A repeat scan of the
-    same graph keeps the last scan's pairs among skills whose neighborhoods
-    cannot have changed, and probes only the others. A pair is skipped
-    when either member was consumed earlier in the pass. The survivor keeps
-    the lexicographically smaller id, takes the teacher's unified wording,
-    inherits the union of both edge sets (higher weight wins on
-    duplicates), and sums both statistics and both sets of
-    co-appearance counts.
+    Candidate pairs are fixed up front by ``merge_candidates``, exactly the
+    pairs an all-pairs scan finds, in the same sorted order. It keeps the
+    last scan's pairs among skills whose neighborhoods cannot have changed
+    and probes the others through their neighbors' neighborhoods, with no
+    inverted index and no full-scan fallback; a graph's first scan probes
+    every live skill. A pair is skipped when either member was consumed
+    earlier in the pass. The survivor keeps the lexicographically smaller
+    id, takes the teacher's unified wording, inherits the union of both edge
+    sets (higher weight wins on duplicates), and sums both statistics and
+    both sets of co-appearance counts.
     """
     merges: list[tuple[str, list[str]]] = []
     consumed: set[str] = set()

@@ -220,10 +220,6 @@ class SkillGraph:
         self.nodes[skill_id] = new
         return new
 
-    def set_category(self, skill_id: str, category: str) -> None:
-        """Move a skill to another category (see ``replace_skill``)."""
-        self.replace_skill(skill_id, category=category)
-
     def _unlist(self, node: SkillNode) -> None:
         """Take a skill out of the category index."""
         members = self._categories[node.category]

@@ -170,6 +170,12 @@ class TestJaccardAndMerge:
         assert jaccard({"a"}, {"a"}) == 1.0
         assert jaccard(set(), set()) == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.sets(st.sampled_from("abcdefgh")), b=st.sets(st.sampled_from("abcdefgh")))
+    def test_jaccard_of_a_tuple_is_that_of_the_set(self, a, b):
+        expected = len(a & b) / len(a | b) if a or b else 0.0
+        assert jaccard(a, tuple(b)) == jaccard(a, b) == expected
+
     def build_pair(self, shared: int = 3) -> SkillGraph:
         # s1 and s2 share x0..x{n}; each x gets a private differentiator so
         # only the (s1, s2) pair can cross the threshold
@@ -472,19 +478,23 @@ class TestMergeCandidatesOracle:
     @settings(max_examples=100, deadline=None)
     @given(graph=neighborhood_graphs())
     def test_an_ids_frequency_is_its_neighborhood_size(self, graph):
-        # the identity through which the prefix filter ranks by (frequency, id)
+        # the symmetry the merge probe relies on to find a skill's partners
+        # among its neighbors' neighbors: u in N(w) exactly when w in N(u),
+        # and every neighborhood names live ids only
         live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
         neighborhoods = {v: graph.neighbors(v) for v in live}
         frequency = Counter(w for v in live for w in neighborhoods[v])
         assert set(frequency) <= set(live)
         assert all(frequency[w] == len(neighborhoods[w]) for w in live)
+        assert all(w in neighborhoods[u] for w in live for u in neighborhoods[w])
 
     @pytest.mark.parametrize("threshold, kept", [
         (6 / 7, True), (math.nextafter(6 / 7, 1.0), False), (0.85, True)])
     @pytest.mark.parametrize("repeat", [False, True])
-    def test_length_filter_boundary(self, threshold, kept, repeat, monkeypatch):
+    def test_length_filter_boundary(self, threshold, kept, repeat):
         # N(a) = n0..n5 inside N(b) = n0..n6: J(a, b) is the size ratio 6/7;
-        # a repeat scan re-probes only b and n6, the ends of the last edge
+        # a first scan probes every skill, a repeat scan only b and n6, the
+        # ends of the last edge
         graph = SkillGraph()
         add_nodes(graph, ["a", "b"] + [f"n{i}" for i in range(7)])
         for i in range(6):
@@ -492,7 +502,6 @@ class TestMergeCandidatesOracle:
             graph.add_edge("b", f"n{i}", EdgeKind.CO_OCCUR, 0.5)
         if repeat:
             merge_candidates(graph, threshold)
-            monkeypatch.setattr(evolution, "_prefix_pairs", None)  # no full scan
         graph.add_edge("b", "n6", EdgeKind.CO_OCCUR, 0.5)
         candidates = merge_candidates(graph, threshold)
         assert (("a", "b") in candidates) is kept
@@ -500,7 +509,8 @@ class TestMergeCandidatesOracle:
 
     def test_sizes_alone_exclude_a_pair_sharing_its_rarest_neighbor(self, monkeypatch):
         # N(lean) = {a_rare, x}, N(wide) = {a_rare, y0..y9}; the filler makes
-        # x and every y as frequent as a_rare, which wins the tie by id
+        # x and every y as frequent as a_rare, which wins the tie by id; the
+        # probe of lean walks a_rare's neighborhood and meets wide there
         graph = SkillGraph()
         ys = [f"y{i}" for i in range(10)]
         add_nodes(graph, ["lean", "wide", "a_rare", "x", "filler"] + ys)
@@ -513,21 +523,33 @@ class TestMergeCandidatesOracle:
         frequency = Counter(w for v in live for w in neighborhoods[v])
         for v in ("lean", "wide"):
             assert min(neighborhoods[v], key=lambda w: (frequency[w], w)) == "a_rare"
+        # every y has the same neighborhood, so a compared side is told apart
+        # by identity: the set read for a skill or the tuple kept for it
+        read = {}
+        real_neighbors = graph.neighbors
+
+        def reading(v):
+            read[v] = real_neighbors(v)
+            return read[v]
+
         compared = []
         real_jaccard = evolution.jaccard
 
         def spy(a, b):
-            compared.append({frozenset(a), frozenset(b)})
+            compared.append((a, b))
             return real_jaccard(a, b)
 
+        monkeypatch.setattr(graph, "neighbors", reading)
         monkeypatch.setattr(evolution, "jaccard", spy)
         candidates = merge_candidates(graph, 0.85)  # 2 / 11 < 0.85
+        skill_of = {id(n): v for v, n in read.items()}
+        skill_of.update((id(n), v) for v, n in evolution._LAST_SCANS[graph][3].items())
+        pairs = Counter(frozenset(skill_of[id(side)] for side in ab) for ab in compared)
+        assert frozenset(("lean", "wide")) not in pairs
+        assert pairs and max(pairs.values()) == 1  # no pair is compared twice
+        assert all(len(pair) == 2 for pair in pairs)
+        monkeypatch.undo()
         assert candidates == reference_candidates(graph, 0.85)
-        proposed = evolution._prefix_pairs(live, neighborhoods, 0.85)
-        assert ("lean", "wide") not in proposed
-        assert len(compared) == len(proposed)  # one jaccard call per proposed pair
-        assert {frozenset(neighborhoods["lean"]), frozenset(neighborhoods["wide"])} \
-            not in compared
 
     def test_zero_threshold_admits_every_pair(self):
         graph = SkillGraph()
@@ -563,21 +585,28 @@ class TestMergeCandidatesOracle:
 
         graph = planted_library(random.Random(20260418))
         reference = copy.deepcopy(graph)
-        reprobes = []
-        real_reprobe = evolution._reprobe
+        live, reads = [], []
+        real_neighbors = SkillGraph.neighbors
 
-        def spy(*args):
-            reprobes.append(real_reprobe(*args))
-            return reprobes[-1]
+        def counted(graph, skill_id):
+            reads[-1] += 1
+            return real_neighbors(graph, skill_id)
 
-        monkeypatch.setattr(evolution, "_reprobe", spy)
-        reports, scans = run(graph, merge_candidates)
+        def counting_scan(graph, threshold):
+            live.append(sum(not n.deprecated for n in graph.nodes.values()))
+            reads.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(SkillGraph, "neighbors", counted)
+                return merge_candidates(graph, threshold)
+
+        reports, scans = run(graph, counting_scan)
         assert (reports, scans) == run(reference, reference_candidates)
         assert graph_to_dict(graph) == graph_to_dict(reference)
         assert len(reports[0]["merged"]) >= 5
         assert all(report["merged"] for report in reports[1:])
-        # the first repeat scan has too much to re-probe and scans in full
-        assert [found is not None for found in reprobes] == [False, True, True]
+        # the first scan reads every live skill, each later one fewer
+        assert reads[0] == live[0]
+        assert all(r < n for r, n in zip(reads[1:], live[1:]))
 
 
 class TestSplit:

@@ -252,8 +252,8 @@ class GraphMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.graph.nodes)
     @rule(data=st.data(), category=st.sampled_from(CATEGORIES))
-    def set_category(self, data, category):
-        self.graph.set_category(self.pick(data, "skill"), category)
+    def move_category(self, data, category):
+        self.graph.replace_skill(self.pick(data, "skill"), category=category)
 
     @precondition(lambda self: sum(not n.deprecated for n in self.graph.nodes.values()) >= 2)
     @rule(data=st.data(), category=st.sampled_from(CATEGORIES))
@@ -418,10 +418,9 @@ class TestIndexUpkeep:
         lambda g: g.add_edge("a", "c", EdgeKind.ENHANCE, 0.2),
         lambda g: g.add_edges([("c", "a", "co_occur", 0.4)]),
         lambda g: g.remove_edges([("a", "b", EdgeKind.PREREQ)]),
-        lambda g: g.set_category("a", "beta"),
         lambda g: g.replace_skill("c", category="alpha", title="Moved"),
     ], ids=["add_skill", "remove_node", "remove_node_heir", "add_edge", "add_edges",
-            "remove_edge", "set_category", "replace_skill_category"])
+            "remove_edge", "replace_skill_category"])
     def test_structural_writes_keep_the_index(self, write):
         graph = small_graph()
         before = index_of(graph)
@@ -568,9 +567,9 @@ def _remove_node(graph, data):
         graph.remove_node(victim, heir=heir)
 
 
-def _set_category(graph, data):
-    graph.set_category(data.draw(st.sampled_from(sorted(graph.nodes)), label="skill"),
-                       data.draw(st.sampled_from(CATEGORIES), label="category"))
+def _move_category(graph, data):
+    graph.replace_skill(data.draw(st.sampled_from(sorted(graph.nodes)), label="skill"),
+                        category=data.draw(st.sampled_from(CATEGORIES), label="category"))
 
 
 def _title(graph, data):
@@ -594,7 +593,7 @@ def _deprecated(graph, data):
     graph.replace_skill(skill, deprecated=data.draw(st.booleans(), label="deprecated"))
 
 
-WRITES = [_stats, _weight, _add_edge, _remove_edge, _remove_node, _set_category,
+WRITES = [_stats, _weight, _add_edge, _remove_edge, _remove_node, _move_category,
           _title, _created_step, _deprecated, "snapshot"]
 
 

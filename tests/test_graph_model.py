@@ -487,7 +487,7 @@ RECORD_WRITES = {
     "update_stats": (lambda g: g.update_stats([("a", 2, 1), ("a", True, False)]), {"a"}),
     "compute_levels": (lambda g: (g.add_edge("c", "a", EdgeKind.PREREQ, 0.5),
                                   g.compute_levels()), {"a", "b"}),
-    "set_category": (lambda g: g.set_category("d", "beta"), {"d"}),
+    "replace_skill_category": (lambda g: g.replace_skill("d", category="beta"), {"d"}),
     "merge_scan": (lambda g: merge_scan(g, MergeOnlyTeacher(),
                                         EvolutionConfig(merge_jaccard=0.0)), {"a", "b"}),
     "deprecate_scan": (lambda g: deprecate_scan(g, EvolutionConfig()), {"c"}),
@@ -619,7 +619,7 @@ class TestGraphInvariants:
         snapshot = graph.snapshot()
         for v in snapshot.nodes:
             snapshot.update_stats([(v, 1, 0)])
-            snapshot.set_category(v, "moved")
+            snapshot.replace_skill(v, category="moved")
             snapshot.replace_skill(v, title="changed", deprecated=True)
         for key in list(snapshot.edges()):
             snapshot.set_weight(key, 1.0)
