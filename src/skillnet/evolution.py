@@ -3,7 +3,8 @@
 Node operations (insert, merge, split, deprecate) reshape what skills exist;
 edge operations (path reinforcement, co-occurrence discovery, decay and
 pruning) reshape how they relate. ``evolve_step`` runs the whole pipeline in
-a fixed order and recomputes levels once, at the end.
+a fixed order and brings levels up to date once, at the end, re-leveling
+only the skills below an edge that moved (see ``SkillGraph.compute_levels``).
 
 Evolution decides and the graph keeps its books. Insert, merge and split ask
 the teacher through one call (``_ask``: proposer failures degrade the
@@ -31,9 +32,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain, compress
-from operator import is_not
-from typing import Any, Callable, Collection, Iterator
+from itertools import chain
+from typing import Any, Callable, Collection
 from weakref import WeakKeyDictionary
 
 from .errors import (
@@ -41,6 +41,7 @@ from .errors import (
 )
 from .model import (
     GENERAL_CATEGORY, SKILL_TEXT_FIELDS, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
+    rebound,
 )
 from .persistence import TrajectoryRecord
 from .proposer import (
@@ -235,12 +236,6 @@ def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
         _inherit_edge(graph, key, weights[key], old, target_of(neighbor))
 
 
-def _rebound(now: dict, then: dict) -> Iterator[str]:
-    """The keys of ``now`` whose value is not the very object ``then`` holds
-    under them (None for a key it lacks)."""
-    return compress(now, map(is_not, now.values(), map(then.get, now)))
-
-
 # Each graph's last merge scan, kept in _LAST_SCANS. Per graph it holds the
 # threshold; each skill's forward_neighbors and dependency_parents tuples, as
 # they were read; each live skill's neighborhood, as a tuple (a fraction of a
@@ -275,11 +270,11 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     of any ``|N(d)| - ceil(t|N(d)|) + 1`` ids of N(d), in any order; one more
     id covers float rounding. Neighborhoods are symmetric, so the partners
     are the neighbors of that many of d's neighbors, the smallest
-    neighborhoods first. A partner is compared only when its size passes the
-    length filter ``min / max >= t`` (the rounded ``jaccard`` never exceeds
-    the rounded size ratio, so it needs no margin), and a pair of two dirty
-    skills only from its smaller id. The result is exactly that of comparing
-    all pairs, in the same order.
+    neighborhoods first, ties by id. A partner is compared only when its
+    size passes the length filter ``min / max >= t`` (the rounded
+    ``jaccard`` never exceeds the rounded size ratio, so it needs no
+    margin), and a pair of two dirty skills only from its smaller id. The
+    result is exactly that of comparing all pairs, in the same order.
     """
     live = {v for v, n in graph.nodes.items() if not n.deprecated}
     if not threshold > 0:
@@ -294,7 +289,7 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     _, last_outs, last_ins, last_neighborhoods, last_pairs = last
     gone = last_outs.keys() - outs.keys()
     flipped = (live ^ last_neighborhoods.keys()) - gone
-    dirty = flipped.union(_rebound(outs, last_outs), _rebound(ins, last_ins))
+    dirty = flipped.union(rebound(outs, last_outs), rebound(ins, last_ins))
     for v in flipped if last_neighborhoods else ():  # else every live skill flipped
         dirty.update(end for key in outs[v] + ins[v] for end in key[:2])
     touched = dirty | gone
@@ -305,7 +300,9 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     pairs = {pair for pair in last_pairs if touched.isdisjoint(pair)}
     for d, mine in fresh.items():
         size = size_of[d]
-        prefix = sorted(mine, key=size_of.__getitem__)[
+        # by (size, id): a stable sort by size of the ids in order, so the
+        # prefix, and so the comparisons, do not follow the string hash seed
+        prefix = sorted(sorted(mine), key=size_of.__getitem__)[
             :max(0, size - math.ceil(threshold * size) + 2)]
         for u in set(chain.from_iterable(map(neighborhoods.__getitem__, prefix))):
             other = size_of[u]
@@ -465,16 +462,24 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
     reaches the threshold and is still unconnected by any edge kind, it gains
     a co_occur edge at the structural prior weight.
 
-    A rollout group repeats one skill set, so each distinct set of live ids
-    is counted once, weighted by the wins that carry it. The sets are taken
-    in first-seen order, which adds the pairs to ``co_counts`` in the order
-    a pass over the records one by one would.
+    A rollout group's records share one skill list, so the wins are first
+    folded by list, and each distinct list is intersected with the live ids
+    and sorted once. Lists that name the same live set (in another order,
+    or with a merged-away id) fold again, in first-seen order, so each set
+    is counted once, weighted by the wins that carry it, and the pairs enter
+    ``co_counts`` in the order a pass over the records one by one would.
+    Only the pairs at or above ``min_count`` are then walked, in sorted order.
     """
-    wins_by_ids: dict[tuple[str, ...], int] = {}
+    wins_by_list: dict[tuple[str, ...], int] = {}
     for record in successes:
+        ids = tuple(record.retrieved_skill_ids)
+        wins_by_list[ids] = wins_by_list.get(ids, 0) + 1
+    live = graph.nodes.keys()
+    wins_by_ids: dict[tuple[str, ...], int] = {}
+    for ids, wins in wins_by_list.items():
         # ids that vanished via merge or split never come back; don't count them
-        ids = tuple(sorted(set(record.retrieved_skill_ids) & graph.nodes.keys()))
-        wins_by_ids[ids] = wins_by_ids.get(ids, 0) + 1
+        ids = tuple(sorted(live & set(ids)))
+        wins_by_ids[ids] = wins_by_ids.get(ids, 0) + wins
     co_counts = graph.co_counts
     for ids, wins in wins_by_ids.items():
         # sorted distinct ids, so (a, b) is already the canonical pair
@@ -482,9 +487,7 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
             for b in ids[i + 1:]:
                 co_counts[a, b] = co_counts.get((a, b), 0) + wins
     added = 0
-    for (a, b), count in sorted(graph.co_counts.items()):
-        if count < min_count:
-            continue
+    for a, b in sorted(pair for pair, count in co_counts.items() if count >= min_count):
         if graph.nodes[a].deprecated or graph.nodes[b].deprecated:
             continue
         if graph.has_any_edge(a, b):
@@ -497,18 +500,17 @@ def discover_cooccur(graph: SkillGraph, successes: list[TrajectoryRecord],
 def decay_and_prune(graph: SkillGraph, decay: float, floor: float) -> int:
     """Multiplicatively decay every weight, then drop edges below the floor.
 
-    Nodes are never removed here, only edges. A ``decay`` or ``floor``
-    outside [0, 1] raises ConfigInvalid before any weight moves.
+    The decay is one ``SkillGraph.scale_weights`` write, the same floats a
+    ``set_weight`` per edge stores; one scan then collects the edges below
+    the floor, in edge order, for one ``remove_edges``. Nodes are never
+    removed here, only edges. A ``decay`` or ``floor`` outside [0, 1] raises
+    ConfigInvalid before any weight moves.
     """
     if not (0.0 <= decay <= 1.0 and 0.0 <= floor <= 1.0):
         raise ConfigInvalid(
             f"decay and floor must lie in [0, 1], got decay={decay}, floor={floor}")
-    doomed = []
-    for key, weight in list(graph.edges().items()):
-        weight *= decay
-        graph.set_weight(key, weight)
-        if weight < floor:
-            doomed.append(key)
+    graph.scale_weights(decay)
+    doomed = [key for key, weight in graph.edges().items() if weight < floor]
     graph.remove_edges(doomed)
     return len(doomed)
 
@@ -524,10 +526,10 @@ def evolve_step(graph: SkillGraph, successes: list[TrajectoryRecord],
 
     insert -> merge -> split -> deprecate -> reinforce -> discover ->
     decay and prune, then advance the checkpoint counter. No stage reads a
-    level, so levels are recomputed once, at the end, and only if the
-    dependency structure changed. Statistics for the window must already be
-    folded in via ``update_stats``, and unlock events are appended afterwards:
-    ``simulate.checkpoint`` does both.
+    level, so levels are brought up to date once, at the end, and only below
+    the skills whose dependency parents changed. Statistics for the window
+    must already be folded in via ``update_stats``, and unlock events are
+    appended afterwards: ``simulate.checkpoint`` does both.
     """
     report = EvolutionReport()
     failure_contexts = [

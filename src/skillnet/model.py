@@ -4,8 +4,13 @@ The graph holds skill records connected by three edge kinds. ``prereq`` and
 ``enhance`` edges form the directed dependency subgraph, which is kept acyclic
 at all times; ``co_occur`` edges are symmetric associations stored once under
 canonical (min-id, max-id) endpoints and ignored by level computation. An edge
-is that key mapped to its float weight in [0, 1], and ``set_weight`` is the
-one range-checked way to change a stored weight.
+is that key mapped to its float weight in [0, 1]; ``set_weight`` changes one
+stored weight and ``scale_weights`` multiplies all of them, each range-checked.
+
+A level is a function of the skill's dependency parents, so ``compute_levels``
+re-levels only the skills whose parent tuple was rebound since the last
+leveling and those below them, found by identity against the ``_in`` map kept
+at that leveling; a checkpoint that moves a few edges re-levels a few skills.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
@@ -22,11 +27,12 @@ changes. Readers write nothing, so any number of them may share one snapshot.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
-from collections.abc import Iterable, KeysView, Mapping
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, KeysView, Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, is_not
 from types import MappingProxyType
 
 from .errors import (
@@ -128,6 +134,12 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def rebound(now: dict, then: dict) -> Iterator[str]:
+    """The keys of ``now`` whose value is not the very object ``then`` holds
+    under them (None for a key it lacks)."""
+    return compress(now, map(is_not, now.values(), map(then.get, now)))
+
+
 class SkillGraph:
     """Mutable skill graph with an active-level pointer and evolution counters.
 
@@ -149,8 +161,15 @@ class SkillGraph:
     ``_categories`` maps each category to its ids, kept by ``add_skill``,
     ``remove_node`` and ``replace_skill``, the one writer of a node's
     category after insert. Only ``_store``, ``add_edges``,
-    ``remove_edges`` and ``set_weight`` write ``_edges``, so the adjacency
-    and the stale-level flag follow every edge change.
+    ``remove_edges``, ``set_weight`` and ``scale_weights`` write ``_edges``
+    (the last two values only), so the adjacency and the stale-level flag
+    follow every edge change.
+
+    Levels are repaired below what moved. ``_leveled_in`` is the ``_in`` map
+    as it stood at the last leveling (shared with snapshots, never changed in
+    place), so a skill whose parents changed since is one whose ``_in`` tuple
+    is not the very tuple kept there, or that has none kept; the stale-level
+    flag only says whether any can be.
     """
 
     def __init__(self) -> None:
@@ -166,6 +185,7 @@ class SkillGraph:
         # episodes, persisted with the snapshot
         self.co_counts: dict[tuple[str, str], int] = {}
         self._levels_stale: bool = False
+        self._leveled_in: dict[str, tuple[EdgeKey, ...]] = {}
 
     # ------------------------------------------------------------------
     # nodes
@@ -195,6 +215,11 @@ class SkillGraph:
         self.nodes[node.skill_id] = node
         self._out[node.skill_id] = self._in[node.skill_id] = ()
         self._categories.setdefault(node.category, {})[node.skill_id] = None
+        if node.skill_id in self._leveled_in:
+            # an id removed since the last leveling: its kept tuple may be the
+            # same () and would hide the new record from compute_levels
+            self._leveled_in = {v: parents for v, parents in self._leveled_in.items()
+                                if v != node.skill_id}
         self._levels_stale = True
         return node.skill_id
 
@@ -303,9 +328,11 @@ class SkillGraph:
                 self._out[v] += tuple(added)
             for v, added in into.items():
                 self._in[v] += tuple(added)
-            if not self._levels_hold():
+            if self._levels_hold():
+                self._leveled_in = dict(self._in)
+                self._levels_stale = False
+            else:
                 self.compute_levels()
-            self._levels_stale = False
         except BaseException:
             self.remove_edges(keys)
             raise
@@ -387,6 +414,17 @@ class SkillGraph:
                                    f"{key[0]} -> {key[1]} ({key[2].value})")
         self._edges[key] = float(weight)
 
+    def scale_weights(self, factor: float) -> None:
+        """Multiply every stored weight by ``factor``, in one write. A factor
+        outside [0, 1], NaN included, is a WeightOutOfRange before any weight
+        moves; inside it every product stays in [0, 1]. Each weight is the
+        float ``set_weight(key, weight * factor)`` would store."""
+        if not 0.0 <= factor <= 1.0:
+            raise WeightOutOfRange(f"scale factor {factor} outside [0, 1]")
+        edges = self._edges
+        # rebinds values only, so walking the keys while writing is safe
+        edges.update(zip(edges, [weight * factor for weight in edges.values()]))
+
     def edges(self) -> Mapping[EdgeKey, float]:
         """Read-only live view of every edge key and its weight; keys sort
         by (src, dst, kind value), the snapshot order."""
@@ -464,41 +502,66 @@ class SkillGraph:
     # levels and statistics
 
     def compute_levels(self) -> dict[str, int]:
-        """Recompute topological levels over the dependency subgraph.
+        """Bring topological levels over the dependency subgraph up to date
+        and return every skill's level.
 
         level(v) = 0 for nodes without prereq/enhance parents, otherwise
-        1 + max over dependency parents; co_occur edges are ignored. A
-        skill's record is replaced only where its level changes, or is not
-        an exact int (``True == 1``, but ``_levels_hold`` refuses a bool).
+        1 + max over dependency parents; co_occur edges are ignored. Only the
+        region below what moved is re-leveled: the skills whose ``_in`` tuple
+        was rebound or added since the last leveling (every skill, on a
+        graph never leveled), found by identity against ``_leveled_in``, and
+        all they reach over dependency edges. A Kahn pass runs inside the
+        region and reads the stored levels of parents outside it, so a level
+        written out of band with ``replace_skill(level=...)`` outside the
+        region is not repaired. A cycle closed since the last leveling runs
+        through a rebound tuple, so it lies inside the region and raises
+        CycleDetected before any record changes. A skill's record is
+        replaced only where its level changes, or is not an exact int
+        (``True == 1``, but ``_levels_hold`` refuses a bool).
         """
         # edge keys carry (src, dst, kind), so the pass never reads an edge
-        indegree = dict.fromkeys(self.nodes, 0)
-        for _, dst, kind in self._edges:
-            if kind in DEPENDENCY_KINDS:
-                indegree[dst] += 1
-        levels = dict.fromkeys(self.nodes, 0)
-        ready = deque(sorted(v for v, d in indegree.items() if d == 0))
-        processed = 0
-        while ready:
-            v = ready.popleft()
-            processed += 1
+        nodes, outs, ins = self.nodes, self._out, self._in
+        region = set(rebound(ins, self._leveled_in))
+        # a region of every skill has nothing below it left to add
+        stack = list(region) if len(region) < len(nodes) else []
+        while stack:
+            for _, dst, kind in outs[stack.pop()]:
+                if kind is not EdgeKind.CO_OCCUR and dst not in region:
+                    region.add(dst)
+                    stack.append(dst)
+        levels: dict[str, int] = {}
+        waiting: dict[str, int] = {}  # parents inside the region not yet leveled
+        ready = []
+        for v in region:
+            level = inside = 0
+            for src, _, _ in ins[v]:
+                if src in region:
+                    inside += 1
+                elif nodes[src].level >= level:
+                    level = nodes[src].level + 1
+            levels[v] = level
+            if inside:
+                waiting[v] = inside
+            else:
+                ready.append(v)
+        for v in ready:  # grows as children become ready
             child_level = levels[v] + 1
-            for _, dst, kind in self._out[v]:
-                if kind in DEPENDENCY_KINDS:
+            for _, dst, kind in outs[v]:
+                if kind is not EdgeKind.CO_OCCUR:
                     if levels[dst] < child_level:
                         levels[dst] = child_level
-                    indegree[dst] -= 1
-                    if indegree[dst] == 0:
+                    waiting[dst] -= 1
+                    if not waiting[dst]:
                         ready.append(dst)
-        if processed != len(self.nodes):
+        if len(ready) != len(region):
             raise CycleDetected("dependency subgraph is cyclic")
-        nodes = self.nodes
-        for v, lvl in levels.items():
+        for v, level in levels.items():
             old = nodes[v].level
-            if old != lvl or type(old) is not int:
-                self.replace_skill(v, level=lvl)
+            if old != level or type(old) is not int:
+                self.replace_skill(v, level=level)
+        self._leveled_in = dict(ins)
         self._levels_stale = False
-        return levels
+        return {v: node.level for v, node in nodes.items()}
 
     def _levels_hold(self) -> bool:
         """Whether every level already is what ``compute_levels`` gives: an
@@ -515,6 +578,9 @@ class SkillGraph:
         return fit == level
 
     def ensure_levels(self) -> None:
+        """Call ``compute_levels`` if a writer has rebound or added an ``_in``
+        tuple since the last leveling. A level written out of band with
+        ``replace_skill(level=...)`` sets nothing, so it is not repaired."""
         if self._levels_stale:
             self.compute_levels()
 
@@ -624,6 +690,7 @@ class SkillGraph:
         clone.checkpoint_index = self.checkpoint_index
         clone.next_dynamic_id = self.next_dynamic_id
         clone.co_counts = dict(self.co_counts)
+        clone._leveled_in = self._leveled_in
         return clone
 
     def __repr__(self) -> str:

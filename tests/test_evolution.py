@@ -7,9 +7,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +44,10 @@ from skillnet.evolution import merge_candidates
 from skillnet.model import edge_key, pair_key
 from skillnet.proposer import Proposer
 
+from bench.library import generate_library
 from conftest import add_nodes, make_node, random_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def proposal(i: int, title: str | None = None, **kwargs) -> SkillProposal:
@@ -435,6 +442,36 @@ class TestMergeCandidatesOracle:
             threshold = threshold if new_threshold is None else new_threshold
             assert merge_candidates(graph, threshold) == \
                 reference_candidates(graph, threshold)
+
+    # counts evolution.jaccard calls in a cold 0.85 scan of the 2k bench library
+    COUNT_COMPARISONS = """
+import json
+from bench.library import generate_library
+from skillnet import evolution
+calls = []
+jaccard = evolution.jaccard
+evolution.jaccard = lambda a, b: calls.append(1) or jaccard(a, b)
+pairs = evolution.merge_candidates(generate_library(2000, 15), 0.85)
+print(json.dumps([len(calls), pairs]))
+"""
+
+    def test_comparison_count_does_not_follow_the_hash_seed(self):
+        """The probe prefix is ordered by (size, id), so two processes with
+        different string hash seeds make the same comparisons on a cold scan
+        and find the all-pairs scan's pairs."""
+        runs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+            proc = subprocess.run([sys.executable, "-c", self.COUNT_COMPARISONS],
+                                  cwd=ROOT, env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            runs.append(json.loads(proc.stdout))
+        (calls, pairs), (other_calls, other_pairs) = runs
+        assert calls == other_calls > 0
+        expected = reference_candidates(generate_library(2000, 15), 0.85)
+        assert [tuple(pair) for pair in pairs] == \
+            [tuple(pair) for pair in other_pairs] == expected != []
 
     def test_a_dropped_graph_frees_its_memo(self, monkeypatch):
         memo = weakref.WeakKeyDictionary()
@@ -841,7 +878,8 @@ def reference_discover(graph: SkillGraph, successes: list[TrajectoryRecord],
 def discover_cases(draw) -> tuple[SkillGraph, list[list[TrajectoryRecord]], int]:
     """A small graph with deprecated skills, some pairs already connected and
     some counts already banked, plus windows of wins drawn from a few skill
-    sets, so sets repeat, and naming ids the graph no longer has."""
+    sets, so sets repeat, each win listing its set in some order, and naming
+    ids the graph never had or lost to a merge."""
     ids = [f"s{i}" for i in range(draw(st.integers(2, 7)))]
     graph = SkillGraph()
     for skill_id in ids:
@@ -853,12 +891,16 @@ def discover_cases(draw) -> tuple[SkillGraph, list[list[TrajectoryRecord]], int]
         graph.add_edge(a, b, draw(st.sampled_from(list(EdgeKind))), 0.5)
     for pair in draw(st.lists(pairs, max_size=4)):
         graph.co_counts[pair] = draw(st.integers(1, 3))
+    if len(ids) > 2 and draw(st.booleans()):
+        graph.remove_node(ids[-1], heir=ids[0])  # merged away, still listed below
     skill_sets = draw(st.lists(
         st.lists(st.sampled_from(ids + ["gone_a", "gone_b"]), max_size=6),
         min_size=1, max_size=4))
-    windows = draw(st.lists(
-        st.lists(st.sampled_from(skill_sets).map(success_record), max_size=12),
-        min_size=1, max_size=3))
+    # a rollout group's wins share one list object; others list a set anew
+    shared = [success_record(ids) for ids in skill_sets]
+    wins = st.sampled_from(shared) | st.sampled_from(skill_sets).flatmap(
+        st.permutations).map(success_record)
+    windows = draw(st.lists(st.lists(wins, max_size=12), min_size=1, max_size=3))
     return graph, windows, draw(st.integers(0, 4))
 
 
@@ -874,6 +916,21 @@ class TestDiscoverOracle:
             assert added == expected
             assert list(graph.co_counts.items()) == list(reference.co_counts.items())
             assert graph_to_dict(graph) == graph_to_dict(reference)
+
+    def test_lists_in_another_order_or_with_a_merged_away_id_count_as_one_set(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c", "d"], category="clean")
+        graph.remove_node("d", heir="a")
+        group = success_record(["c", "a", "b"])
+        wins = [group] * 3 + [success_record(["b", "c", "a"]),
+                              success_record(["a", "d", "c", "b"]),
+                              success_record(["b", "a"])]
+        reference = copy.deepcopy(graph)
+        assert discover_cooccur(graph, wins, 5) == 3
+        assert reference_discover(reference, wins, 5) == 3
+        assert list(graph.co_counts.items()) == list(reference.co_counts.items()) == \
+            [(("a", "b"), 6), (("a", "c"), 5), (("b", "c"), 5)]
+        assert list(graph.edges()) == list(reference.edges())
 
     def test_repeated_set_crosses_the_threshold_in_one_window(self):
         graph = SkillGraph()

@@ -4,25 +4,29 @@ from __future__ import annotations
 
 import ast
 import copy
+import math
 import random
 import time
+from collections import deque
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skillnet
 from skillnet import (
     EdgeKind, SkillGraph, TaskQuery, graph_to_dict, load_graph, retrieve, save_graph,
 )
-from skillnet.evolution import EvolutionConfig, deprecate_scan, merge_scan
-from skillnet.model import SkillNode, edge_key, pair_key
+from skillnet.evolution import EvolutionConfig, deprecate_scan, merge_scan, split_scan
+from skillnet.model import DEPENDENCY_KINDS, SkillNode, edge_key, pair_key
 from skillnet.proposer import Proposer, SkillProposal
 from skillnet.errors import (
     AlreadyInitialized,
+    CycleDetected,
     CycleWouldForm,
+    DuplicateEdge,
     DuplicateId,
     EmptyTitle,
     SuccessWithoutUse,
@@ -31,6 +35,7 @@ from skillnet.errors import (
     WeightOutOfRange,
 )
 
+from bench.library import generate_library
 from conftest import (
     add_nodes,
     dependency_edges,
@@ -185,6 +190,32 @@ class TestEdgeWeights:
         assert dict(view) == {key: 0.5}
         graph.set_weight(key, 0.7)
         assert view[key] == 0.7
+
+
+class TestScaleWeights:
+    @pytest.mark.parametrize("factor", [0, 0.0, 1, 1.0, 0.99])
+    def test_stores_what_one_set_weight_per_edge_stores(self, rng, factor):
+        for _ in range(20):
+            graph = random_graph(rng)
+            for key in list(graph.edges())[:2]:
+                graph.set_weight(key, rng.choice([0.0, 1.0]))
+            by_edge = copy.deepcopy(graph)
+            for key, weight in list(by_edge.edges().items()):
+                by_edge.set_weight(key, weight * factor)
+            view = graph.edges()
+            graph.scale_weights(factor)
+            assert [(key, repr(w)) for key, w in view.items()] == \
+                [(key, repr(w)) for key, w in by_edge.edges().items()]
+            assert all(type(w) is float for w in view.values())
+            assert graph._out == by_edge._out and graph._in == by_edge._in
+
+    @pytest.mark.parametrize("factor", [math.nan, -0.1, 1.1])
+    def test_refuses_a_factor_outside_the_unit_range_before_any_write(self, rng, factor):
+        graph = random_graph(rng, n=12)
+        before = list(graph.edges().items())
+        with pytest.raises(WeightOutOfRange):
+            graph.scale_weights(factor)
+        assert list(graph.edges().items()) == before
 
 
 class TestHasAnyEdge:
@@ -357,6 +388,201 @@ class TestComputeLevels:
             assert graph.compute_levels() == oracle_levels(
                 ids, dependency_edges(graph))
 
+    def test_a_cycle_closed_inside_the_region_is_refused_before_any_write(self):
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c", "d", "e", "f"])
+        for src, dst in [("a", "b"), ("b", "c"), ("c", "d"), ("e", "f")]:
+            graph.add_edge(src, dst, EdgeKind.PREREQ, 0.5)
+        graph.compute_levels()
+        rogue = ("d", "b", EdgeKind.PREREQ)  # b -> c -> d -> b; a, e, f stay out
+        graph._edges[rogue] = 0.5
+        graph._out["d"] += (rogue,)
+        graph._in["b"] += (rogue,)
+        records, kept = dict(graph.nodes), graph._leveled_in
+        with pytest.raises(CycleDetected):
+            graph.compute_levels()
+        assert all(graph.nodes[v] is records[v] for v in records)
+        assert graph._leveled_in is kept
+        graph.remove_edges([rogue])
+        assert graph.compute_levels() == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 0, "f": 1}
+
+    def test_one_new_prereq_edge_replaces_records_only_inside_its_closure(self):
+        graph = generate_library(2000, 15)
+        graph.ensure_levels()
+
+        def closure(start: str) -> set[str]:
+            reached, stack = {start}, [start]
+            while stack:
+                for _, dst, kind in graph.forward_neighbors(stack.pop()):
+                    if kind in DEPENDENCY_KINDS and dst not in reached:
+                        reached.add(dst)
+                        stack.append(dst)
+            return reached
+
+        below = next(v for v in sorted(graph.nodes) if 1 < len(closure(v)) < 40)
+        region = closure(below)
+        # the deepest skill outside the closure: the new edge raises ``below``
+        top = max((v for v in graph.nodes if v not in region
+                   and not graph.has_any_edge(v, below)),
+                  key=lambda v: (graph.nodes[v].level, v))
+        assert graph.nodes[top].level >= graph.nodes[below].level
+        records = dict(graph.nodes)
+        graph.add_edge(top, below, EdgeKind.PREREQ, 0.3)
+        levels = graph.compute_levels()
+        replaced = {v for v in graph.nodes if graph.nodes[v] is not records[v]}
+        assert below in replaced and replaced <= region
+        assert levels == full_kahn_levels(graph)
+        assert levels[below] == graph.nodes[top].level + 1
+
+
+def full_kahn_levels(graph: SkillGraph) -> dict[str, int]:
+    """The oracle: the Kahn pass over every skill that ``compute_levels`` ran
+    before it re-leveled only below what moved, verbatim but for its record
+    writes, which it leaves out."""
+    # edge keys carry (src, dst, kind), so the pass never reads an edge
+    indegree = dict.fromkeys(graph.nodes, 0)
+    for _, dst, kind in graph._edges:
+        if kind in DEPENDENCY_KINDS:
+            indegree[dst] += 1
+    levels = dict.fromkeys(graph.nodes, 0)
+    ready = deque(sorted(v for v, d in indegree.items() if d == 0))
+    processed = 0
+    while ready:
+        v = ready.popleft()
+        processed += 1
+        child_level = levels[v] + 1
+        for _, dst, kind in graph._out[v]:
+            if kind in DEPENDENCY_KINDS:
+                if levels[dst] < child_level:
+                    levels[dst] = child_level
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
+    if processed != len(graph.nodes):
+        raise CycleDetected("dependency subgraph is cyclic")
+    return levels
+
+
+class PairTeacher(Proposer):
+    """Merges one chosen pair, or splits one chosen skill in two, and
+    declines every other request."""
+
+    def __init__(self, kind: str, target: tuple[str, ...]) -> None:
+        self.kind, self.target = kind, target
+
+    def propose(self, request):
+        if request.kind != self.kind:
+            return []
+        sides = request.skill_pair if self.kind == "merge" else [request.skill]
+        if tuple(side["skill_id"] for side in sides) != self.target:
+            return []
+        parts = 2 if self.kind == "split" else 1
+        return [SkillProposal(skill_id="", title=f"Part {i}", principle="Do it.",
+                              when_to_apply="Always.") for i in range(parts)]
+
+
+LEVEL_WRITES = ("add_skill", "add_edge", "add_edges", "remove_edges", "remove_node",
+                "merge", "split", "rebind", "rogue", "snapshot")
+
+
+def level_write(graph: SkillGraph, data, write: str) -> SkillGraph:
+    """One write of ``LEVEL_WRITES`` to ``graph``; returns the graph to go on
+    with, a snapshot for "snapshot"."""
+    ids = sorted(graph.nodes)
+    pick = lambda label: data.draw(st.sampled_from(ids), label=label)  # noqa: E731
+    live = sorted(v for v, n in graph.nodes.items() if not n.deprecated)
+    if write == "add_skill":
+        # a small id pool, so removed ids come back with a stored level
+        free = sorted({f"s{i}" for i in range(8)} - graph.nodes.keys())
+        if free:
+            node = make_node(data.draw(st.sampled_from(free), label="id"))
+            node.level = data.draw(st.integers(0, 5) | st.just(True), label="level")
+            graph.add_skill(node)
+    elif write in ("add_edge", "add_edges") and len(ids) >= 2:
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(list(EdgeKind))),
+            min_size=1, max_size=1 if write == "add_edge" else 3), label="rows")
+        if write == "add_edge":
+            try:
+                graph.add_edge(*rows[0], 0.5)
+            except CycleWouldForm:
+                pass
+        else:
+            try:
+                graph.add_edges([(src, dst, kind.value, 0.5) for src, dst, kind in rows])
+            except (CycleDetected, CycleWouldForm, DuplicateEdge):
+                pass
+    elif write == "remove_edges" and graph.edges():
+        graph.remove_edges(data.draw(st.lists(st.sampled_from(sorted(graph.edges())),
+                                              max_size=3), label="doomed"))
+    elif write == "remove_node" and ids:
+        victim = pick("victim")
+        heirs = [v for v in ids if v != victim]
+        heir = None
+        if heirs:
+            heir = data.draw(st.none() | st.sampled_from(heirs), label="heir")
+        graph.remove_node(victim, heir=heir)
+    elif write == "merge" and len(live) >= 2:
+        pair = tuple(sorted(data.draw(st.lists(st.sampled_from(live), min_size=2,
+                                               max_size=2, unique=True), label="pair")))
+        assert merge_scan(graph, PairTeacher("merge", pair),
+                          EvolutionConfig(merge_jaccard=0.0)) == [(pair[0], [pair[1]])]
+    elif write == "split" and live:
+        parent = data.draw(st.sampled_from(live), label="parent")
+        cfg = EvolutionConfig(split_band=(0.0, 1.0), split_min_uses=0)
+        splits = split_scan(graph, PairTeacher("split", (parent,)), [], cfg)
+        assert [p for p, _ in splits] == [parent]
+    elif write == "rebind" and ids:
+        v = pick("rebound")
+        graph._in[v] = tuple(list(graph._in[v]))  # equal keys, a new tuple
+    elif write == "rogue" and len(ids) >= 2:
+        # as test_defensive_cycle_detection: past the cycle guard, maybe closing one
+        src, dst = pick("src"), pick("dst")
+        rogue = (src, dst, EdgeKind.PREREQ)
+        if src != dst and rogue not in graph.edges():
+            graph._edges[rogue] = 0.5
+            graph._out[src] += (rogue,)
+            graph._in[dst] += (rogue,)
+            if not assert_levels_match_the_full_pass(graph):
+                graph.remove_edges([rogue])
+    elif write == "snapshot":
+        return graph.snapshot()
+    return graph
+
+
+def assert_levels_match_the_full_pass(graph: SkillGraph) -> bool:
+    """``compute_levels`` returns what the full pass gives and stores it as
+    exact ints, or, where the full pass finds a cycle, raises CycleDetected
+    before it replaces a record (False)."""
+    try:
+        expected = full_kahn_levels(graph)
+    except CycleDetected:
+        records, kept = dict(graph.nodes), graph._leveled_in
+        with pytest.raises(CycleDetected):
+            graph.compute_levels()
+        assert all(graph.nodes[v] is records[v] for v in graph.nodes)
+        assert graph._leveled_in is kept
+        return False
+    levels = graph.compute_levels()
+    assert list(levels.items()) == [(v, expected[v]) for v in graph.nodes]
+    assert all(type(n.level) is int and n.level == expected[v]
+               for v, n in graph.nodes.items())
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), writes=st.lists(st.sampled_from(LEVEL_WRITES), max_size=30))
+def test_releveling_below_what_moved_equals_the_full_pass(data, writes):
+    """Random write sequences, leveled at random points: every leveling gives
+    what the full Kahn pass gives."""
+    graph = SkillGraph()
+    add_nodes(graph, ["s0", "s1", "s2"])
+    for write in writes:
+        graph = level_write(graph, data, write)
+        if data.draw(st.booleans(), label="level now"):
+            assert_levels_match_the_full_pass(graph)
+    assert_levels_match_the_full_pass(graph)
+
 
 class TestUpdateStats:
     def test_accumulation(self):
@@ -460,16 +686,6 @@ class TestUpdateStats:
         assert make_node("a").success_rate() == 0.0
 
 
-class MergeOnlyTeacher(Proposer):
-    """Unifies the pair (a, b) and declines every other request."""
-
-    def propose(self, request):
-        if request.kind != "merge" or [s["skill_id"] for s in request.skill_pair] != ["a", "b"]:
-            return []
-        return [SkillProposal(skill_id="", title="A and B", principle="Both at once.",
-                              when_to_apply="Either applies.")]
-
-
 def record_graph() -> SkillGraph:
     """a -> b (prereq) in alpha; c in beta, used 30 times with 1 win; d general."""
     graph = SkillGraph()
@@ -488,7 +704,7 @@ RECORD_WRITES = {
     "compute_levels": (lambda g: (g.add_edge("c", "a", EdgeKind.PREREQ, 0.5),
                                   g.compute_levels()), {"a", "b"}),
     "replace_skill_category": (lambda g: g.replace_skill("d", category="beta"), {"d"}),
-    "merge_scan": (lambda g: merge_scan(g, MergeOnlyTeacher(),
+    "merge_scan": (lambda g: merge_scan(g, PairTeacher("merge", ("a", "b")),
                                         EvolutionConfig(merge_jaccard=0.0)), {"a", "b"}),
     "deprecate_scan": (lambda g: deprecate_scan(g, EvolutionConfig()), {"c"}),
     "remove_node": (lambda g: g.remove_node("d"), {"d"}),
@@ -596,14 +812,16 @@ class TestGraphInvariants:
         assert [snapshot.nodes[v].level for v in ("a", "b")] == [0, 1]
 
     def test_snapshot_copies_every_container(self, rng):
-        """Every mutable container is fresh; a node's record and its
-        adjacency tuples, which no write changes, are shared."""
+        """Every mutable container is fresh but the ``_in`` map kept at the
+        last leveling, which no write changes in place; a node's record and
+        its adjacency tuples, which no write changes, are shared."""
         graph = random_graph(rng, n=12)
         snapshot = graph.snapshot()
         assert vars(snapshot).keys() == vars(graph).keys()
         for name, value in vars(graph).items():
-            if isinstance(value, (dict, set, list)):
+            if isinstance(value, (dict, set, list)) and name != "_leveled_in":
                 assert getattr(snapshot, name) is not value, name
+        assert snapshot._leveled_in is graph._leveled_in
         assert snapshot.nodes is not graph.nodes
         for v in graph.nodes:
             assert snapshot.nodes[v] is graph.nodes[v]
@@ -864,13 +1082,25 @@ def map_writes(attrs: set[str]) -> list[tuple[str, str, str]]:
 
 
 def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
-    """Only _store, add_edges, remove_edges and set_weight write
-    SkillGraph._edges, so ``_out``, ``_in`` and the stale-level flag follow
-    every edge change; __init__ and snapshot() bind a fresh graph's map."""
+    """Only _store, add_edges, remove_edges, set_weight and scale_weights
+    write SkillGraph._edges, so ``_out``, ``_in`` and the stale-level flag
+    follow every edge change; the last two write values only, over stored
+    keys, so the adjacency has nothing to follow. __init__ and snapshot()
+    bind a fresh graph's map."""
     assert map_writes({"_edges"}) == [
         ("model", "__init__", "bind"), ("model", "_store", "item"),
         ("model", "add_edges", "item"), ("model", "remove_edges", "pop"),
+        ("model", "scale_weights", "update"),
         ("model", "set_weight", "item"), ("model", "snapshot", "bind")]
+
+
+def test_the_kept_parent_map_is_only_ever_bound():
+    """The ``_in`` map kept at the last leveling is never written in place,
+    only bound anew, which is what lets ``snapshot()`` share it."""
+    assert map_writes({"_leveled_in"}) == [
+        ("model", "__init__", "bind"), ("model", "add_edges", "bind"),
+        ("model", "add_skill", "bind"), ("model", "compute_levels", "bind"),
+        ("model", "snapshot", "bind")]
 
 
 def test_adjacency_is_written_only_by_its_writers_and_never_in_place():
