@@ -32,8 +32,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
-from typing import Any, Callable, Collection
+from itertools import chain, compress
+from operator import is_not
+from typing import Any, Callable, Collection, Iterator
 from weakref import WeakKeyDictionary
 
 from .errors import (
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .model import (
     GENERAL_CATEGORY, SKILL_TEXT_FIELDS, EdgeKey, EdgeKind, SkillGraph, SkillNode, edge_key,
-    rebound,
 )
 from .persistence import TrajectoryRecord
 from .proposer import (
@@ -236,6 +236,12 @@ def _rehome(graph: SkillGraph, old: str, target_of: Callable[[str], str],
         _inherit_edge(graph, key, weights[key], old, target_of(neighbor))
 
 
+def _rebound(now: dict, then: dict) -> Iterator[str]:
+    """The keys of ``now`` whose value is not the very object ``then`` holds
+    under them (None for a key it lacks)."""
+    return compress(now, map(is_not, now.values(), map(then.get, now)))
+
+
 # Each graph's last merge scan, kept in _LAST_SCANS. Per graph it holds the
 # threshold; each skill's forward_neighbors and dependency_parents tuples, as
 # they were read; each live skill's neighborhood, as a tuple (a fraction of a
@@ -289,7 +295,7 @@ def merge_candidates(graph: SkillGraph, threshold: float) -> list[tuple[str, str
     _, last_outs, last_ins, last_neighborhoods, last_pairs = last
     gone = last_outs.keys() - outs.keys()
     flipped = (live ^ last_neighborhoods.keys()) - gone
-    dirty = flipped.union(rebound(outs, last_outs), rebound(ins, last_ins))
+    dirty = flipped.union(_rebound(outs, last_outs), _rebound(ins, last_ins))
     for v in flipped if last_neighborhoods else ():  # else every live skill flipped
         dirty.update(end for key in outs[v] + ins[v] for end in key[:2])
     touched = dirty | gone

@@ -7,10 +7,10 @@ canonical (min-id, max-id) endpoints and ignored by level computation. An edge
 is that key mapped to its float weight in [0, 1]; ``set_weight`` changes one
 stored weight and ``scale_weights`` multiplies all of them, each range-checked.
 
-A level is a function of the skill's dependency parents, so ``compute_levels``
-re-levels only the skills whose parent tuple was rebound since the last
-leveling and those below them, found by identity against the ``_in`` map kept
-at that leveling; a checkpoint that moves a few edges re-levels a few skills.
+A level is a function of the skill's dependency parents, so every writer of
+a skill's parents names that skill, and ``compute_levels`` re-levels only the
+skills named since the last leveling and those below them; a checkpoint that
+moves a few edges re-levels a few skills.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
@@ -28,11 +28,10 @@ changes. Readers write nothing, so any number of them may share one snapshot.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, KeysView, Mapping
+from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import compress
-from operator import attrgetter, is_not
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -134,12 +133,6 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def rebound(now: dict, then: dict) -> Iterator[str]:
-    """The keys of ``now`` whose value is not the very object ``then`` holds
-    under them (None for a key it lacks)."""
-    return compress(now, map(is_not, now.values(), map(then.get, now)))
-
-
 class SkillGraph:
     """Mutable skill graph with an active-level pointer and evolution counters.
 
@@ -162,14 +155,13 @@ class SkillGraph:
     ``remove_node`` and ``replace_skill``, the one writer of a node's
     category after insert. Only ``_store``, ``add_edges``,
     ``remove_edges``, ``set_weight`` and ``scale_weights`` write ``_edges``
-    (the last two values only), so the adjacency and the stale-level flag
+    (the last two values only), so the adjacency and the unleveled skills
     follow every edge change.
 
-    Levels are repaired below what moved. ``_leveled_in`` is the ``_in`` map
-    as it stood at the last leveling (shared with snapshots, never changed in
-    place), so a skill whose parents changed since is one whose ``_in`` tuple
-    is not the very tuple kept there, or that has none kept; the stale-level
-    flag only says whether any can be.
+    Levels are repaired below what moved. ``_unleveled`` holds the skills
+    whose dependency parents changed since the last leveling: each writer of
+    an ``_in`` tuple names the skill it belongs to there, and an empty set
+    means the levels are fresh.
     """
 
     def __init__(self) -> None:
@@ -184,14 +176,14 @@ class SkillGraph:
         # cumulative co-appearance counts of unordered pairs in successful
         # episodes, persisted with the snapshot
         self.co_counts: dict[tuple[str, str], int] = {}
-        self._levels_stale: bool = False
-        self._leveled_in: dict[str, tuple[EdgeKey, ...]] = {}
+        self._unleveled: set[str] = set()
 
     # ------------------------------------------------------------------
     # nodes
 
     def add_skill(self, node: SkillNode) -> str:
-        """Insert a skill node. Levels become stale until recomputed.
+        """Insert a skill node, named as unleveled: its stored level is
+        repaired at the next leveling.
 
         ``n_use``, ``n_succ`` and ``created_step`` must be exact ints (a bool
         is refused) and ``deprecated`` a bool.
@@ -215,12 +207,7 @@ class SkillGraph:
         self.nodes[node.skill_id] = node
         self._out[node.skill_id] = self._in[node.skill_id] = ()
         self._categories.setdefault(node.category, {})[node.skill_id] = None
-        if node.skill_id in self._leveled_in:
-            # an id removed since the last leveling: its kept tuple may be the
-            # same () and would hide the new record from compute_levels
-            self._leveled_in = {v: parents for v, parents in self._leveled_in.items()
-                                if v != node.skill_id}
-        self._levels_stale = True
+        self._unleveled.add(node.skill_id)
         return node.skill_id
 
     def replace_skill(self, skill_id: str, **changes: object) -> SkillNode:
@@ -267,8 +254,9 @@ class SkillGraph:
         Given an ``heir`` (a merge survivor), each count is added to the heir's
         count with the same partner instead; a pair with the heir is dropped.
         An heir that is ``skill_id`` itself or not in the graph is an
-        UnknownSkill, raised before anything changes. Levels go stale only
-        when a dependency edge goes with the node (``remove_edges`` marks it).
+        UnknownSkill, raised before anything changes. Levels need repair only
+        when a dependency edge goes with the node (``remove_edges`` names the
+        children).
         """
         if skill_id not in self.nodes:
             raise UnknownSkill(f"unknown skill id {skill_id!r}")
@@ -328,9 +316,9 @@ class SkillGraph:
                 self._out[v] += tuple(added)
             for v, added in into.items():
                 self._in[v] += tuple(added)
+            self._unleveled.update(into)
             if self._levels_hold():
-                self._leveled_in = dict(self._in)
-                self._levels_stale = False
+                self._unleveled = set()
             else:
                 self.compute_levels()
         except BaseException:
@@ -387,7 +375,7 @@ class SkillGraph:
             self._out[dst] += (key,)
         else:
             self._in[dst] += (key,)
-            self._levels_stale = True
+            self._unleveled.add(dst)
 
     def remove_edges(self, keys: Iterable[EdgeKey]) -> None:
         """Remove edges, each touched node's tuple rebuilt once; a key not
@@ -398,8 +386,7 @@ class SkillGraph:
             self._out[v] = _without(self._out[v], gone)
         for v, gone in into.items():
             self._in[v] = _without(self._in[v], gone)
-        if into:
-            self._levels_stale = True
+        self._unleveled.update(into)
 
     def weight(self, src: str, dst: str, kind: EdgeKind | str) -> float | None:
         """The stored weight of an edge, or None when there is none."""
@@ -507,21 +494,22 @@ class SkillGraph:
 
         level(v) = 0 for nodes without prereq/enhance parents, otherwise
         1 + max over dependency parents; co_occur edges are ignored. Only the
-        region below what moved is re-leveled: the skills whose ``_in`` tuple
-        was rebound or added since the last leveling (every skill, on a
-        graph never leveled), found by identity against ``_leveled_in``, and
-        all they reach over dependency edges. A Kahn pass runs inside the
-        region and reads the stored levels of parents outside it, so a level
-        written out of band with ``replace_skill(level=...)`` outside the
-        region is not repaired. A cycle closed since the last leveling runs
-        through a rebound tuple, so it lies inside the region and raises
-        CycleDetected before any record changes. A skill's record is
+        region below what moved is re-leveled: the skills the writers named
+        in ``_unleveled`` since the last leveling (every skill, on a graph
+        never leveled, since ``add_skill`` names each) that are still in the
+        graph, and all they reach over dependency edges. A Kahn pass runs
+        inside the region and reads the stored levels of parents outside it,
+        so a level written out of band with ``replace_skill(level=...)``
+        outside the region is not repaired. A cycle closed since the last
+        leveling runs through the child of a new edge, a named skill, so it
+        lies inside the region and raises CycleDetected before any record
+        changes and with ``_unleveled`` as it was. A skill's record is
         replaced only where its level changes, or is not an exact int
         (``True == 1``, but ``_levels_hold`` refuses a bool).
         """
         # edge keys carry (src, dst, kind), so the pass never reads an edge
         nodes, outs, ins = self.nodes, self._out, self._in
-        region = set(rebound(ins, self._leveled_in))
+        region = self._unleveled & nodes.keys()
         # a region of every skill has nothing below it left to add
         stack = list(region) if len(region) < len(nodes) else []
         while stack:
@@ -559,8 +547,7 @@ class SkillGraph:
             old = nodes[v].level
             if old != level or type(old) is not int:
                 self.replace_skill(v, level=level)
-        self._leveled_in = dict(ins)
-        self._levels_stale = False
+        self._unleveled = set()
         return {v: node.level for v, node in nodes.items()}
 
     def _levels_hold(self) -> bool:
@@ -578,10 +565,11 @@ class SkillGraph:
         return fit == level
 
     def ensure_levels(self) -> None:
-        """Call ``compute_levels`` if a writer has rebound or added an ``_in``
-        tuple since the last leveling. A level written out of band with
-        ``replace_skill(level=...)`` sets nothing, so it is not repaired."""
-        if self._levels_stale:
+        """Call ``compute_levels`` if a writer has named a skill whose
+        dependency parents changed since the last leveling. A level written
+        out of band with ``replace_skill(level=...)`` names nothing, so it is
+        not repaired."""
+        if self._unleveled:
             self.compute_levels()
 
     def update_stats(self, batch: list[tuple[str, int, int]]) -> None:
@@ -690,7 +678,6 @@ class SkillGraph:
         clone.checkpoint_index = self.checkpoint_index
         clone.next_dynamic_id = self.next_dynamic_id
         clone.co_counts = dict(self.co_counts)
-        clone._leveled_in = self._leveled_in
         return clone
 
     def __repr__(self) -> str:

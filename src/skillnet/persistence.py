@@ -486,8 +486,8 @@ def decode_json(text: str, where: str | Path, one_line: bool = False) -> Any:
 
     A syntax error gives its line and column, or only the column when the
     text is ``one_line`` of a file, whose caller names the line. Nesting
-    deeper than the interpreter's recursion limit and an integer of more
-    digits than ``int`` converts are ParseErrors too, with no position.
+    deeper than the interpreter's JSON decoder accepts and an integer of
+    more digits than ``int`` converts are ParseErrors too, with no position.
     """
     try:
         return json.loads(text)

@@ -293,7 +293,6 @@ def retrieve(graph: SkillGraph, query: TaskQuery,
     lowest-id child in the layer it was found from (``_bfs_edge``), worked
     out only for the skills the cap keeps.
     """
-    graph.ensure_levels()
     seeds = select_seeds(graph, query)
     bfs_levels, bfs_layers = _expand_backward(graph, seeds, depth)
     beam_scores, beam_walked = _expand_forward(graph, seeds, beam_width, depth)

@@ -1186,4 +1186,4 @@ class TestCheckpointSequence:
             report = evolve_step(graph, [], [failure()], teacher, cfg)
             assert report.inserted and report.merged
             assert len(calls) <= 1
-        assert not graph._levels_stale
+        assert graph._unleveled == set()

@@ -300,7 +300,7 @@ class TestInitEdges:
                 by_edge.add_edge(g, t, EdgeKind.ENHANCE, 0.2)
         assert list(graph.edges().items()) == list(by_edge.edges().items())
         assert graph._out == by_edge._out and graph._in == by_edge._in
-        assert not graph._levels_stale
+        assert graph._unleveled == set()
         by_edge.ensure_levels()
         assert {v: n.level for v, n in graph.nodes.items()} == \
             {v: n.level for v, n in by_edge.nodes.items()}
@@ -322,7 +322,7 @@ class TestAdjacencyTuples:
             graph.remove_edges(doomed)
             assert list(graph.edges().items()) == list(one_by_one.edges().items())
             assert graph._out == one_by_one._out and graph._in == one_by_one._in
-            assert graph._levels_stale == one_by_one._levels_stale
+            assert graph._unleveled == one_by_one._unleveled
             assert all(type(keys) is tuple
                        for table in (graph._out, graph._in) for keys in table.values())
 
@@ -398,11 +398,12 @@ class TestComputeLevels:
         graph._edges[rogue] = 0.5
         graph._out["d"] += (rogue,)
         graph._in["b"] += (rogue,)
-        records, kept = dict(graph.nodes), graph._leveled_in
+        graph._unleveled.add("b")  # as _store names the child
+        records = dict(graph.nodes)
         with pytest.raises(CycleDetected):
             graph.compute_levels()
         assert all(graph.nodes[v] is records[v] for v in records)
-        assert graph._leveled_in is kept
+        assert graph._unleveled == {"b"}
         graph.remove_edges([rogue])
         assert graph.compute_levels() == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 0, "f": 1}
 
@@ -543,6 +544,7 @@ def level_write(graph: SkillGraph, data, write: str) -> SkillGraph:
             graph._edges[rogue] = 0.5
             graph._out[src] += (rogue,)
             graph._in[dst] += (rogue,)
+            graph._unleveled.add(dst)  # as _store names the child
             if not assert_levels_match_the_full_pass(graph):
                 graph.remove_edges([rogue])
     elif write == "snapshot":
@@ -557,13 +559,14 @@ def assert_levels_match_the_full_pass(graph: SkillGraph) -> bool:
     try:
         expected = full_kahn_levels(graph)
     except CycleDetected:
-        records, kept = dict(graph.nodes), graph._leveled_in
+        records, named = dict(graph.nodes), set(graph._unleveled)
         with pytest.raises(CycleDetected):
             graph.compute_levels()
         assert all(graph.nodes[v] is records[v] for v in graph.nodes)
-        assert graph._leveled_in is kept
+        assert graph._unleveled == named
         return False
     levels = graph.compute_levels()
+    assert graph._unleveled == set()
     assert list(levels.items()) == [(v, expected[v]) for v in graph.nodes]
     assert all(type(n.level) is int and n.level == expected[v]
                for v, n in graph.nodes.items())
@@ -768,6 +771,7 @@ class TestGraphInvariants:
         graph._edges[rogue] = 0.5
         graph._out["b"] += (rogue,)
         graph._in["a"] += (rogue,)
+        graph._unleveled.add("a")  # as _store names the child
         with pytest.raises(CycleDetected):
             graph.compute_levels()
 
@@ -790,7 +794,7 @@ class TestGraphInvariants:
             if i % 2:
                 graph.add_skill(make_node("zz_late"))  # leaves levels stale
             snapshot = graph.snapshot()
-            for name in ("_levels_stale", "checkpoint_index",
+            for name in ("_unleveled", "checkpoint_index",
                          "highest_active_level", "next_dynamic_id"):
                 assert getattr(snapshot, name) == getattr(graph, name), name
             assert graph_to_dict(snapshot) == graph_to_dict(copy.deepcopy(graph))
@@ -800,7 +804,7 @@ class TestGraphInvariants:
         add_nodes(graph, ["a", "b"], category="clean")
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         graph.highest_active_level = 1
-        assert graph._levels_stale
+        assert graph._unleveled == {"a", "b"}
         snapshot = graph.snapshot()
 
         def refuse(self):
@@ -812,16 +816,14 @@ class TestGraphInvariants:
         assert [snapshot.nodes[v].level for v in ("a", "b")] == [0, 1]
 
     def test_snapshot_copies_every_container(self, rng):
-        """Every mutable container is fresh but the ``_in`` map kept at the
-        last leveling, which no write changes in place; a node's record and
-        its adjacency tuples, which no write changes, are shared."""
+        """Every mutable container is fresh; a node's record and its
+        adjacency tuples, which no write changes, are shared."""
         graph = random_graph(rng, n=12)
         snapshot = graph.snapshot()
         assert vars(snapshot).keys() == vars(graph).keys()
         for name, value in vars(graph).items():
-            if isinstance(value, (dict, set, list)) and name != "_leveled_in":
+            if isinstance(value, (dict, set, list)):
                 assert getattr(snapshot, name) is not value, name
-        assert snapshot._leveled_in is graph._leveled_in
         assert snapshot.nodes is not graph.nodes
         for v in graph.nodes:
             assert snapshot.nodes[v] is graph.nodes[v]
@@ -944,7 +946,7 @@ def refuse_recompute(self):
 
 class TestRemoveNodeLevels:
     """Removing a node moves other levels only through its dependency edges,
-    whose removal marks the levels stale."""
+    whose removal names the children as unleveled."""
 
     @pytest.mark.parametrize("edges", [[], [("d", "a"), ("b", "d")]],
                              ids=["isolated", "co_occur_only"])
@@ -956,7 +958,7 @@ class TestRemoveNodeLevels:
             graph.add_edge(src, dst, EdgeKind.CO_OCCUR, 0.3)
         graph.compute_levels()
         graph.remove_node("d")
-        assert not graph._levels_stale
+        assert graph._unleveled == set()
         monkeypatch.setattr(SkillGraph, "compute_levels", refuse_recompute)
         graph.ensure_levels()
         assert {v: n.level for v, n in graph.nodes.items()} == {"a": 0, "b": 1, "c": 0}
@@ -968,9 +970,26 @@ class TestRemoveNodeLevels:
         graph.add_edge("b", "c", EdgeKind.PREREQ, 0.5)
         graph.compute_levels()
         graph.remove_node("a")
-        assert graph._levels_stale
+        assert graph._unleveled == {"b"}
         graph.ensure_levels()
         assert {v: n.level for v, n in graph.nodes.items()} == {"b": 0, "c": 1}
+
+    @pytest.mark.parametrize("parent", ["a", None])
+    def test_a_removed_id_added_back_gets_the_full_pass_level(self, parent):
+        """An id that comes back after a leveling is named by ``add_skill``,
+        so its stored level is repaired whether or not it has parents."""
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.compute_levels()
+        graph.remove_node("c")
+        graph.add_skill(make_node("c", level=7))
+        if parent is not None:
+            graph.add_edge(parent, "c", EdgeKind.PREREQ, 0.5)
+        graph.ensure_levels()
+        assert graph._unleveled == set()
+        assert {v: n.level for v, n in graph.nodes.items()} == full_kahn_levels(graph)
+        assert graph.nodes["c"].level == (0 if parent is None else 1)
 
 
 class TestHealth:
@@ -1031,13 +1050,14 @@ def test_refusals_name_the_fault(write, error, message):
     assert str(caught.value) == message
 
 
+# a dict's mutating methods, and ``add``, the one a set has beyond them
 MAP_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
-                "__delitem__"}
+                "__delitem__", "add"}
 
 
 def map_writes(attrs: set[str]) -> list[tuple[str, str, str]]:
-    """Every (module, function, kind) in ``src/skillnet`` that writes a map
-    held in one of the attributes ``attrs``: a bind of the attribute, an item
+    """Every (module, function, kind) in ``src/skillnet`` that writes a map or
+    set held in one of the attributes ``attrs``: a bind of the attribute, an item
     assignment or deletion, a mutating method call, or an item written into
     one of its elements. A write counts whether it goes through the attribute
     or a local name bound to it."""
@@ -1083,7 +1103,7 @@ def map_writes(attrs: set[str]) -> list[tuple[str, str, str]]:
 
 def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
     """Only _store, add_edges, remove_edges, set_weight and scale_weights
-    write SkillGraph._edges, so ``_out``, ``_in`` and the stale-level flag
+    write SkillGraph._edges, so ``_out``, ``_in`` and the unleveled skills
     follow every edge change; the last two write values only, over stored
     keys, so the adjacency has nothing to follow. __init__ and snapshot()
     bind a fresh graph's map."""
@@ -1094,13 +1114,23 @@ def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
         ("model", "set_weight", "item"), ("model", "snapshot", "bind")]
 
 
-def test_the_kept_parent_map_is_only_ever_bound():
-    """The ``_in`` map kept at the last leveling is never written in place,
-    only bound anew, which is what lets ``snapshot()`` share it."""
-    assert map_writes({"_leveled_in"}) == [
-        ("model", "__init__", "bind"), ("model", "add_edges", "bind"),
-        ("model", "add_skill", "bind"), ("model", "compute_levels", "bind"),
-        ("model", "snapshot", "bind")]
+def test_every_writer_of_a_parent_tuple_names_the_skill():
+    """Only the writers of ``_in`` tuples add to ``_unleveled``, and only
+    ``compute_levels`` (and ``add_edges``, when the levels already hold)
+    empties it. Every function that assigns an ``_in`` tuple also writes
+    ``_unleveled``: no skill's parents change without the skill being named
+    for the next leveling."""
+    assert map_writes({"_unleveled"}) == [
+        ("model", "__init__", "bind"), ("model", "_store", "add"),
+        ("model", "add_edges", "bind"), ("model", "add_edges", "update"),
+        ("model", "add_skill", "add"), ("model", "compute_levels", "bind"),
+        ("model", "remove_edges", "update")]
+    tuple_writers = {(module, func) for module, func, kind in map_writes({"_in"})
+                     if kind == "item"}
+    assert tuple_writers == {("model", "_store"), ("model", "add_edges"),
+                             ("model", "add_skill"), ("model", "remove_edges")}
+    assert tuple_writers <= {(module, func)
+                             for module, func, _ in map_writes({"_unleveled"})}
 
 
 def test_adjacency_is_written_only_by_its_writers_and_never_in_place():

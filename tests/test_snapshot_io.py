@@ -372,7 +372,8 @@ def snapshot_mutants(draw) -> dict:
 
 def load_outcome(load, data: dict):
     """What a load gives: its exception's type and message, or the graph's
-    adjacency orders, staleness and levels before any read, and its dict."""
+    adjacency orders, unleveled skills and levels before any read, and its
+    dict."""
     try:
         graph = load(data)
     except SkillNetError as exc:
@@ -380,7 +381,7 @@ def load_outcome(load, data: dict):
     orders = [[(key, list(entries)) for key, entries in table.items()]
               for table in (graph._out, graph._in, graph._categories)]
     levels = [(v, n.level) for v, n in graph.nodes.items()]
-    return orders, graph._levels_stale, levels, graph_to_dict(graph)
+    return orders, graph._unleveled, levels, graph_to_dict(graph)
 
 
 @settings(max_examples=200, deadline=None)
