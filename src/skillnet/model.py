@@ -8,9 +8,10 @@ is that key mapped to its float weight in [0, 1]; ``set_weight`` changes one
 stored weight and ``scale_weights`` multiplies all of them, each range-checked.
 
 A level is a function of the skill's dependency parents, so every writer of
-a skill's parents names that skill, and ``compute_levels`` re-levels only the
-skills named since the last leveling and those below them; a checkpoint that
-moves a few edges re-levels a few skills.
+a skill's parents names that skill, and ``compute_levels``, the one leveling
+routine, re-levels only the named skills whose stored level no longer fits
+and those below them; a checkpoint that moves a few edges re-levels a few
+skills, and a load whose stored levels fit re-levels none.
 
 Concurrency: single writer, many readers. Mutations happen in one owning
 context; concurrent readers should work on a ``snapshot()`` copy, safe to hand
@@ -158,10 +159,10 @@ class SkillGraph:
     (the last two values only), so the adjacency and the unleveled skills
     follow every edge change.
 
-    Levels are repaired below what moved. ``_unleveled`` holds the skills
-    whose dependency parents changed since the last leveling: each writer of
-    an ``_in`` tuple names the skill it belongs to there, and an empty set
-    means the levels are fresh.
+    Levels are repaired below what no longer fits. ``_unleveled`` holds the
+    skills whose dependency parents changed since the last leveling: each
+    writer of an ``_in`` tuple names the skill it belongs to there, and an
+    empty set means the levels are fresh.
     """
 
     def __init__(self) -> None:
@@ -300,9 +301,9 @@ class SkillGraph:
 
         Each edge gets the checks of ``add_edge``, and one already present
         is a DuplicateEdge instead of a no-op. In place of a cycle search per
-        edge, the closing level check raises CycleDetected for the batch.
-        The nodes' levels are kept when they already fit the topology (see
-        ``_levels_hold``) and recomputed otherwise.
+        edge, the closing ``compute_levels`` raises CycleDetected for the
+        batch. It keeps every named level that already fits, so a snapshot
+        whose stored levels are right loads without a Kahn pass.
         """
         rows = list(rows)
         keys = self._new_keys(rows)
@@ -317,10 +318,7 @@ class SkillGraph:
             for v, added in into.items():
                 self._in[v] += tuple(added)
             self._unleveled.update(into)
-            if self._levels_hold():
-                self._unleveled = set()
-            else:
-                self.compute_levels()
+            self.compute_levels()
         except BaseException:
             self.remove_edges(keys)
             raise
@@ -488,30 +486,43 @@ class SkillGraph:
     # ------------------------------------------------------------------
     # levels and statistics
 
-    def compute_levels(self) -> dict[str, int]:
-        """Bring topological levels over the dependency subgraph up to date
-        and return every skill's level.
+    def compute_levels(self) -> None:
+        """Bring topological levels over the dependency subgraph up to date.
 
         level(v) = 0 for nodes without prereq/enhance parents, otherwise
         1 + max over dependency parents; co_occur edges are ignored. Only the
-        region below what moved is re-leveled: the skills the writers named
-        in ``_unleveled`` since the last leveling (every skill, on a graph
-        never leveled, since ``add_skill`` names each) that are still in the
-        graph, and all they reach over dependency edges. A Kahn pass runs
-        inside the region and reads the stored levels of parents outside it,
-        so a level written out of band with ``replace_skill(level=...)``
-        outside the region is not repaired. A cycle closed since the last
-        leveling runs through the child of a new edge, a named skill, so it
-        lies inside the region and raises CycleDetected before any record
-        changes and with ``_unleveled`` as it was. A skill's record is
-        replaced only where its level changes, or is not an exact int
-        (``True == 1``, but ``_levels_hold`` refuses a bool).
+        region below what moved is re-leveled: the skills named in
+        ``_unleveled`` (every skill, on a graph never leveled, since
+        ``add_skill`` names each) still in the graph whose stored level does
+        not fit, being no exact int 1 + the highest stored level of their
+        dependency parents, or 0 with none (a bool does not fit, nor does a
+        skill below a parent whose level is no int), and all they reach over
+        dependency edges. A Kahn pass runs inside it on the stored levels of
+        parents outside it, so a level written out of band with
+        ``replace_skill(level=...)`` outside the region is not repaired. A
+        cycle closed since the last leveling runs through a named skill, and
+        unnamed skills fit since the last leveling: exact-int levels cannot
+        climb all the way round it, so one of its skills, and so all of it,
+        is in the region, and CycleDetected is raised before any record
+        changes and with ``_unleveled`` as it was. A record is replaced only
+        where its level changes or is no exact int.
         """
         # edge keys carry (src, dst, kind), so the pass never reads an edge
         nodes, outs, ins = self.nodes, self._out, self._in
-        region = self._unleveled & nodes.keys()
-        # a region of every skill has nothing below it left to add
-        stack = list(region) if len(region) < len(nodes) else []
+        region: set[str] = set()
+        for v in self._unleveled & nodes.keys():
+            fit: int | None = 0
+            for src, _, _ in ins[v]:
+                parent = nodes[src].level
+                if type(parent) is not int:
+                    fit = None  # the parent does not fit, so v is below it
+                    break
+                if parent >= fit:
+                    fit = parent + 1
+            level = nodes[v].level
+            if level != fit or type(level) is not int:
+                region.add(v)
+        stack = list(region)
         while stack:
             for _, dst, kind in outs[stack.pop()]:
                 if kind is not EdgeKind.CO_OCCUR and dst not in region:
@@ -548,27 +559,13 @@ class SkillGraph:
             if old != level or type(old) is not int:
                 self.replace_skill(v, level=level)
         self._unleveled = set()
-        return {v: node.level for v, node in nodes.items()}
-
-    def _levels_hold(self) -> bool:
-        """Whether every level already is what ``compute_levels`` gives: an
-        int equal to 1 + the maximum of its dependency parents' levels, or 0
-        with none. Such levels climb along every dependency edge, so the
-        subgraph is acyclic, and on a DAG the rule has one solution."""
-        level = {v: n.level for v, n in self.nodes.items()}
-        if not all(type(lvl) is int for lvl in level.values()):
-            return False
-        fit = dict.fromkeys(level, 0)
-        for src, dst, kind in self._edges:
-            if kind is not EdgeKind.CO_OCCUR and fit[dst] <= level[src]:
-                fit[dst] = level[src] + 1
-        return fit == level
 
     def ensure_levels(self) -> None:
         """Call ``compute_levels`` if a writer has named a skill whose
-        dependency parents changed since the last leveling. A level written
-        out of band with ``replace_skill(level=...)`` names nothing, so it is
-        not repaired."""
+        dependency parents changed since the last leveling; a named skill
+        whose level still fits costs only its check. A level written out of
+        band with ``replace_skill(level=...)`` names nothing, so it is not
+        repaired."""
         if self._unleveled:
             self.compute_levels()
 

@@ -217,8 +217,9 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     """Rebuild a graph from a snapshot dict, revalidating every invariant.
 
     Stored success rates are informational, derived from the raw counts.
-    Stored levels are checked, and recomputed when off. The counters that
-    grow (meta values, ``n_use`` and co_counts counts) must be at most
+    Stored levels are checked by ``add_edges``' leveling, which keeps each
+    one that fits its parents and re-levels below the rest. The counters
+    that grow (meta values, ``n_use`` and co_counts counts) must be at most
     ``MAX_STORED_INT``. Each unknown field is logged once per section.
     """
     ignored = _Ignored()

@@ -104,6 +104,13 @@ def oracle_best_path_products(graph: SkillGraph, seeds: set[str],
     return best
 
 
+def computed_levels(graph: SkillGraph) -> dict[str, int]:
+    """Run ``compute_levels`` and read every skill's stored level back from
+    its record, in node order."""
+    graph.compute_levels()
+    return {v: node.level for v, node in graph.nodes.items()}
+
+
 def dependency_edges(graph: SkillGraph) -> list[tuple[str, str]]:
     return [(src, dst) for src, dst, kind in graph.edges()
             if kind in (EdgeKind.PREREQ, EdgeKind.ENHANCE)]

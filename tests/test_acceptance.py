@@ -47,6 +47,7 @@ from skillnet.retrieval import DEFAULT_K_MAX, _expand_forward
 
 from conftest import (
     add_nodes,
+    computed_levels,
     dependency_edges,
     make_node,
     oracle_best_path_products,
@@ -100,7 +101,7 @@ def test_criterion_1_graph_invariant_suite():
             else:
                 decay_and_prune(graph, 0.99, 0.05)
         assert not oracle_has_cycle(ids, dependency_edges(graph))
-        assert graph.compute_levels() == oracle_levels(
+        assert computed_levels(graph) == oracle_levels(
             ids, dependency_edges(graph))
         assert all(0.0 <= w <= 1.0 for w in graph.edges().values())
     elapsed = time.perf_counter() - start

@@ -45,7 +45,7 @@ from skillnet.model import edge_key, pair_key
 from skillnet.proposer import Proposer
 
 from bench.library import generate_library
-from conftest import add_nodes, make_node, random_graph
+from conftest import add_nodes, computed_levels, make_node, random_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -674,7 +674,7 @@ class TestSplit:
         assert "broad" not in graph.nodes
         assert graph.weight("dyn_0001", "dyn_0002", EdgeKind.PREREQ) is not None
         assert graph.weight("dyn_0002", "dyn_0003", EdgeKind.PREREQ) is not None
-        levels = graph.compute_levels()
+        levels = computed_levels(graph)
         assert [levels[f"dyn_000{i}"] for i in (1, 2, 3)] == [0, 1, 2]
 
     def test_children_statistics_reset(self):

@@ -38,6 +38,7 @@ from skillnet.errors import (
 from bench.library import generate_library
 from conftest import (
     add_nodes,
+    computed_levels,
     dependency_edges,
     make_node,
     oracle_has_cycle,
@@ -51,7 +52,7 @@ class TestAddSkill:
         graph = SkillGraph()
         skill_id = graph.add_skill(make_node("verify", title="Verify sub-goals"))
         assert skill_id == "verify"
-        assert graph.compute_levels()["verify"] == 0
+        assert computed_levels(graph)["verify"] == 0
 
     def test_duplicate_id_rejected(self):
         graph = SkillGraph()
@@ -67,7 +68,7 @@ class TestAddSkill:
     def test_twenty_distilled_skills_all_level_zero(self):
         graph = SkillGraph()
         add_nodes(graph, [f"s{i}" for i in range(20)], category="clean")
-        levels = graph.compute_levels()
+        levels = computed_levels(graph)
         assert set(levels.values()) == {0}
 
     def test_a_node_takes_only_its_declared_fields(self):
@@ -352,14 +353,14 @@ class TestComputeLevels:
     def test_isolated_node(self):
         graph = SkillGraph()
         add_nodes(graph, ["a"])
-        assert graph.compute_levels() == {"a": 0}
+        assert computed_levels(graph) == {"a": 0}
 
     def test_prereq_chain(self):
         graph = SkillGraph()
         add_nodes(graph, ["a", "b", "c"])
         graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
         graph.add_edge("b", "c", EdgeKind.PREREQ, 0.5)
-        assert graph.compute_levels() == {"a": 0, "b": 1, "c": 2}
+        assert computed_levels(graph) == {"a": 0, "b": 1, "c": 2}
 
     def test_diamond_with_cooccur_ignored(self):
         graph = SkillGraph()
@@ -369,7 +370,7 @@ class TestComputeLevels:
         graph.add_edge("b", "d", EdgeKind.PREREQ, 0.5)
         graph.add_edge("c", "d", EdgeKind.ENHANCE, 0.5)
         graph.add_edge("b", "c", EdgeKind.CO_OCCUR, 0.3)
-        levels = graph.compute_levels()
+        levels = computed_levels(graph)
         assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
 
     def test_matches_longest_path_oracle_on_random_dags(self, rng):
@@ -385,7 +386,7 @@ class TestComputeLevels:
                     graph.add_edge(src, dst, kind, rng.random())
                 except CycleWouldForm:
                     pass
-            assert graph.compute_levels() == oracle_levels(
+            assert computed_levels(graph) == oracle_levels(
                 ids, dependency_edges(graph))
 
     def test_a_cycle_closed_inside_the_region_is_refused_before_any_write(self):
@@ -405,23 +406,14 @@ class TestComputeLevels:
         assert all(graph.nodes[v] is records[v] for v in records)
         assert graph._unleveled == {"b"}
         graph.remove_edges([rogue])
-        assert graph.compute_levels() == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 0, "f": 1}
+        assert computed_levels(graph) == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 0, "f": 1}
 
     def test_one_new_prereq_edge_replaces_records_only_inside_its_closure(self):
         graph = generate_library(2000, 15)
         graph.ensure_levels()
-
-        def closure(start: str) -> set[str]:
-            reached, stack = {start}, [start]
-            while stack:
-                for _, dst, kind in graph.forward_neighbors(stack.pop()):
-                    if kind in DEPENDENCY_KINDS and dst not in reached:
-                        reached.add(dst)
-                        stack.append(dst)
-            return reached
-
-        below = next(v for v in sorted(graph.nodes) if 1 < len(closure(v)) < 40)
-        region = closure(below)
+        below = next(v for v in sorted(graph.nodes)
+                     if 1 < len(dependency_closure(graph, v)) < 40)
+        region = dependency_closure(graph, below)
         # the deepest skill outside the closure: the new edge raises ``below``
         top = max((v for v in graph.nodes if v not in region
                    and not graph.has_any_edge(v, below)),
@@ -429,11 +421,49 @@ class TestComputeLevels:
         assert graph.nodes[top].level >= graph.nodes[below].level
         records = dict(graph.nodes)
         graph.add_edge(top, below, EdgeKind.PREREQ, 0.3)
-        levels = graph.compute_levels()
+        levels = computed_levels(graph)
         replaced = {v for v in graph.nodes if graph.nodes[v] is not records[v]}
         assert below in replaced and replaced <= region
         assert levels == full_kahn_levels(graph)
         assert levels[below] == graph.nodes[top].level + 1
+
+    def test_a_new_edge_that_leaves_its_child_level_walks_nothing_below_it(self):
+        """The child of the new edge is named, but its level still fits, so
+        the leveling neither walks its closure nor replaces a record."""
+        graph = generate_library(2000, 15)
+        graph.ensure_levels()
+        below = max((v for v, n in graph.nodes.items() if n.level >= 1),
+                    key=lambda v: (len(dependency_closure(graph, v)), v))
+        region = dependency_closure(graph, below)
+        top = min(v for v, n in graph.nodes.items() if n.level == 0
+                  and v not in region and not graph.has_any_edge(v, below))
+        assert len(region) > 100
+        graph.add_edge(top, below, EdgeKind.PREREQ, 0.3)
+        assert graph._unleveled == {below}
+        reads = []
+
+        class CountingOut(dict):
+            def __getitem__(self, v):
+                reads.append(v)
+                return super().__getitem__(v)
+
+        graph._out = CountingOut(graph._out)
+        records = dict(graph.nodes)
+        graph.compute_levels()
+        assert reads == []
+        assert all(graph.nodes[v] is records[v] for v in records)
+        assert graph._unleveled == set()
+
+
+def dependency_closure(graph: SkillGraph, start: str) -> set[str]:
+    """``start`` and every skill it reaches over dependency edges."""
+    reached, stack = {start}, [start]
+    while stack:
+        for _, dst, kind in graph.forward_neighbors(stack.pop()):
+            if kind in DEPENDENCY_KINDS and dst not in reached:
+                reached.add(dst)
+                stack.append(dst)
+    return reached
 
 
 def full_kahn_levels(graph: SkillGraph) -> dict[str, int]:
@@ -565,7 +595,7 @@ def assert_levels_match_the_full_pass(graph: SkillGraph) -> bool:
         assert all(graph.nodes[v] is records[v] for v in graph.nodes)
         assert graph._unleveled == named
         return False
-    levels = graph.compute_levels()
+    levels = computed_levels(graph)
     assert graph._unleveled == set()
     assert list(levels.items()) == [(v, expected[v]) for v in graph.nodes]
     assert all(type(n.level) is int and n.level == expected[v]
@@ -744,7 +774,7 @@ class TestGraphInvariants:
                     graph.update_stats(
                         [(skill_id, used, used and rng.random() < 0.5)])
             assert not oracle_has_cycle(ids, dependency_edges(graph))
-            assert graph.compute_levels() == oracle_levels(
+            assert computed_levels(graph) == oracle_levels(
                 ids, dependency_edges(graph))
             for weight in graph.edges().values():
                 assert 0.0 <= weight <= 1.0
@@ -880,7 +910,7 @@ class TestGraphInvariants:
                                0.5)
             except CycleWouldForm:
                 pass
-        levels = graph.compute_levels()
+        levels = computed_levels(graph)
         for src, dst in dependency_edges(graph):
             assert levels[src] < levels[dst]
 
@@ -973,6 +1003,20 @@ class TestRemoveNodeLevels:
         assert graph._unleveled == {"b"}
         graph.ensure_levels()
         assert {v: n.level for v, n in graph.nodes.items()} == {"b": 0, "c": 1}
+
+    def test_removing_a_prereq_child_replaces_no_record(self):
+        """``remove_node`` names the removed child; the leveling that follows
+        finds it gone, replaces no record and returns no level map."""
+        graph = SkillGraph()
+        add_nodes(graph, ["a", "b", "c"], category="clean")
+        graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+        graph.compute_levels()
+        graph.remove_node("b")
+        assert graph._unleveled == {"b"}
+        records = dict(graph.nodes)
+        assert graph.compute_levels() is None
+        assert all(graph.nodes[v] is records[v] for v in records)
+        assert graph._unleveled == set()
 
     @pytest.mark.parametrize("parent", ["a", None])
     def test_a_removed_id_added_back_gets_the_full_pass_level(self, parent):
@@ -1116,13 +1160,12 @@ def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
 
 def test_every_writer_of_a_parent_tuple_names_the_skill():
     """Only the writers of ``_in`` tuples add to ``_unleveled``, and only
-    ``compute_levels`` (and ``add_edges``, when the levels already hold)
-    empties it. Every function that assigns an ``_in`` tuple also writes
-    ``_unleveled``: no skill's parents change without the skill being named
-    for the next leveling."""
+    ``compute_levels`` empties it. Every function that assigns an ``_in``
+    tuple also writes ``_unleveled``: no skill's parents change without the
+    skill being named for the next leveling."""
     assert map_writes({"_unleveled"}) == [
         ("model", "__init__", "bind"), ("model", "_store", "add"),
-        ("model", "add_edges", "bind"), ("model", "add_edges", "update"),
+        ("model", "add_edges", "update"),
         ("model", "add_skill", "add"), ("model", "compute_levels", "bind"),
         ("model", "remove_edges", "update")]
     tuple_writers = {(module, func) for module, func, kind in map_writes({"_in"})

@@ -40,7 +40,7 @@ from skillnet.model import is_blank, pair_key
 
 from bench.run import EXPECTED
 from bench.workloads import CYCLES_PER_LIBRARY, PUBLISHES, Checkpoint2k, Retrieve8k
-from conftest import add_nodes, random_graph
+from conftest import add_nodes, computed_levels, random_graph
 
 # ----------------------------------------------------------------------
 # writer: the same bytes as the general encoder
@@ -237,7 +237,7 @@ def test_a_rejected_bulk_insert_leaves_the_graph_as_it_was(rows, error):
         graph.add_edges(rows)
     assert graph_to_dict(graph) == before
     graph.add_edge("b", "a", EdgeKind.PREREQ, 0.5)  # no stale key left behind
-    assert graph.compute_levels() == {"a": 1, "b": 0}
+    assert computed_levels(graph) == {"a": 1, "b": 0}
 
 
 def test_bulk_insert_names_a_duplicate_as_given():
@@ -260,6 +260,15 @@ def test_bulk_insert_trusts_only_int_levels(level):
     else:
         graph.add_edges([("a", "b", "prereq", 0.5)])
         assert [type(n.level) for n in graph.nodes.values()] == [int, int]
+
+
+def test_a_parent_level_that_is_no_number_is_repaired():
+    # the level check must not compare it with its child's parents' levels
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.nodes["a"].level = None
+    graph.add_edges([("a", "b", "prereq", 0.5)])
+    assert {v: n.level for v, n in graph.nodes.items()} == {"a": 0, "b": 1}
 
 
 # ----------------------------------------------------------------------
