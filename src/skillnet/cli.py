@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -167,6 +168,19 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
+    # one read, then the process ends: with the cyclic garbage collector
+    # paused until _retrieve has returned and its graph is freed, no
+    # collection scans what the load built; its prior state is restored
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _retrieve(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _retrieve(args: argparse.Namespace) -> int:
     # without a file, the defaults are AppConfig().retrieval
     defaults = RetrievalParams() if args.config is None else _app_config(args).retrieval
     graph = _require_graph(args)

@@ -32,6 +32,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -299,55 +300,53 @@ class SkillGraph:
         """Insert stored edges, given as (src, dst, kind value, weight), all
         or none, and bring levels up to date.
 
-        Each edge gets the checks of ``add_edge``, and one already present
-        is a DuplicateEdge instead of a no-op. In place of a cycle search per
-        edge, the closing ``compute_levels`` raises CycleDetected for the
-        batch. It keeps every named level that already fits, so a snapshot
-        whose stored levels are right loads without a Kahn pass.
+        One pass checks each row as ``add_edge`` checks an edge, keys it,
+        stores it and groups it under the skills whose adjacency it joins;
+        a key already present, or given earlier in the batch, is a
+        DuplicateEdge instead of a no-op. The first faulty row ends the
+        pass, and ``_checked_key`` names its fault, as a row-by-row insert
+        would. Each touched tuple is then replaced once, not once per key.
+        In place of a cycle search per edge, the closing ``compute_levels``
+        raises CycleDetected for the batch. On any fault the stored rows are
+        taken out again, with the names they gave for the next leveling.
+        That leveling keeps every named level that already fits, so a
+        snapshot whose stored levels are right loads without a Kahn pass.
         """
-        rows = list(rows)
-        keys = self._new_keys(rows)
+        nodes, kind_of, co = self.nodes, _KIND_OF.get, EdgeKind.CO_OCCUR
         edges = self._edges
+        out: defaultdict[str, list[EdgeKey]] = defaultdict(list)
+        into: defaultdict[str, list[EdgeKey]] = defaultdict(list)
+        named: set[str] = set()
         try:
-            for key, row in zip(keys, rows):
-                edges[key] = float(row[3])
-            # each touched tuple is replaced once, not once per key
-            out, into = _by_node(keys)
-            for v, added in out.items():
-                self._out[v] += tuple(added)
-            for v, added in into.items():
-                self._in[v] += tuple(added)
-            self._unleveled.update(into)
+            try:
+                for src, dst, value, weight in rows:
+                    kind = kind_of(value)
+                    # edge_key's canonical key, inline
+                    key = (dst, src, kind) if kind is co and dst < src else (src, dst, kind)
+                    # _checked_key's checks in its order, so none that
+                    # raises comes before the fault it would name
+                    if (kind is None or src not in nodes or dst not in nodes or src == dst
+                            or not 0.0 <= weight <= 1.0 or key in edges):
+                        self._checked_key(src, dst, value, weight)
+                        raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
+                    edges[key] = float(weight)
+                    out[key[0]].append(key)
+                    (out if kind is co else into)[key[1]].append(key)
+            finally:
+                # bind what the pass stored, also when a fault ended it, so
+                # that remove_edges can take it out again
+                named = into.keys() - self._unleveled
+                for v, added in out.items():
+                    self._out[v] += tuple(added)
+                for v, added in into.items():
+                    self._in[v] += tuple(added)
+                self._unleveled.update(named)
             self.compute_levels()
         except BaseException:
-            self.remove_edges(keys)
+            # each stored key is in _out of its first endpoint
+            self.remove_edges(chain.from_iterable(out.values()))
+            self._unleveled.difference_update(named)
             raise
-
-    def _new_keys(self, rows: list[tuple[str, str, str, float]]) -> list[EdgeKey]:
-        """The checked canonical keys of a batch of new edges. The batch is
-        checked as a whole; on a fault, a walk over the rows raises the first
-        one as a row-by-row insert would."""
-        nodes, kind_of, co = self.nodes, _KIND_OF.__getitem__, EdgeKind.CO_OCCUR
-        try:
-            # edge_key's canonical keys, inline
-            keys = [(src, dst, kind) if (kind := kind_of(value)) is not co or src <= dst
-                    else (dst, src, kind) for src, dst, value, _ in rows]
-            if (all(src in nodes and dst in nodes and src != dst for src, dst, _ in keys)
-                    and all(0.0 <= row[3] <= 1.0 for row in rows)
-                    and len(set(keys)) == len(keys)
-                    and self._edges.keys().isdisjoint(keys)):
-                return keys
-        except (KeyError, TypeError, ValueError):
-            pass
-        keys = []
-        seen: set[EdgeKey] = set()
-        for src, dst, value, weight in rows:
-            key = self._checked_key(src, dst, value, weight)
-            if key in self._edges or key in seen:
-                raise DuplicateEdge(f"duplicate edge {src} -> {dst} ({value})")
-            seen.add(key)
-            keys.append(key)
-        return keys
 
     def _checked_key(self, src: str, dst: str, kind: EdgeKind | str,
                      weight: float) -> EdgeKey:

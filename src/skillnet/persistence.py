@@ -6,8 +6,8 @@ reads goes through ``read_text``, and every JSON document or line through
 all become a ParseError. Every object a snapshot, trajectory or skills file
 holds is then checked by ``_checked``: exact JSON types, required fields,
 and unknown fields refused under ``strict`` or ignored with a warning. The
-node and edge records ``save_graph`` writes are checked in bulk instead
-(``_exact_records``), and fall back to it on any mismatch.
+node and edge records ``save_graph`` writes are checked column by column
+instead (``_columns``), and fall back to it on any mismatch.
 
 Snapshots are single JSON documents written atomically (temp file then
 rename) with canonical ordering, so saving the same graph twice produces
@@ -18,6 +18,7 @@ across checkpoints.
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import logging
 import os
@@ -54,14 +55,10 @@ _META_TYPES = dict.fromkeys(("checkpoint_index", "highest_active_level",
 _NODE_TYPES = get_type_hints(SkillNode)
 _NODE_RECORD_TYPES = {**_NODE_TYPES, "success_rate": float}
 _EDGE_TYPES = {"src": str, "dst": str, "kind": str, "weight": float}
-# fast path for the bulk of a snapshot: one tuple of values in field order and
-# one comparison of their types; _checked explains a mismatch. A node as
-# save_graph writes it also holds success_rate, a float.
+# a checked record's values in field order; a node as save_graph writes it
+# also holds success_rate, a float, which is not a SkillNode field
 _node_values = itemgetter(*_NODE_TYPES)
 _edge_values = itemgetter(*_EDGE_TYPES)
-_EDGE_SIGNATURE = tuple(_EDGE_TYPES.values())
-_node_record = itemgetter(*_NODE_RECORD_TYPES)
-_NODE_RECORD_SIGNATURE = tuple(_NODE_RECORD_TYPES.values())
 # the largest counter a snapshot may hold (a signed 64-bit integer): the
 # counters only grow, and past about 4300 digits save_graph cannot write them
 MAX_STORED_INT = 2**63 - 1
@@ -216,11 +213,16 @@ def graph_to_dict(graph: SkillGraph) -> dict[str, Any]:
 def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     """Rebuild a graph from a snapshot dict, revalidating every invariant.
 
-    Stored success rates are informational, derived from the raw counts.
-    Stored levels are checked by ``add_edges``' leveling, which keeps each
-    one that fits its parents and re-levels below the rest. The counters
-    that grow (meta values, ``n_use`` and co_counts counts) must be at most
+    One checked pass per section: the node and edge records are checked
+    column by column (``_columns``) or, on any mismatch, record by record,
+    and every edge goes in with one ``add_edges`` call, which checks, stores
+    and groups each row once and names the first faulty row. Stored success
+    rates are informational, derived from the raw counts. Stored levels are
+    checked by ``add_edges``' leveling, which keeps each one that fits its
+    parents and re-levels below the rest. The counters that grow (meta
+    values, ``n_use`` and co_counts counts) must be at most
     ``MAX_STORED_INT``. Each unknown field is logged once per section.
+    ``load_graph`` runs this with the cyclic garbage collector paused.
     """
     ignored = _Ignored()
     data = _checked(data, _TOP_LEVEL_TYPES, "snapshot", strict, (), ignored)
@@ -240,13 +242,12 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
         setattr(graph, name, value)
 
     node_objs = data.get("nodes", [])
-    records = _exact_records(node_objs, _node_record, _NODE_RECORD_SIGNATURE)
+    columns = _columns(node_objs, _NODE_RECORD_TYPES)
     # the checked path is lazy, so a record's fault and an earlier node's
     # insert error come in file order
-    rows = ([values[:-1] for values in records] if records is not None
-            else (_node_row(obj, strict, ignored) for obj in node_objs))
-    for values in rows:
-        node = SkillNode(*values)
+    nodes = (map(SkillNode, *columns[:-1]) if columns is not None
+             else (SkillNode(*_node_row(obj, strict, ignored)) for obj in node_objs))
+    for node in nodes:
         if node.n_use > MAX_STORED_INT:
             raise ParseError(f"node {node.skill_id!r} n_use must be <= {MAX_STORED_INT}")
         try:
@@ -255,8 +256,9 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
             raise ParseError(f"invalid node: {exc}") from exc
 
     edge_objs = data.get("edges", [])
-    rows = (_exact_records(edge_objs, _edge_values, _EDGE_SIGNATURE)
-            or [_edge_row(obj, strict, ignored) for obj in edge_objs])
+    columns = _columns(edge_objs, _EDGE_TYPES)
+    rows = (zip(*columns) if columns is not None
+            else [_edge_row(obj, strict, ignored) for obj in edge_objs])
     try:
         graph.add_edges(rows)  # also checks the levels
     except ValueError as exc:
@@ -284,18 +286,20 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
     return graph
 
 
-def _exact_records(objs: list, values: itemgetter, signature: tuple) -> list[tuple] | None:
-    """Each record's ``values`` when every record is a dict of just those
-    fields (as many keys as it reads, all found), typed exactly as
-    ``signature``; otherwise None, for the checked path to explain."""
+def _columns(objs: list, types: dict[str, type]) -> list[list] | None:
+    """Each field's values in record order, when every record is a dict of
+    just the fields ``types`` names, each of exactly its type; otherwise
+    None, for ``_checked`` to explain record by record. Each check is one
+    pass over a column at C speed; a record that is no JSON object fails
+    the first field read."""
     try:
-        rows = list(map(values, objs))
+        columns = [list(map(itemgetter(name), objs)) for name in types]
     except (KeyError, TypeError):
         return None
-    size = len(signature)
-    if (all(type(obj) is dict and len(obj) == size for obj in objs)
-            and all(tuple(map(type, row)) == signature for row in rows)):
-        return rows
+    if (set(map(len, objs)) <= {len(types)}
+            and all(set(map(type, column)) <= {kind}
+                    for column, kind in zip(columns, types.values()))):
+        return columns
     return None
 
 
@@ -504,7 +508,21 @@ def decode_json(text: str, where: str | Path, one_line: bool = False) -> Any:
 
 
 def load_graph(path: str | Path, strict: bool = False) -> SkillGraph:
-    return graph_from_dict(decode_json(read_text(path), path), strict=strict)
+    """The graph a snapshot file holds (see ``graph_from_dict``).
+
+    The cyclic garbage collector is paused over the read, the decode and
+    the build: they allocate tens of thousands of container objects that
+    all stay reachable or go with the decoded document, which it would
+    scan again and again and free nothing of. Its prior state, on or off,
+    is restored however the load ends.
+    """
+    collecting = gc.isenabled()  # allocates nothing, so no collection starts here
+    gc.disable()
+    try:
+        return graph_from_dict(decode_json(read_text(path), path), strict=strict)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

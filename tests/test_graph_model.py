@@ -1096,7 +1096,7 @@ def test_refusals_name_the_fault(write, error, message):
 
 # a dict's mutating methods, and ``add``, the one a set has beyond them
 MAP_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
-                "__delitem__", "add"}
+                "__delitem__", "add", "difference_update"}
 
 
 def map_writes(attrs: set[str]) -> list[tuple[str, str, str]]:
@@ -1160,12 +1160,13 @@ def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
 
 def test_every_writer_of_a_parent_tuple_names_the_skill():
     """Only the writers of ``_in`` tuples add to ``_unleveled``, and only
-    ``compute_levels`` empties it. Every function that assigns an ``_in``
-    tuple also writes ``_unleveled``: no skill's parents change without the
-    skill being named for the next leveling."""
+    ``compute_levels`` empties it; a rejected ``add_edges`` takes back just
+    the names it gave. Every function that assigns an ``_in`` tuple also
+    writes ``_unleveled``: no skill's parents change without the skill being
+    named for the next leveling."""
     assert map_writes({"_unleveled"}) == [
         ("model", "__init__", "bind"), ("model", "_store", "add"),
-        ("model", "add_edges", "update"),
+        ("model", "add_edges", "difference_update"), ("model", "add_edges", "update"),
         ("model", "add_skill", "add"), ("model", "compute_levels", "bind"),
         ("model", "remove_edges", "update")]
     tuple_writers = {(module, func) for module, func, kind in map_writes({"_in"})

@@ -2,17 +2,20 @@
 
 ``save_graph`` writes its schema in one pass; the oracle is the general
 encoder it replaced, ``json.dumps(graph_to_dict(g), indent=2,
-sort_keys=True) + "\\n"``. ``graph_from_dict`` inserts all edges in one bulk
-call; the oracles are the per-edge loader it replaced, one ``add_edge`` (with
-its cycle search) per edge, and the row-by-row load that checked every
-record field by field, stored each edge on its own and recomputed every
-level, both kept here.
+sort_keys=True) + "\\n"``. ``graph_from_dict`` checks each section column by
+column and inserts all edges in one bulk call; the oracles are the per-edge
+loader it replaced, one ``add_edge`` (with its cycle search) per edge, and
+the row-by-row load that checked every record field by field, stored each
+edge on its own and recomputed every level, both kept here. ``load_graph``
+pauses the cyclic garbage collector over the decode and the build.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -26,18 +29,23 @@ from skillnet import (
     SkillNode,
     graph_from_dict,
     graph_to_dict,
+    load_graph,
     persistence,
     save_graph,
 )
+from skillnet.cli import main
 from skillnet.errors import (
     CycleDetected,
     CycleWouldForm,
     DuplicateEdge,
     ParseError,
     SkillNetError,
+    UnknownEndpoint,
+    WeightOutOfRange,
 )
 from skillnet.model import is_blank, pair_key
 
+from bench.library import generate_library
 from bench.run import EXPECTED
 from bench.workloads import CYCLES_PER_LIBRARY, PUBLISHES, Checkpoint2k, Retrieve8k
 from conftest import add_nodes, computed_levels, random_graph
@@ -379,18 +387,24 @@ def snapshot_mutants(draw) -> dict:
     return data
 
 
+def structure(graph: SkillGraph) -> tuple:
+    """A loaded graph as stored, before any read: its edge keys in map
+    order, its adjacency and category tables in order, its unleveled
+    skills and every skill's stored level."""
+    orders = [[(key, list(entries)) for key, entries in table.items()]
+              for table in (graph._out, graph._in, graph._categories)]
+    levels = [(v, n.level) for v, n in graph.nodes.items()]
+    return list(graph._edges), orders, graph._unleveled, levels
+
+
 def load_outcome(load, data: dict):
     """What a load gives: its exception's type and message, or the graph's
-    adjacency orders, unleveled skills and levels before any read, and its
-    dict."""
+    ``structure`` and its dict."""
     try:
         graph = load(data)
     except SkillNetError as exc:
         return type(exc), str(exc)
-    orders = [[(key, list(entries)) for key, entries in table.items()]
-              for table in (graph._out, graph._in, graph._categories)]
-    levels = [(v, n.level) for v, n in graph.nodes.items()]
-    return orders, graph._unleveled, levels, graph_to_dict(graph)
+    return structure(graph), graph_to_dict(graph)
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,7 +414,139 @@ def test_bulk_load_matches_the_row_by_row_load(data):
     one too), unknown endpoints and kinds, self-loops, weights out of range,
     and records the fast path passes over: the same graph, in the same
     order, or the same error."""
-    assert load_outcome(graph_from_dict, data) == load_outcome(row_by_row_load, data)
+    outcome = load_outcome(graph_from_dict, data)
+    assert outcome == load_outcome(row_by_row_load, data)
+    if not isinstance(outcome[0], type):
+        assert outcome[0][2] == set()  # the load leveled every skill
+
+
+def test_a_library_loads_as_the_row_by_row_load(tmp_path):
+    """The benchmark's 2k library, saved and loaded: the same edge order,
+    adjacency tuples and levels as the row-by-row load, nothing left to
+    level."""
+    path = tmp_path / "library.json"
+    save_graph(generate_library(2000, 15), path)
+    graph = load_graph(path)
+    oracle = row_by_row_load(json.loads(path.read_text(encoding="utf-8")))
+    assert structure(graph) == structure(oracle)
+    assert graph._unleveled == set() and len(graph.edges()) > 2000
+
+
+# the graph before each batch: a co_occur edge a - b, a prereq edge a -> c,
+# and e added after the last leveling, so named for the next one
+BATCH = [("b", "d", "prereq", 0.5), ("c", "e", "co_occur", 0.5)]
+LAST_ROW_FAULTS = {
+    "unknown_kind": (("c", "d", "co-occur", 0.5), ValueError,
+                     "'co-occur' is not a valid EdgeKind"),
+    "unknown_endpoint": (("c", "ghost", "prereq", 0.5), UnknownEndpoint,
+                         "unknown endpoint 'ghost' of c -> ghost"),
+    "self_loop": (("d", "d", "enhance", 0.5), CycleWouldForm, "self-loop on 'd'"),
+    "weight": (("c", "d", "prereq", 1.5), WeightOutOfRange,
+               "weight 1.5 outside [0, 1] for c -> d (prereq)"),
+    "nan": (("c", "d", "prereq", float("nan")), WeightOutOfRange,
+            "weight nan outside [0, 1] for c -> d (prereq)"),
+    "duplicate_stored": (("a", "c", "prereq", 0.9), DuplicateEdge,
+                         "duplicate edge a -> c (prereq)"),
+    "duplicate_in_batch": (("b", "d", "prereq", 0.9), DuplicateEdge,
+                           "duplicate edge b -> d (prereq)"),
+    "reversed_co_occur_stored": (("b", "a", "co_occur", 0.6), DuplicateEdge,
+                                 "duplicate edge b -> a (co_occur)"),
+    "reversed_co_occur_in_batch": (("e", "c", "co_occur", 0.6), DuplicateEdge,
+                                   "duplicate edge e -> c (co_occur)"),
+    "cycle": (("d", "b", "enhance", 0.5), CycleDetected, "dependency subgraph is cyclic"),
+}
+
+
+@pytest.mark.parametrize("name", LAST_ROW_FAULTS)
+def test_a_batch_faulty_only_in_its_last_row_changes_nothing(name):
+    row, error, message = LAST_ROW_FAULTS[name]
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b", "c", "d"])
+    graph.add_edges([("a", "b", "co_occur", 0.3), ("a", "c", "prereq", 0.5)])
+    add_nodes(graph, ["e"])
+    before = structure(graph), dict(graph.edges())
+    assert before[0][2] == {"e"}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        graph.add_edges([*BATCH, row])
+    assert (structure(graph), dict(graph.edges())) == before
+
+
+# a valid snapshot, and one load fault of each kind: bad JSON, a bad edge
+# row, a duplicate edge, a cycle
+COLLECTOR_CASES = {
+    "valid": None, "invalid_json": "{", "bad_row": ("a", "ghost", "prereq"),
+    "duplicate": ("a", "b", "prereq"), "cycle": ("b", "a", "enhance"),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case", COLLECTOR_CASES)
+def test_load_graph_leaves_the_collector_as_it_found_it(tmp_path, case, collecting):
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"])
+    graph.add_edge("a", "b", EdgeKind.PREREQ, 0.5)
+    data = graph_to_dict(graph)
+    extra = COLLECTOR_CASES[case]
+    if isinstance(extra, tuple):
+        src, dst, kind = extra
+        data["edges"].append({"src": src, "dst": dst, "kind": kind, "weight": 0.5})
+    path = tmp_path / "g.json"
+    path.write_text(extra if isinstance(extra, str) else json.dumps(data), encoding="utf-8")
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        if extra is None:
+            assert load_graph(path).edges() == graph.edges()
+        else:
+            with pytest.raises(ParseError):
+                load_graph(path)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_cli_retrieve_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    """``skillnet retrieve`` runs with the collector paused and restores it,
+    after an answer and after a load that fails."""
+    graph = SkillGraph()
+    add_nodes(graph, ["a", "b"], category="heat")
+    path = tmp_path / "g.json"
+    save_graph(graph, path)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        for graph_path, code in ((path, 0), (tmp_path / "missing.json", 2)):
+            assert main(["retrieve", "--graph", str(graph_path), "--task-type", "heat"]) == code
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    assert json.loads(capsys.readouterr().out)["ordered_skills"] == ["a", "b"]
+
+
+def test_no_collection_starts_inside_a_library_load(tmp_path):
+    """Decoding the 2k library's snapshot starts collections when the
+    collector runs; ``load_graph``, which decodes it too, starts none."""
+    path = tmp_path / "library.json"
+    save_graph(generate_library(2000, 15), path)
+    text = path.read_text(encoding="utf-8")
+    starts = []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        json.loads(text)
+        collected = len(starts)
+        graph = load_graph(path)
+        during = len(starts) - collected
+    finally:
+        gc.callbacks.remove(count)
+    assert collected > 0 and during == 0
+    assert len(graph.nodes) == 2000 and gc.isenabled()
 
 
 # ----------------------------------------------------------------------
