@@ -227,7 +227,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     for lineno, message in outcome.errors:
         print(f"line {lineno}: {message}", file=sys.stderr)
     if app.proposer.endpoint:
-        proposer = HttpProposer(**dataclasses.asdict(app.proposer))
+        proposer = HttpProposer(app.proposer)
     else:
         logger.info("no proposer endpoint configured; node synthesis is off")
         proposer = ScriptedProposer()

@@ -7,7 +7,8 @@ all become a ParseError. Every object a snapshot, trajectory or skills file
 holds is then checked by ``_checked``: exact JSON types, required fields,
 and unknown fields refused under ``strict`` or ignored with a warning. The
 node and edge records ``save_graph`` writes are checked column by column
-instead (``_columns``), and fall back to it on any mismatch.
+instead (``_columns``), and fall back to it on any mismatch; the edges go
+in as one ``add_edges`` batch, checked whole before any is stored.
 
 Snapshots are single JSON documents written atomically (temp file then
 rename) with canonical ordering, so saving the same graph twice produces
@@ -215,8 +216,8 @@ def graph_from_dict(data: Any, strict: bool = False) -> SkillGraph:
 
     One checked pass per section: the node and edge records are checked
     column by column (``_columns``) or, on any mismatch, record by record,
-    and every edge goes in with one ``add_edges`` call, which checks, stores
-    and groups each row once and names the first faulty row. Stored success
+    and every edge goes in with one ``add_edges`` call, which checks every
+    row before it stores any and names the first faulty row. Stored success
     rates are informational, derived from the raw counts. Stored levels are
     checked by ``add_edges``' leveling, which keeps each one that fits its
     parents and re-levels below the rest. The counters that grow (meta

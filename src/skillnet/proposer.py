@@ -50,7 +50,7 @@ class ProposerParams:
     def validate(self) -> None:
         if not self.timeout > 0:
             raise ConfigInvalid("proposer.timeout must be > 0")
-        if self.temperature < 0 or self.max_retries < 0:
+        if not self.temperature >= 0 or self.max_retries < 0:
             raise ConfigInvalid("proposer.temperature and max_retries must be >= 0")
 
 
@@ -282,23 +282,20 @@ class HttpProposer(Proposer):
 
     One request per evolution sub-operation, a single optional retry, and a
     hard timeout. Every transport failure degrades to ProposerUnavailable so
-    a checkpoint can always finish without the teacher. ``requests`` is
-    imported here, not with the package, so commands that never call a
-    teacher do not pay for it.
+    a checkpoint can always finish without the teacher. The settings are
+    the ``proposer`` config section, checked here, so a bad one is a
+    ConfigInvalid when the proposer is built, not an error of the first
+    request. ``requests`` is imported here, not with the package, so
+    commands that never call a teacher do not pay for it.
     """
 
-    def __init__(self, endpoint: str, model: str,
-                 api_key_env: str = ProposerParams.api_key_env,
-                 timeout: float = ProposerParams.timeout,
-                 temperature: float = ProposerParams.temperature,
-                 max_retries: int = ProposerParams.max_retries,
+    def __init__(self, params: ProposerParams,
                  session: requests.Session | None = None):
-        self.endpoint = endpoint.rstrip("/")
-        self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.temperature = temperature
-        self.max_retries = max_retries
+        params.validate()
+        if not params.endpoint:
+            raise ConfigInvalid("proposer.endpoint must be set")
+        self.params = params
+        self.endpoint = params.endpoint.rstrip("/")
         if session is None:
             import requests
             session = requests.Session()
@@ -316,17 +313,17 @@ class HttpProposer(Proposer):
 
     def _post(self, prompt: str) -> str:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(self.params.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
-            "model": self.model,
+            "model": self.params.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": self.params.temperature,
         }
         response = self.session.post(
             f"{self.endpoint}/chat/completions",
-            json=body, headers=headers, timeout=self.timeout)
+            json=body, headers=headers, timeout=self.params.timeout)
         if response.status_code != 200:
             raise ProposerUnavailable(
                 f"proposer endpoint returned HTTP {response.status_code}")
@@ -344,7 +341,7 @@ class HttpProposer(Proposer):
 
         prompt = self._render(request)
         last_error: Exception | None = None
-        for _ in range(1 + max(0, self.max_retries)):
+        for _ in range(1 + self.params.max_retries):
             try:
                 content = self._post(prompt)
                 break

@@ -42,7 +42,7 @@ from skillnet import (
     split_scan,
 )
 from skillnet.errors import CycleWouldForm, ProposerUnavailable
-from skillnet.proposer import render_insert_prompt
+from skillnet.proposer import ProposerParams, render_insert_prompt
 from skillnet.retrieval import DEFAULT_K_MAX, _expand_forward
 
 from conftest import (
@@ -390,7 +390,7 @@ def test_criterion_9_proposer_integration():
             steps=[{"action": f"a{i}", "observation": f"o{i}"}
                    for i in range(7)],
             success=False)]
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = HttpProposer(ProposerParams(endpoint, model="stub", timeout=5.0))
         report_obj = evolve_step(graph, [], failures, proposer,
                                  EvolutionConfig())
         assert len(report_obj.inserted) == 3          # five offered, m=3 kept
@@ -406,8 +406,8 @@ def test_criterion_9_proposer_integration():
         server.shutdown()
 
     # timeout degrades without aborting the checkpoint
-    dead = HttpProposer("http://127.0.0.1:9", model="stub", timeout=0.2,
-                        max_retries=0)
+    dead = HttpProposer(ProposerParams("http://127.0.0.1:9", model="stub", timeout=0.2,
+                                       max_retries=0))
     graph = SkillGraph()
     add_nodes(graph, ["a", "b"], category="clean")
     graph.add_edge("a", "b", EdgeKind.CO_OCCUR, 0.3)

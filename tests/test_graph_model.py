@@ -1153,7 +1153,7 @@ def test_edges_are_written_only_by_the_writers_that_keep_the_adjacency():
     bind a fresh graph's map."""
     assert map_writes({"_edges"}) == [
         ("model", "__init__", "bind"), ("model", "_store", "item"),
-        ("model", "add_edges", "item"), ("model", "remove_edges", "pop"),
+        ("model", "add_edges", "update"), ("model", "remove_edges", "pop"),
         ("model", "scale_weights", "update"),
         ("model", "set_weight", "item"), ("model", "snapshot", "bind")]
 

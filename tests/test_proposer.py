@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import time
@@ -20,6 +19,7 @@ from skillnet import (
     render_insert_prompt,
 )
 from skillnet.errors import (
+    ConfigInvalid,
     ProposerParseError,
     ProposerUnavailable,
     SchemaViolation,
@@ -236,6 +236,13 @@ class FakeSession:
                                      "json": lambda _: payload})()
 
 
+def http_proposer(endpoint, session=None, **settings) -> HttpProposer:
+    """An ``HttpProposer`` for the model "stub" at ``endpoint``, the other
+    ``ProposerParams`` settings as given or their defaults."""
+    settings = {"endpoint": endpoint, "model": "stub", **settings}
+    return HttpProposer(ProposerParams(**settings), session)
+
+
 def degraded_insert(proposer):
     """One checkpoint whose only teacher call is an insert for one failure."""
     from skillnet import EvolutionConfig, SkillGraph, TrajectoryRecord, evolve_step
@@ -249,7 +256,7 @@ class TestHttpProposer:
     def test_parses_valid_array(self, stub_server):
         endpoint, handler = stub_server
         handler.script = [valid_skill(i) for i in range(3)]
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = http_proposer(endpoint, timeout=5.0)
         proposals = proposer.propose(insert_request())
         assert [p.title for p in proposals] == [f"Teacher skill {i}"
                                                 for i in range(3)]
@@ -257,20 +264,20 @@ class TestHttpProposer:
     def test_caps_at_max_items(self, stub_server):
         endpoint, handler = stub_server
         handler.script = [valid_skill(i) for i in range(6)]
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = http_proposer(endpoint, timeout=5.0)
         assert len(proposer.propose(insert_request(max_items=3))) == 3
 
     def test_invalid_entries_dropped(self, stub_server):
         endpoint, handler = stub_server
         handler.script = [valid_skill(0), {"title": "missing fields"},
                           valid_skill(1)]
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = http_proposer(endpoint, timeout=5.0)
         assert len(proposer.propose(insert_request())) == 2
 
     def test_prompt_carried_in_request_body(self, stub_server):
         endpoint, handler = stub_server
         handler.script = [valid_skill(0)]
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = http_proposer(endpoint, timeout=5.0)
         proposer.propose(insert_request())
         body = handler.requests_seen[-1]
         assert body["model"] == "stub"
@@ -281,14 +288,12 @@ class TestHttpProposer:
     def test_timeout_maps_to_unavailable(self, stub_server):
         endpoint, handler = stub_server
         handler.delay = 1.0
-        proposer = HttpProposer(endpoint, model="stub", timeout=0.15,
-                                max_retries=0)
+        proposer = http_proposer(endpoint, timeout=0.15, max_retries=0)
         with pytest.raises(ProposerUnavailable):
             proposer.propose(insert_request())
 
     def test_dead_endpoint_maps_to_unavailable(self):
-        proposer = HttpProposer("http://127.0.0.1:9", model="stub",
-                                timeout=0.2, max_retries=1)
+        proposer = http_proposer("http://127.0.0.1:9", timeout=0.2, max_retries=1)
         with pytest.raises(ProposerUnavailable):
             proposer.propose(insert_request())
 
@@ -312,7 +317,7 @@ class TestHttpProposer:
         graph.add_skill(make_node("broad", category="clean",
                                   n_use=40, n_succ=12))
         graph.compute_levels()
-        proposer = HttpProposer(endpoint, model="stub", timeout=5.0)
+        proposer = http_proposer(endpoint, timeout=5.0)
         report = evolve_step(graph, [], [], proposer, EvolutionConfig())
         assert report.merged == [("m1", ["m2"])]
         assert graph.nodes["m1"].title == "Teacher skill 0"
@@ -320,7 +325,7 @@ class TestHttpProposer:
         assert len(report.split[0][1]) == 3  # five offered, capped at three
 
     def test_render_covers_merge_and_split(self):
-        proposer = HttpProposer("http://unused", model="stub")
+        proposer = http_proposer("http://unused")
         merge_prompt = proposer._render(ProposerRequest(
             kind="merge",
             skill_pair=({"skill_id": "a", "title": "A", "principle": "pa",
@@ -337,11 +342,19 @@ class TestHttpProposer:
         assert "Broad" in split_prompt and "clean: t17" in split_prompt
         assert "2-3 simpler sub-skills" in split_prompt
 
-    def test_defaults_are_the_config_sections(self):
-        params = ProposerParams(endpoint="http://unused")
-        proposer = HttpProposer(params.endpoint, params.model)
-        for field in dataclasses.fields(ProposerParams):
-            assert getattr(proposer, field.name) == getattr(params, field.name), field.name
+    @pytest.mark.parametrize("settings", [
+        {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")},
+        {"temperature": -0.5}, {"temperature": float("nan")}, {"max_retries": -1},
+        {"endpoint": None}, {"endpoint": ""},
+    ], ids=["timeout-0", "timeout-negative", "timeout-nan", "temperature-negative",
+            "temperature-nan", "retries-negative", "no-endpoint", "empty-endpoint"])
+    def test_bad_settings_are_refused_when_the_proposer_is_built(self, settings):
+        """A setting no request could use is a ConfigInvalid of the build, not
+        an error of the first request, which would escape the sub-operation
+        and abort the checkpoint."""
+        params = ProposerParams(**{"endpoint": "http://teacher.invalid", **settings})
+        with pytest.raises(ConfigInvalid):
+            HttpProposer(params)
 
     def test_any_request_exception_maps_to_unavailable(self, caplog):
         """A redirect loop degrades the checkpoint like a timeout does."""
@@ -355,8 +368,7 @@ class TestHttpProposer:
                 raise requests.TooManyRedirects("redirect loop")
 
         session = RedirectLoop()
-        proposer = HttpProposer("http://teacher.invalid", model="stub",
-                                max_retries=1, session=session)
+        proposer = http_proposer("http://teacher.invalid", session, max_retries=1)
         with pytest.raises(ProposerUnavailable):
             proposer.propose(insert_request())
         assert session.calls == 2
@@ -369,8 +381,7 @@ class TestHttpProposer:
 
     def test_non_200_status_degrades_the_checkpoint(self, caplog):
         session = FakeSession(status_code=503)
-        proposer = HttpProposer("http://teacher.invalid", model="stub",
-                                max_retries=2, session=session)
+        proposer = http_proposer("http://teacher.invalid", session, max_retries=2)
         with pytest.raises(ProposerUnavailable, match="HTTP 503"):
             proposer.propose(insert_request())
         assert len(session.calls) == 1  # a status answer is not retried
@@ -386,8 +397,8 @@ class TestHttpProposer:
         else:
             monkeypatch.setenv("TEACHER_KEY", key)
         session = FakeSession(content=json.dumps([valid_skill(0)]))
-        proposer = HttpProposer("http://teacher.invalid/", model="stub",
-                                api_key_env="TEACHER_KEY", timeout=7.0, session=session)
+        proposer = http_proposer("http://teacher.invalid/", session,
+                                 api_key_env="TEACHER_KEY", timeout=7.0)
         assert [p.title for p in proposer.propose(insert_request())] == ["Teacher skill 0"]
         ((url, kwargs),) = session.calls
         assert url == "http://teacher.invalid/chat/completions"
@@ -401,8 +412,8 @@ class TestHttpProposer:
     def test_a_request_exception_is_tried_one_plus_max_retries_times(
             self, caplog, max_retries):
         session = FakeSession(error=requests.ConnectionError("refused"))
-        proposer = HttpProposer("http://teacher.invalid", model="stub",
-                                max_retries=max_retries, session=session)
+        proposer = http_proposer("http://teacher.invalid", session,
+                                 max_retries=max_retries)
         with pytest.raises(ProposerUnavailable, match="refused"):
             proposer.propose(insert_request())
         assert len(session.calls) == 1 + max_retries
@@ -438,8 +449,7 @@ class TestHttpProposer:
             def post(self, *args, **kwargs):
                 return Completion()
 
-        proposer = HttpProposer("http://teacher.invalid", model="stub",
-                                session=UnusableSession())
+        proposer = http_proposer("http://teacher.invalid", UnusableSession())
         with pytest.raises(ProposerParseError, match=reason):
             proposer.propose(insert_request())
         failure = TrajectoryRecord(task_id="t", task_type="clean",

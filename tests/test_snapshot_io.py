@@ -465,10 +465,15 @@ def test_a_batch_faulty_only_in_its_last_row_changes_nothing(name):
     graph.add_edges([("a", "b", "co_occur", 0.3), ("a", "c", "prereq", 0.5)])
     add_nodes(graph, ["e"])
     before = structure(graph), dict(graph.edges())
+    tuples = {**graph._out}, {**graph._in}
     assert before[0][2] == {"e"}
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         graph.add_edges([*BATCH, row])
     assert (structure(graph), dict(graph.edges())) == before
+    if name != "cycle":
+        # no tuple rebound, so the merge memo sees no skill as changed
+        for table, kept in zip((graph._out, graph._in), tuples):
+            assert all(table[v] is entries for v, entries in kept.items())
 
 
 # a valid snapshot, and one load fault of each kind: bad JSON, a bad edge
