@@ -2,10 +2,13 @@
 
 Subcommands: init, retrieve, ingest, evolve, simulate, stats, export-dot.
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 proposer/network error. Output paths are checked before any
-work, outputs are written atomically, and input files are never mutated,
-with one exception: ``evolve`` without ``--out`` rewrites its ``--graph``
-snapshot in place.
+2 data error (a standard output that cannot be written included),
+3 proposer/network error. Output paths are checked before any work, outputs
+are written atomically, and input files are never mutated, with one
+exception: ``evolve`` without ``--out`` rewrites its ``--graph`` snapshot in
+place. ``main`` is the in-process entry point; the ``skillnet`` script and
+``python -m skillnet.cli`` go through ``run``, which ends the process as
+soon as the output is out.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .errors import ConfigInvalid, ParseError, ProposerError, SkillNetError
@@ -327,5 +331,33 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments, flush standard output and
+    standard error, and end the process with ``main``'s exit code, skipping
+    the interpreter's teardown (module clean-up and a final collection over
+    everything the imports made), which no command needs.
+
+    That relies on every output being done when ``main`` returns: files
+    are written, closed and fsynced by ``_atomic_write``, the logging
+    handler on stderr flushes each record, and standard output is flushed
+    here. A standard output that cannot take what is buffered for it (its
+    reader has gone) is one ``error:`` line on stderr and exit 2, in place of
+    the interpreter's own report and exit 120.
+    """
+    code = main()
+    try:
+        try:
+            if sys.stdout is not None:  # None: the process has no stdout
+                sys.stdout.flush()
+        except OSError as exc:
+            code = EXIT_DATA
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # stderr cannot be written either; the exit code stands
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

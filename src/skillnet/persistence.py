@@ -39,7 +39,7 @@ from .errors import (
     SkillNetError,
     VersionMismatch,
 )
-from .model import EdgeKind, SkillGraph, SkillNode, node_values, pair_key
+from .model import _CO_OCCUR, EdgeKind, SkillGraph, SkillNode, node_values, pair_key
 
 logger = logging.getLogger(__name__)
 
@@ -614,7 +614,7 @@ def export_dot(graph: SkillGraph, hide_deprecated: bool = False) -> str:
         if src not in shown or dst not in shown:
             continue
         attrs = [f"style={_EDGE_STYLE[kind]}", f"penwidth={0.5 + 3.0 * weight:.2f}"]
-        if kind is EdgeKind.CO_OCCUR:
+        if kind is _CO_OCCUR:
             attrs.append("dir=none")
         lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" '
                      f'[{", ".join(attrs)}];')

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from threading import TIMEOUT_MAX
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import (
@@ -48,8 +49,11 @@ class ProposerParams:
     max_retries: int = 1
 
     def validate(self) -> None:
-        if not self.timeout > 0:
-            raise ConfigInvalid("proposer.timeout must be > 0")
+        # a longer wait (inf included) overflows the socket's timeout, which
+        # would fail every request with an error that is no ProposerError
+        if not 0 < self.timeout <= TIMEOUT_MAX:
+            raise ConfigInvalid(
+                f"proposer.timeout must be > 0 and at most {TIMEOUT_MAX:.6g} s")
         if not self.temperature >= 0 or self.max_retries < 0:
             raise ConfigInvalid("proposer.temperature and max_retries must be >= 0")
 

@@ -127,6 +127,7 @@ class TestTypesAndRanges:
         {"curriculum": {"warmup_length": -1}},
         {"curriculum": {"unlock_threshold": 1.1}},
         {"proposer": {"timeout": 0}},
+        {"proposer": {"timeout": 1e300}},       # overflows a socket timeout
         {"proposer": {"temperature": -0.5}},
         {"proposer": {"max_retries": -1}},
         {"proposer": {"endpoint": 80}},

@@ -955,6 +955,27 @@ class TestCli:
         assert sha256(stdout.encode("utf-8")).hexdigest() == EVOLVE_REPORT_SHA256
         assert sha256(out.read_bytes()).hexdigest() == EVOLVE_SNAPSHOT_SHA256
 
+    def test_evolve_refuses_a_timeout_no_socket_takes(self, tmp_path, capsys):
+        # requests raised OverflowError at the first teacher request, which
+        # escaped the sub-operation and aborted the checkpoint
+        graph_path = tmp_path / "g.json"
+        main(["init", "--skills", self.write_skills(tmp_path),
+              "--out", str(graph_path)])
+        before = graph_path.read_bytes()
+        save_trajectories([TrajectoryRecord(
+            task_id="t", task_type="clean", retrieved_skill_ids=["c1"],
+            success=False)], tmp_path / "w.jsonl")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"proposer": {"endpoint": "http://127.0.0.1:9", "timeout": 1e300}}))
+        capsys.readouterr()
+        assert main(["--graph", str(graph_path), "--config", str(config), "evolve",
+                     "--window", str(tmp_path / "w.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: proposer.timeout must be > 0 and at most ")
+        assert err.count("\n") == 1
+        assert graph_path.read_bytes() == before
+
     def test_inputs_never_mutated(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
         main(["init", "--skills", self.write_skills(tmp_path),

@@ -261,6 +261,15 @@ class TestHttpProposer:
         assert [p.title for p in proposals] == [f"Teacher skill {i}"
                                                 for i in range(3)]
 
+    def test_the_longest_timeout_allowed_reaches_the_teacher(self, stub_server):
+        """``threading.TIMEOUT_MAX`` is the bound: a socket takes it, while
+        a timeout of 1e10 s overflows the socket's time_t."""
+        endpoint, handler = stub_server
+        handler.script = [valid_skill(0)]
+        proposer = http_proposer(endpoint, timeout=threading.TIMEOUT_MAX)
+        assert [p.title for p in proposer.propose(insert_request())] == [
+            "Teacher skill 0"]
+
     def test_caps_at_max_items(self, stub_server):
         endpoint, handler = stub_server
         handler.script = [valid_skill(i) for i in range(6)]
@@ -344,10 +353,12 @@ class TestHttpProposer:
 
     @pytest.mark.parametrize("settings", [
         {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")},
+        {"timeout": 1e300}, {"timeout": float("inf")},
         {"temperature": -0.5}, {"temperature": float("nan")}, {"max_retries": -1},
         {"endpoint": None}, {"endpoint": ""},
-    ], ids=["timeout-0", "timeout-negative", "timeout-nan", "temperature-negative",
-            "temperature-nan", "retries-negative", "no-endpoint", "empty-endpoint"])
+    ], ids=["timeout-0", "timeout-negative", "timeout-nan", "timeout-huge",
+            "timeout-inf", "temperature-negative", "temperature-nan",
+            "retries-negative", "no-endpoint", "empty-endpoint"])
     def test_bad_settings_are_refused_when_the_proposer_is_built(self, settings):
         """A setting no request could use is a ConfigInvalid of the build, not
         an error of the first request, which would escape the sub-operation
